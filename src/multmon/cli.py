@@ -61,7 +61,9 @@ COMMANDS = (
     "regularity",
 )
 
-MULTIPLICITY_METHODS = ("auto", "codim1", "ci", "stem", "aci", "structural", "recurrence", "ps", "oracle")
+MULTIPLICITY_METHODS = (
+    "auto", "codim1", "ci", "stem", "aci", "structural", "quadratic", "recurrence", "ps", "oracle",
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -131,6 +133,8 @@ def _compute_multiplicity(ideal: MonomialIdeal, method: str) -> int:
         if split is None:
             raise HypothesisError("no pairwise-coprime subset of size codim exists")
         return e_structural(ideal, split)
+    if method == "quadratic":
+        return e_quadratic_dominant(ideal)
     if method == "recurrence":
         pivot = _recurrence_pivot(ideal)
         if pivot is None:
@@ -174,12 +178,6 @@ def _applicable_methods(ideal: MonomialIdeal, report) -> list[str]:
     if _recurrence_pivot(ideal) is not None:
         methods.append("recurrence")
     return methods
-
-
-def _compute_named(ideal: MonomialIdeal, method: str) -> int:
-    if method == "quadratic":
-        return e_quadratic_dominant(ideal)
-    return _compute_multiplicity(ideal, method)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +290,7 @@ def _result_for(
 
     if command == "verify":
         methods = _applicable_methods(ideal, report)
-        values = {m: _compute_named(ideal, m) for m in methods}
+        values = {m: _compute_multiplicity(ideal, m) for m in methods}
         agreement = len(set(values.values())) == 1
         checks = [{"method": m, "value": v} for m, v in values.items()]
         result = {
@@ -419,8 +417,8 @@ def _render_pretty(document: dict) -> str:
 # drivers
 
 
-def _error_document(command: str, text: str | None, exc: MultmonError) -> dict:
-    payload = {"code": type(exc).__name__, "message": str(exc), "exit_code": exc.exit_code}
+def _error_document(command: str, text: str | None, exc: Exception, exit_code: int) -> dict:
+    payload = {"code": type(exc).__name__, "message": str(exc), "exit_code": exit_code}
     if isinstance(exc, ParseError):
         payload["code"] = exc.code
         payload["line"] = exc.line
@@ -445,7 +443,14 @@ def _run_batch(args) -> int:
         try:
             document, code = _execute(stripped, args)
         except MultmonError as exc:
-            document, code = _error_document(args.command, stripped, exc), exc.exit_code
+            code = exc.exit_code
+            document = _error_document(args.command, stripped, exc, code)
+        except Exception as exc:  # an unexpected failure is a bug on this line only
+            import traceback  # deferred: only this rare path needs it, and it slows start-up
+
+            traceback.print_exc(file=sys.stderr)
+            code = InternalConsistencyError.exit_code
+            document = _error_document(args.command, stripped, exc, code)
         _emit(document, args)
         if status == 0 and code != 0:
             status = code
@@ -461,7 +466,7 @@ def _run_random_verify(args) -> int:
         ideal = random_ideal(rng, max_gens=8, max_vars=6, max_exp=4)
         report = classify(ideal)
         methods = _applicable_methods(ideal, report)
-        values = {m: _compute_named(ideal, m) for m in methods}
+        values = {m: _compute_multiplicity(ideal, m) for m in methods}
         if len(set(values.values())) != 1:
             failures.append({"case": index, "ideal": str(ideal), "methods": values})
     document = {

@@ -52,6 +52,17 @@ def test_forced_method_hypothesis_violation(capsys):
     assert code == 2
 
 
+def test_forced_quadratic_method(capsys):
+    text = "a*b, a*c, d*e"  # quadratic dominant
+    code, (doc,) = run_cli(capsys, "multiplicity", "--ideal", text, "--method", "quadratic")
+    _, (consensus,) = run_cli(capsys, "verify", "--ideal", text)
+    assert code == 0 and doc["method"] == "quadratic"
+    assert doc["result"]["multiplicity"] == consensus["result"]["methods"]["quadratic"] == 2
+
+    code, docs = run_cli(capsys, "multiplicity", "--ideal", "x^2, y^3", "--method", "quadratic")
+    assert code == 2 and docs == []
+
+
 def test_codim_command(capsys):
     code, (doc,) = run_cli(capsys, "codim", "--ideal", EXAMPLE)
     assert code == 0 and doc["result"]["codim"] == 3
@@ -187,6 +198,22 @@ def test_batch_mode_preserves_order_and_reports_errors(tmp_path, capsys):
     assert len(docs) == 3
     assert docs[0]["result"]["multiplicity"] == 6
     assert docs[1]["error"]["code"] == "zero-exponent"
+    assert docs[2]["result"]["multiplicity"] == 2
+
+
+def test_batch_mode_survives_an_unexpected_exception(tmp_path, capsys, monkeypatch):
+    def broken(ideal):
+        raise ZeroDivisionError("injected")
+
+    monkeypatch.setattr(cli, "e_codim1", broken)
+    batch = tmp_path / "ideals.txt"
+    batch.write_text("x^2, y^3\nx^2*y, x*y^2\na*b, a*c, d*e\n")
+    code, docs = run_cli(capsys, "multiplicity", "--file", str(batch))
+    assert code == 5
+    assert len(docs) == 3
+    assert docs[0]["result"]["multiplicity"] == 6
+    assert docs[1]["error"] == {"code": "ZeroDivisionError", "message": "injected", "exit_code": 5}
+    assert docs[1]["input"] == {"text": "x^2*y, x*y^2"}
     assert docs[2]["result"]["multiplicity"] == 2
 
 

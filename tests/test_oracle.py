@@ -2,12 +2,24 @@
 
 from __future__ import annotations
 
+import ast
+import json
 import random
+import time
+from itertools import combinations, product
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import multmon.cli as cli
+import multmon.oracle as oracle
 from multmon import (
+    Monomial,
     ResourceCapError,
+    VariableTable,
+    codim,
     colength,
     cover_contributions,
     minimal_covers,
@@ -16,6 +28,17 @@ from multmon import (
     parse_ideal,
 )
 from multmon.generate import random_ideal
+
+ABCDE = VariableTable(("a", "b", "c", "d", "e"))
+
+ideals = st.builds(
+    lambda maps: minimalize(ABCDE, [Monomial.from_map(ABCDE, m) for m in maps]),
+    st.lists(
+        st.dictionaries(st.integers(0, 4), st.integers(1, 6), min_size=1, max_size=3),
+        min_size=1,
+        max_size=6,
+    ),
+)
 
 
 def names_of(ideal, cover):
@@ -82,3 +105,78 @@ def test_grid_cap():
     ideal = parse_ideal("x^4000000, y^4000000")
     with pytest.raises(ResourceCapError):
         colength(ideal, frozenset({0, 1}))
+
+
+def cycle_ideal(q):
+    return parse_ideal(", ".join(f"v{i}*v{(i + 1) % q}" for i in range(q)))
+
+
+def grid_walk_colength(ideal, cover):
+    """Standard monomials in the cover variables, one lattice point at a time.
+
+    Each cover variable has a pure power among the restricted generators, so
+    a box as long as each variable's largest exponent holds every standard
+    monomial.
+    """
+    cov = sorted(cover)
+    vectors = [tuple(g.exponent(v) for v in cov) for g in ideal.gens]
+    sides = [range(max(vec[p] for vec in vectors)) for p in range(len(cov))]
+    return sum(
+        1
+        for point in product(*sides)
+        if not any(all(w <= x for w, x in zip(vec, point)) for vec in vectors)
+    )
+
+
+def scanned_covers(ideal):
+    """Every codim-sized subset of the used variables that meets each support."""
+    supports = [set(g.support) for g in ideal.gens]
+    return [
+        frozenset(combo)
+        for combo in combinations(ideal.used_variables(), codim(ideal))
+        if all(s.intersection(combo) for s in supports)
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(ideals)
+def test_minimal_covers_match_the_subset_scan(ideal):
+    assert minimal_covers(ideal) == scanned_covers(ideal)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ideals)
+def test_colength_matches_the_grid_walk(ideal):
+    for cover in scanned_covers(ideal):
+        assert colength(ideal, cover) == grid_walk_colength(ideal, cover)
+
+
+def test_big_box_multiplicity_is_exact():
+    ideal = parse_ideal("x^300, y^300, z^100, x*y*z")
+    assert multiplicity_associativity(ideal) == 300 * 300 * 100 - 299 * 299 * 99 == 149301
+
+
+def test_big_box_check_is_fast(capsys):
+    started = time.perf_counter()
+    code = cli.main(["multiplicity", "--ideal", "x^300, y^300, z^100, x*y*z", "--check"])
+    elapsed = time.perf_counter() - started
+    (doc,) = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert code == 0
+    assert doc["agreement"] is True
+    assert {c["method"]: c["value"] for c in doc["checks"]} == {"ps": 149301, "oracle": 149301}
+    assert elapsed < 5.0
+
+
+def test_cycle_cover_counts():
+    # An even cycle has the two alternating covers; an odd one has q covers of
+    # size (q + 1) / 2, one per place where two chosen variables are adjacent.
+    assert len(minimal_covers(cycle_ideal(20))) == 2
+    assert len(minimal_covers(cycle_ideal(19))) == 19
+
+
+def test_oracle_imports_no_other_route():
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    imported = {
+        node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level
+    }
+    assert imported == {"core", "errors", "invariants"}
