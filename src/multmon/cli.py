@@ -4,12 +4,14 @@ Each run emits one structured JSON document (one per line in batch mode);
 `--pretty` renders the same record for humans.  Field names are frozen in
 docs/schema.md.  Errors map to exit codes: 0 success, 1 usage/parse error,
 2 hypothesis violation, 3 unsupported, 4 resource cap, 5 internal
-consistency failure.
+consistency failure.  One table of multiplicity routes (`METHODS`) drives
+the `auto` choice, `--method` and `verify`.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -18,7 +20,7 @@ from typing import Sequence
 
 from . import __version__
 from .core import MonomialIdeal, polar_sets
-from .decomposition import multiplicity_recurrence
+from .decomposition import multiplicity_recurrence, recurrence_pivot
 from .errors import (
     HypothesisError,
     InternalConsistencyError,
@@ -35,10 +37,17 @@ from .formulas import (
     e_stem,
     e_structural,
     find_ci_split,
+    is_quadratic_dominant,
     reg_quadratic_dominant,
 )
 from .generate import random_ideal
-from .invariants import classify, codim, dominance_witnesses
+from .invariants import (
+    classify,
+    codim,
+    is_almost_complete_intersection,
+    is_complete_intersection,
+    is_dominant,
+)
 from .oracle import multiplicity_associativity
 from .parsing import is_valid_variable_name, parse_ideal_detailed
 from .taylor import (
@@ -61,16 +70,12 @@ COMMANDS = (
     "regularity",
 )
 
-MULTIPLICITY_METHODS = (
-    "auto", "codim1", "ci", "stem", "aci", "structural", "quadratic", "recurrence", "ps", "oracle",
-)
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="multmon", description=__doc__)
     parser.add_argument("--version", action="version", version=f"multmon {__version__}")
@@ -93,7 +98,7 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(name)
         add_common(p)
         if name == "multiplicity":
-            p.add_argument("--method", choices=MULTIPLICITY_METHODS, default="auto")
+            p.add_argument("--method", choices=("auto", *METHODS), default="auto")
         if name == "verify":
             p.add_argument("--random", action="store_true", help="verify seeded random ideals")
             p.add_argument("--seed", type=int, default=0, help="seed for --random")
@@ -105,79 +110,48 @@ def _build_parser() -> _Parser:
 # multiplicity methods
 
 
-def _recurrence_pivot(ideal: MonomialIdeal) -> int | None:
-    """Smallest dominant pivot that keeps the codimension, if any."""
-    c = codim(ideal)
-    if ideal.q < 2:
-        return None
-    witnesses = dominance_witnesses(ideal)
-    for i, w in enumerate(witnesses):
-        if w is None:
-            continue
-        if codim(ideal.without(i)) == c:
-            return i
-    return None
+def _structural(ideal: MonomialIdeal) -> int:
+    split = find_ci_split(ideal)
+    if split is None:
+        raise HypothesisError("no pairwise-coprime subset of size codim exists")
+    return e_structural(ideal, split)
 
 
-def _compute_multiplicity(ideal: MonomialIdeal, method: str) -> int:
-    if method == "codim1":
-        return e_codim1(ideal)
-    if method == "ci":
-        return e_complete_intersection(ideal)
-    if method == "stem":
-        return e_stem(ideal)
-    if method == "aci":
-        return e_aci(ideal)
-    if method == "structural":
-        split = find_ci_split(ideal)
-        if split is None:
-            raise HypothesisError("no pairwise-coprime subset of size codim exists")
-        return e_structural(ideal, split)
-    if method == "quadratic":
-        return e_quadratic_dominant(ideal)
-    if method == "recurrence":
-        pivot = _recurrence_pivot(ideal)
-        if pivot is None:
-            raise HypothesisError("no dominant pivot preserves the codimension")
-        return multiplicity_recurrence(ideal, pivot)
-    if method == "ps":
-        return multiplicity_ps(ideal)
-    if method == "oracle":
-        return multiplicity_associativity(ideal)
-    raise UsageError(f"unknown method {method!r}")
+def _recurrence(ideal: MonomialIdeal) -> int:
+    pivot = recurrence_pivot(ideal)
+    if pivot is None:
+        raise HypothesisError("no dominant pivot preserves the codimension")
+    return multiplicity_recurrence(ideal, pivot)
 
 
-def _auto_method(ideal: MonomialIdeal, report) -> str:
-    if report.is_codim1:
-        return "codim1"
-    if report.is_ci:
-        return "ci"
-    if detect_stem(ideal) is not None:
-        return "stem"
-    if report.aci_witness is not None:
-        return "aci"
-    if report.is_dominant and find_ci_split(ideal) is not None:
-        return "structural"
-    return "ps"
+# Route name -> (applies, compute), in the order `verify` reports them.
+# `compute` raises `HypothesisError` where `applies` is false.  The rows look
+# routes up by this module's names at call time, so replacing a name here (as
+# tests and the benchmark's tracer do) reaches every use.
+METHODS = {
+    "ps": (lambda i: True, lambda i: multiplicity_ps(i)),
+    "oracle": (lambda i: True, lambda i: multiplicity_associativity(i)),
+    "codim1": (lambda i: codim(i) == 1, lambda i: e_codim1(i)),
+    "ci": (lambda i: is_complete_intersection(i), lambda i: e_complete_intersection(i)),
+    "stem": (lambda i: detect_stem(i) is not None, lambda i: e_stem(i)),
+    "aci": (lambda i: is_almost_complete_intersection(i) is not None, lambda i: e_aci(i)),
+    "structural": (lambda i: is_dominant(i)[0] and find_ci_split(i) is not None, _structural),
+    "quadratic": (lambda i: is_quadratic_dominant(i), lambda i: e_quadratic_dominant(i)),
+    "recurrence": (lambda i: recurrence_pivot(i) is not None, _recurrence),
+}
+
+# What `auto` tries, cheapest first; the ps engine answers when none applies.
+AUTO_METHODS = ("codim1", "ci", "stem", "aci", "structural")
 
 
-def _applicable_methods(ideal: MonomialIdeal, report) -> list[str]:
-    methods = ["ps", "oracle"]
-    if report.is_codim1:
-        methods.append("codim1")
-    if report.is_ci:
-        methods.append("ci")
-    if detect_stem(ideal) is not None:
-        methods.append("stem")
-    if report.aci_witness is not None:
-        methods.append("aci")
-    if report.is_dominant and find_ci_split(ideal) is not None:
-        methods.append("structural")
-    if report.is_dominant and all(g.degree == 2 for g in ideal.gens):
-        methods.append("quadratic")
-    if _recurrence_pivot(ideal) is not None:
-        methods.append("recurrence")
-    return methods
+def _auto_method(ideal: MonomialIdeal) -> str:
+    return next((m for m in AUTO_METHODS if METHODS[m][0](ideal)), "ps")
+
+
+def _consensus(ideal: MonomialIdeal) -> dict[str, int]:
+    """Every applicable route's multiplicity, in table order."""
+    applicable = [name for name, (applies, _) in METHODS.items() if applies(ideal)]
+    return {name: METHODS[name][1](ideal) for name in applicable}
 
 
 # ---------------------------------------------------------------------------
@@ -201,28 +175,27 @@ def _classification_payload(ideal: MonomialIdeal, report) -> dict:
 
 
 def _result_for(
-    ideal: MonomialIdeal, report, args
+    ideal: MonomialIdeal, args
 ) -> tuple[dict, str | None, list[dict], bool | None]:
     """Result payload, chosen method, cross-checks, agreement flag."""
     command = args.command
 
     if command == "multiplicity":
-        method = args.method if args.method != "auto" else _auto_method(ideal, report)
-        value = _compute_multiplicity(ideal, method)
+        method = args.method if args.method != "auto" else _auto_method(ideal)
+        value = METHODS[method][1](ideal)
         checks = []
         agreement = None
         if args.check:
             for other in ("ps", "oracle"):
-                checks.append({"method": other, "value": _compute_multiplicity(ideal, other)})
+                checks.append({"method": other, "value": METHODS[other][1](ideal)})
             agreement = all(c["value"] == value for c in checks)
         return {"multiplicity": value}, method, checks, agreement
 
     if command == "codim":
-        return {"codim": report.codim}, "cover-search", [], None
+        return {"codim": codim(ideal)}, "cover-search", [], None
 
     if command == "classify":
         structure = detect_stem(ideal)
-        quadratic = report.is_dominant and all(g.degree == 2 for g in ideal.gens)
         result = {
             "stem": None
             if structure is None
@@ -230,7 +203,7 @@ def _result_for(
                 "stems": [str(s) for s in structure.stems],
                 "blocks": [[str(ideal.gens[i]) for i in block] for block in structure.blocks],
             },
-            "quadratic_dominant": quadratic,
+            "quadratic_dominant": is_quadratic_dominant(ideal),
             "taylor_minimal": is_taylor_minimal(ideal) if ideal.q <= Q_MAX else None,
         }
         return result, "classification", [], None
@@ -275,8 +248,7 @@ def _result_for(
         return {"sets": sets}, "polarization", [], None
 
     if command == "regularity":
-        quadratic = report.is_dominant and all(g.degree == 2 for g in ideal.gens)
-        if quadratic:
+        if is_quadratic_dominant(ideal):
             value = reg_quadratic_dominant(ideal)
             taylor_value = regularity_dominant(ideal)
             if taylor_value != value:
@@ -289,8 +261,7 @@ def _result_for(
         return {"regularity": value}, "taylor", [], None
 
     if command == "verify":
-        methods = _applicable_methods(ideal, report)
-        values = {m: _compute_multiplicity(ideal, m) for m in methods}
+        values = _consensus(ideal)
         agreement = len(set(values.values())) == 1
         checks = [{"method": m, "value": v} for m, v in values.items()]
         result = {
@@ -308,7 +279,7 @@ def _execute(text: str, args) -> tuple[dict, int]:
     parsed = parse_ideal_detailed(text, _var_list(args))
     ideal = parsed.ideal
     report = classify(ideal)
-    result, method, checks, agreement = _result_for(ideal, report, args)
+    result, method, checks, agreement = _result_for(ideal, args)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     document = {
         "command": args.command,
@@ -464,9 +435,7 @@ def _run_random_verify(args) -> int:
     failures = []
     for index in range(args.cases):
         ideal = random_ideal(rng, max_gens=8, max_vars=6, max_exp=4)
-        report = classify(ideal)
-        methods = _applicable_methods(ideal, report)
-        values = {m: _compute_multiplicity(ideal, m) for m in methods}
+        values = _consensus(ideal)
         if len(set(values.values())) != 1:
             failures.append({"case": index, "ideal": str(ideal), "methods": values})
     document = {

@@ -12,13 +12,15 @@ Everything here is an immutable value; operations return fresh objects.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from functools import wraps
+from typing import Callable, Iterable, Mapping
 
 __all__ = [
     "MAX_EXPONENT",
     "VariableTable",
     "Monomial",
     "MonomialIdeal",
+    "per_ideal",
     "lcm",
     "gcd",
     "quotient",
@@ -240,11 +242,15 @@ class MonomialIdeal:
     The constructor rejects generating sets that are not minimal (a duplicate
     or a generator dividing another); use `minimalize` to normalize raw lists.
     Equality and hashing are table-independent: two ideals are equal when
-    their generators agree as named monomials.
+    their generators agree as named monomials.  `supports` holds each
+    generator's variable set; facts derived from the ideal are cached on it
+    (see `per_ideal`).
     """
 
     ring: VariableTable
     gens: tuple[Monomial, ...]
+    supports: tuple[frozenset[int], ...] = field(init=False, repr=False, compare=False)
+    _facts: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         gens = tuple(self.gens)
@@ -263,6 +269,8 @@ class MonomialIdeal:
                         f"not a minimal generating set: {g} divides {h}"
                     )
         object.__setattr__(self, "gens", gens)
+        object.__setattr__(self, "supports", tuple(frozenset(g.support) for g in gens))
+        object.__setattr__(self, "_facts", {})
 
     @property
     def q(self) -> int:
@@ -275,10 +283,7 @@ class MonomialIdeal:
         return MonomialIdeal(self.ring, rest)
 
     def used_variables(self) -> tuple[int, ...]:
-        seen = set()
-        for g in self.gens:
-            seen.update(g.support)
-        return tuple(sorted(seen))
+        return tuple(sorted(frozenset().union(*self.supports)))
 
     def name_form(self) -> tuple:
         forms = [g.name_form() for g in self.gens]
@@ -297,6 +302,25 @@ class MonomialIdeal:
 
     def __repr__(self) -> str:
         return f"MonomialIdeal({self})"
+
+
+def per_ideal(fn: Callable) -> Callable:
+    """Compute `fn(ideal)` once per ideal object and cache it on the ideal.
+
+    Ideals are immutable, so a fact about one never goes stale.  A call that
+    raises caches nothing.  Facts are keyed by name so that an analysed
+    ideal still pickles.
+    """
+    key = f"{fn.__module__}.{fn.__qualname__}"
+
+    @wraps(fn)
+    def cached(ideal: MonomialIdeal):
+        facts = ideal._facts
+        if key not in facts:
+            facts[key] = fn(ideal)
+        return facts[key]
+
+    return cached
 
 
 def minimalize(ring: VariableTable, raw: Iterable[Monomial]) -> MonomialIdeal:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Monomial, MonomialIdeal, lcm, minimalize, quotient
+from .core import Monomial, MonomialIdeal, lcm, minimalize, per_ideal, quotient
 from .errors import HypothesisError, InternalConsistencyError
 from .formulas import CISplit, _free_subset_lcms, validate_split
 from .invariants import codim, dominance_witnesses
@@ -24,6 +24,7 @@ __all__ = [
     "ThirdDecomposition",
     "DecompositionTerm",
     "third_decomposition",
+    "recurrence_pivot",
     "multiplicity_recurrence",
     "structural_terms",
     "betti_decomposition",
@@ -59,6 +60,18 @@ def third_decomposition(ideal: MonomialIdeal, pivot: int) -> ThirdDecomposition:
         m1=MonomialIdeal(ideal.ring, tuple(rest)),
         mm1=minimalize(ideal.ring, quotients),
     )
+
+
+@per_ideal
+def recurrence_pivot(ideal: MonomialIdeal) -> int | None:
+    """Smallest dominant pivot that keeps the codimension, if any."""
+    if ideal.q < 2:
+        return None
+    c = codim(ideal)
+    for i, w in enumerate(dominance_witnesses(ideal)):
+        if w is not None and codim(ideal.without(i)) == c:
+            return i
+    return None
 
 
 def multiplicity_recurrence(ideal: MonomialIdeal, pivot: int) -> int:

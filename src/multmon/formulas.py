@@ -7,16 +7,18 @@ inputs outside their hypotheses (raising `HypothesisError`).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import Monomial, MonomialIdeal, gcd, gcd_all, lcm
+from .core import Monomial, MonomialIdeal, gcd, gcd_all, lcm, per_ideal
 from .errors import HypothesisError, InternalConsistencyError
 from .invariants import (
     codim,
     is_almost_complete_intersection,
     is_complete_intersection,
     is_dominant,
+    pairwise_coprime,
 )
 
 __all__ = [
@@ -27,6 +29,7 @@ __all__ = [
     "e_complete_intersection",
     "detect_stem",
     "e_stem",
+    "is_quadratic_dominant",
     "quadratic_dominant_data",
     "e_quadratic_dominant",
     "reg_quadratic_dominant",
@@ -70,6 +73,7 @@ class StemStructure:
     boundaries: tuple[int, ...]
 
 
+@per_ideal
 def detect_stem(ideal: MonomialIdeal) -> StemStructure | None:
     """Recognize a stem ideal; absence is a value, not an error.
 
@@ -81,7 +85,7 @@ def detect_stem(ideal: MonomialIdeal) -> StemStructure | None:
     if not dominant:
         return None
     q = ideal.q
-    supports = [set(g.support) for g in ideal.gens]
+    supports = ideal.supports
     component = list(range(q))
 
     def find(i: int) -> int:
@@ -143,22 +147,21 @@ class QuadraticDominantData:
         return len(self.shared_vars)
 
 
+def is_quadratic_dominant(ideal: MonomialIdeal) -> bool:
+    """Whether the ideal is dominant and every generator has total degree 2."""
+    return all(g.degree == 2 for g in ideal.gens) and is_dominant(ideal)[0]
+
+
 def quadratic_dominant_data(ideal: MonomialIdeal) -> QuadraticDominantData:
-    if any(g.degree != 2 for g in ideal.gens):
-        raise HypothesisError("all generators must have total degree 2")
-    dominant, _ = is_dominant(ideal)
-    if not dominant:
+    if not is_quadratic_dominant(ideal):
+        if any(g.degree != 2 for g in ideal.gens):
+            raise HypothesisError("all generators must have total degree 2")
         raise HypothesisError("the quadratic formulas require a dominant ideal")
-    supports = [set(g.support) for g in ideal.gens]
+    # A generator is coprime to all others when each of its variables is private.
+    counts = Counter(v for s in ideal.supports for v in s)
     isolated = tuple(
-        i
-        for i, s in enumerate(supports)
-        if all(not (s & t) for j, t in enumerate(supports) if j != i)
+        i for i, s in enumerate(ideal.supports) if all(counts[v] == 1 for v in s)
     )
-    counts: dict[int, int] = {}
-    for s in supports:
-        for v in s:
-            counts[v] = counts.get(v, 0) + 1
     shared = tuple(sorted(v for v, n in counts.items() if n > 1))
     return QuadraticDominantData(isolated, shared)
 
@@ -189,6 +192,7 @@ class CISplit:
     ci: tuple[int, ...]
 
 
+@per_ideal
 def find_ci_split(ideal: MonomialIdeal) -> CISplit | None:
     """First size-codim pairwise-coprime subset of generators, if any.
 
@@ -196,12 +200,9 @@ def find_ci_split(ideal: MonomialIdeal) -> CISplit | None:
     the free part.
     """
     c = codim(ideal)
-    supports = [frozenset(g.support) for g in ideal.gens]
+    supports = ideal.supports
     for combo in combinations(range(ideal.q), c):
-        if all(
-            not (supports[a] & supports[b])
-            for a, b in combinations(combo, 2)
-        ):
+        if pairwise_coprime(supports[i] for i in combo):
             chosen = set(combo)
             free = tuple(i for i in range(ideal.q) if i not in chosen)
             return CISplit(free, combo)
@@ -216,10 +217,8 @@ def validate_split(ideal: MonomialIdeal, split: CISplit) -> None:
     dominant, _ = is_dominant(ideal)
     if not dominant:
         raise HypothesisError("the structural formula requires a dominant ideal")
-    supports = [frozenset(ideal.gens[i].support) for i in split.ci]
-    for a, b in combinations(range(len(supports)), 2):
-        if supports[a] & supports[b]:
-            raise HypothesisError("the designated CI part is not pairwise coprime")
+    if not pairwise_coprime(ideal.supports[i] for i in split.ci):
+        raise HypothesisError("the designated CI part is not pairwise coprime")
     if codim(ideal) != len(split.ci):
         raise HypothesisError("codimension must equal the size of the CI part")
 

@@ -3,18 +3,21 @@
 The codimension of a monomial ideal equals the minimum size of a set of
 variables meeting every minimal generator's support, so it is computed as an
 exact minimum vertex cover of the support hypergraph (branch and bound with a
-greedy upper bound; heuristics prune, never approximate).
+greedy upper bound; heuristics prune, never approximate).  Each fact here
+is computed once per ideal (`core.per_ideal`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
-from .core import MonomialIdeal
+from .core import MonomialIdeal, per_ideal
 from .errors import InternalConsistencyError
 
 __all__ = [
     "codim",
+    "pairwise_coprime",
     "dominance_witnesses",
     "is_dominant",
     "is_complete_intersection",
@@ -24,11 +27,7 @@ __all__ = [
 ]
 
 
-def _supports(ideal: MonomialIdeal) -> list[frozenset[int]]:
-    return [frozenset(g.support) for g in ideal.gens]
-
-
-def _inclusion_minimal(supports: list[frozenset[int]]) -> list[frozenset[int]]:
+def _inclusion_minimal(supports: Iterable[frozenset[int]]) -> list[frozenset[int]]:
     # A cover of a subset also covers every superset, so supersets are noise.
     unique = sorted(set(supports), key=len)
     kept: list[frozenset[int]] = []
@@ -62,9 +61,10 @@ def _disjoint_lower_bound(supports: list[frozenset[int]]) -> int:
     return len(chosen)
 
 
+@per_ideal
 def codim(ideal: MonomialIdeal) -> int:
     """Minimum number of variables meeting every generator's support."""
-    supports = _inclusion_minimal(_supports(ideal))
+    supports = _inclusion_minimal(ideal.supports)
     best = _greedy_cover(supports)
 
     def search(chosen: int, uncovered: list[frozenset[int]]) -> None:
@@ -83,6 +83,17 @@ def codim(ideal: MonomialIdeal) -> int:
     return best
 
 
+def pairwise_coprime(supports: Iterable[frozenset[int]]) -> bool:
+    """True when no two of the given variable sets share a variable."""
+    seen: set[int] = set()
+    for s in supports:
+        if not seen.isdisjoint(s):
+            return False
+        seen |= s
+    return True
+
+
+@per_ideal
 def dominance_witnesses(ideal: MonomialIdeal) -> tuple[int | None, ...]:
     """Per generator, the least variable whose exponent strictly beats all others.
 
@@ -106,16 +117,13 @@ def is_dominant(ideal: MonomialIdeal) -> tuple[bool, tuple[int | None, ...]]:
     return all(w is not None for w in witnesses), witnesses
 
 
+@per_ideal
 def is_complete_intersection(ideal: MonomialIdeal) -> bool:
     """True when the minimal generators are pairwise coprime."""
-    supports = _supports(ideal)
-    for i in range(len(supports)):
-        for j in range(i + 1, len(supports)):
-            if supports[i] & supports[j]:
-                return False
-    return True
+    return pairwise_coprime(ideal.supports)
 
 
+@per_ideal
 def is_almost_complete_intersection(ideal: MonomialIdeal) -> int | None:
     """Index of the extra generator if the ideal is an almost complete intersection.
 
@@ -126,14 +134,8 @@ def is_almost_complete_intersection(ideal: MonomialIdeal) -> int | None:
     q = ideal.q
     if codim(ideal) != q - 1:
         return None
-    supports = _supports(ideal)
     for t in range(q):
-        rest = [s for j, s in enumerate(supports) if j != t]
-        if all(
-            not (rest[a] & rest[b])
-            for a in range(len(rest))
-            for b in range(a + 1, len(rest))
-        ):
+        if pairwise_coprime(s for j, s in enumerate(ideal.supports) if j != t):
             return t
     return None
 

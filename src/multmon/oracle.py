@@ -37,10 +37,6 @@ class CoverContribution:
     colength: int
 
 
-def _supports(ideal: MonomialIdeal) -> list[frozenset[int]]:
-    return [frozenset(g.support) for g in ideal.gens]
-
-
 def _extend_covers(c: int, size: int, chosen: int, uncovered: list[int], found: list[int]) -> None:
     """Add to `found` every size-c cover extending `chosen` (all bitmasks).
 
@@ -73,12 +69,7 @@ def minimal_covers(ideal: MonomialIdeal) -> list[frozenset[int]]:
     with the covers and dead branches it meets, not with the C(n, codim)
     variable subsets.  Covers are listed in lexicographic variable order.
     """
-    supports = set()
-    for g in ideal.gens:
-        mask = 0
-        for v in g.support:
-            mask |= 1 << v
-        supports.add(mask)
+    supports = {sum(1 << v for v in s) for s in ideal.supports}
     found: list[int] = []
     _extend_covers(codim(ideal), 0, 0, list(supports), found)
     covers = [[v for v in range(mask.bit_length()) if mask >> v & 1] for mask in found]
@@ -140,8 +131,7 @@ def colength(ideal: MonomialIdeal, cover: frozenset[int]) -> int:
     distinct exponents rather than with the box.
     """
     cov = tuple(sorted(cover))
-    supports = _supports(ideal)
-    if len(cov) != codim(ideal) or not all(cover & s for s in supports):
+    if len(cov) != codim(ideal) or not all(cover & s for s in ideal.supports):
         raise ValueError(f"{{{', '.join(ideal.ring.names[v] for v in cov)}}} is not a minimal cover")
     restricted = _restricted_vectors(ideal, cov)
     bounds = [max(vec[p] for vec in restricted) for p in range(len(cov))]

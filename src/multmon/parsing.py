@@ -93,35 +93,37 @@ def _scan_var(scanner: _Scanner) -> str:
     return "".join(chars)
 
 
-def _scan_factor(scanner: _Scanner) -> tuple[str, int]:
-    name = _scan_var(scanner)
-    if scanner.peek() != "^":
-        return name, 1
-    scanner.advance()
-    if scanner.peek() is None or not scanner.peek().isdigit():
-        raise scanner.error("syntax", "expected an integer exponent after '^'")
+def _scan_factor(scanner: _Scanner, factors: dict[str, int]) -> None:
+    """Scan one factor and add its exponent to its variable's entry in `factors`."""
     line, column = scanner.line, scanner.column
-    digits = []
-    while scanner.peek() is not None and scanner.peek().isdigit():
-        digits.append(scanner.advance())
-    value = int("".join(digits))
-    if value == 0:
-        raise ParseError("zero-exponent", "exponents must be positive", line, column)
-    if value > MAX_EXPONENT:
+    name = _scan_var(scanner)
+    value = 1
+    if scanner.peek() == "^":
+        scanner.advance()
+        if scanner.peek() is None or not scanner.peek().isdigit():
+            raise scanner.error("syntax", "expected an integer exponent after '^'")
+        line, column = scanner.line, scanner.column
+        digits = []
+        while scanner.peek() is not None and scanner.peek().isdigit():
+            digits.append(scanner.advance())
+        value = int("".join(digits))
+        if value == 0:
+            raise ParseError("zero-exponent", "exponents must be positive", line, column)
+    total = factors.get(name, 0) + value
+    if total > MAX_EXPONENT:
         raise ParseError(
             "exponent-too-large",
-            f"exponent {value} exceeds the {MAX_EXPONENT} cap",
+            f"exponent {total} exceeds the {MAX_EXPONENT} cap",
             line,
             column,
         )
-    return name, value
+    factors[name] = total
 
 
 def _scan_monomial(scanner: _Scanner) -> dict[str, int]:
     factors: dict[str, int] = {}
     while True:
-        name, exponent = _scan_factor(scanner)
-        factors[name] = factors.get(name, 0) + exponent
+        _scan_factor(scanner, factors)
         ate_space = scanner.skip_filler()
         ch = scanner.peek()
         if ch == "*":

@@ -2,13 +2,29 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 from pathlib import Path
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import multmon.cli as cli
+from multmon import Monomial, VariableTable, minimalize, multiplicity_ps
 
 EXAMPLE = "a^3*c, a*b*e^3, a^2*b^2, c^2, d^2*e^2"
 GOLDEN = Path(__file__).parent / "data" / "golden_ideals.txt"
+ABCDE = VariableTable(("a", "b", "c", "d", "e"))
+
+ideals = st.builds(
+    lambda maps: minimalize(ABCDE, [Monomial.from_map(ABCDE, m) for m in maps]),
+    st.lists(
+        st.dictionaries(st.integers(0, 4), st.integers(1, 4), min_size=1, max_size=3),
+        min_size=1,
+        max_size=6,
+    ),
+)
 
 
 def run_cli(capsys, *argv):
@@ -238,3 +254,51 @@ def test_minimalization_notice_in_document(capsys):
     _, (doc,) = run_cli(capsys, "multiplicity", "--ideal", "x^2,x^3")
     assert doc["input"]["notices"]
     assert doc["input"]["ideal"] == "x^2"
+
+
+def test_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_forced_method_does_not_leak_into_the_next_call(capsys):
+    _, (forced,) = run_cli(capsys, "multiplicity", "--ideal", "x^2, y^3", "--method", "ps")
+    _, (plain,) = run_cli(capsys, "multiplicity", "--ideal", "x^2, y^3")
+    assert forced["method"] == "ps" and plain["method"] == "ci"
+
+
+def test_summed_exponent_over_the_cap_is_a_parse_error(capsys, tmp_path):
+    code = cli.main(["codim", "--ideal", "x^2147483648*x"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "Traceback" not in captured.err and "2147483649" in captured.err
+
+    batch = tmp_path / "ideals.txt"
+    batch.write_text("x^2\nx^2147483648 * y * x\n")
+    code, docs = run_cli(capsys, "codim", "--file", str(batch))
+    assert code == 1 and len(docs) == 2
+    error = docs[1]["error"]
+    assert error["code"] == "exponent-too-large" and error["exit_code"] == 1
+    assert (error["line"], error["column"]) == (1, 20)
+
+
+def _quiet_main(*argv) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(list(argv))
+    return code, out.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(ideals)
+def test_method_table_is_consistent(ideal):
+    argv = ["multiplicity", "--ideal", str(ideal), "--vars", ",".join(ideal.ring.names)]
+    expected = multiplicity_ps(ideal)
+    for name, (applies, compute) in cli.METHODS.items():
+        if applies(ideal):
+            assert compute(ideal) == expected, name
+        else:
+            assert name not in ("ps", "oracle")
+            assert _quiet_main(*argv, "--method", name) == (2, ""), name
+    auto = next((m for m in cli.AUTO_METHODS if cli.METHODS[m][0](ideal)), "ps")
+    code, out = _quiet_main(*argv)
+    assert code == 0 and json.loads(out)["method"] == auto

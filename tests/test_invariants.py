@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
@@ -21,6 +22,8 @@ from multmon.generate import (
     random_ideal,
 )
 from multmon.core import Monomial, MonomialIdeal
+import multmon.cli as cli
+import multmon.invariants as invariants
 
 from conftest import gen_index
 
@@ -128,3 +131,43 @@ def test_classification_report_consistency():
             aci_witness=None,
             is_codim1=True,
         )
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """Counts real codim searches (each starts by pruning the supports)."""
+    count = [0]
+    original = invariants._inclusion_minimal
+
+    def counting(supports):
+        count[0] += 1
+        return original(supports)
+
+    monkeypatch.setattr(invariants, "_inclusion_minimal", counting)
+    return count
+
+
+def test_facts_are_computed_once_per_ideal_object(searches):
+    ideal = parse_ideal("a^3*c, a*b*e^3, a^2*b^2, c^2, d^2*e^2")
+    assert codim(ideal) == codim(ideal) == 3
+    assert searches[0] == 1
+    assert ideal.supports[0] == frozenset(ideal.gens[0].support)
+
+    smaller = ideal.without(0)
+    assert smaller._facts == {}
+    assert codim(smaller) == 2 and searches[0] == 2
+    assert codim(ideal) == 3 and searches[0] == 2
+
+
+def test_an_analysed_ideal_pickles():
+    ideal = parse_ideal("a^2*b, b^3, c")
+    report = classify(ideal)
+    copy = pickle.loads(pickle.dumps(ideal))
+    assert copy == ideal and classify(copy) == report
+
+
+def test_one_verify_runs_few_codim_searches(searches, capsys):
+    assert cli.main(["verify", "--ideal", "a^3*c, a*b*e^3, a^2*b^2, c^2, d^2*e^2"]) == 0
+    capsys.readouterr()
+    # classify, two pivot candidates, and the recurrence's two sub-ideals
+    assert searches[0] == 5
