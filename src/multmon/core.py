@@ -1,10 +1,11 @@
 """Monomials, monomial ideals, and their exact arithmetic.
 
-A monomial is a sparse map from variable index to positive exponent over a
-shared, ordered variable table.  A monomial ideal stores its unique minimal
-generating set in a canonical order (ascending total degree, ties broken by
-descending lexicographic comparison of exponent vectors) so that equal ideals
-compare equal regardless of how their generators were supplied.
+A monomial is a dense tuple of nonnegative exponents, one per variable of a
+shared, ordered variable table; every operation is a coordinatewise map.  A
+monomial ideal stores its unique minimal generating set in a canonical order
+(ascending total degree, ties broken by descending lexicographic comparison of
+exponent vectors) so that equal ideals compare equal regardless of how their
+generators were supplied.
 
 Everything here is an immutable value; operations return fresh objects.
 """
@@ -13,7 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import wraps
-from typing import Callable, Iterable, Mapping
+from operator import add, le, neg, sub
+from typing import Callable, Iterable, Mapping, Sequence
 
 __all__ = [
     "MAX_EXPONENT",
@@ -26,6 +28,7 @@ __all__ = [
     "quotient",
     "lcm_all",
     "gcd_all",
+    "subset_lcms",
     "minimalize",
     "polar_set",
     "polar_sets",
@@ -71,148 +74,120 @@ class VariableTable:
 
 @dataclass(frozen=True, eq=False)
 class Monomial:
-    """A monomial stored as sorted (variable index, exponent) pairs, exponents >= 1.
+    """A monomial stored as its dense exponent tuple over a variable table.
 
-    The unit monomial has an empty `exps` tuple.  Two monomials are equal when
-    they mean the same product of named variables, even across tables.
+    `vec[i]` is the exponent of `table.names[i]`, between 0 and `MAX_EXPONENT`;
+    the unit monomial is all zeros.  Two monomials are equal when they mean
+    the same product of named variables, even across tables.
     """
 
     table: VariableTable
-    exps: tuple[tuple[int, int], ...]
+    vec: tuple[int, ...]
 
     def __post_init__(self):
-        exps = tuple((int(i), int(e)) for i, e in self.exps)
-        prev = -1
-        for i, e in exps:
-            if not 0 <= i < len(self.table):
-                raise ValueError(f"variable index {i} out of range")
-            if i <= prev:
-                raise ValueError("exponent pairs must be sorted by strictly increasing index")
-            if e < 1:
-                raise ValueError("stored exponents must be >= 1")
-            if e > MAX_EXPONENT:
-                raise ValueError(f"exponent {e} exceeds the {MAX_EXPONENT} cap")
-            prev = i
-        object.__setattr__(self, "exps", exps)
+        vec = tuple(self.vec)
+        if len(vec) != len(self.table):
+            raise ValueError(
+                f"exponent tuple has length {len(vec)}, the table has {len(self.table)} variables"
+            )
+        if min(vec) < 0 or max(vec) > MAX_EXPONENT:
+            raise ValueError(f"exponents must lie between 0 and the {MAX_EXPONENT} cap")
+        object.__setattr__(self, "vec", vec)
 
     @classmethod
     def from_map(cls, table: VariableTable, exponents: Mapping[int, int]) -> "Monomial":
-        """Build from an index -> exponent mapping; zero exponents are dropped."""
-        pairs = []
-        for i in sorted(exponents):
-            e = exponents[i]
-            if e < 0:
-                raise ValueError("exponents must be nonnegative")
-            if e:
-                pairs.append((i, e))
-        return cls(table, tuple(pairs))
+        """Build from an index -> exponent mapping; absent indices are 0."""
+        vec = [0] * len(table)
+        for i, e in exponents.items():
+            if not 0 <= i < len(vec):
+                raise ValueError(f"variable index {i} out of range")
+            vec[i] = e
+        return cls(table, tuple(vec))
 
     @classmethod
     def unit(cls, table: VariableTable) -> "Monomial":
-        return cls(table, ())
+        return cls(table, (0,) * len(table))
+
+    @property
+    def exps(self) -> tuple[tuple[int, int], ...]:
+        """Sorted (variable index, exponent) pairs with exponent >= 1."""
+        return tuple((i, e) for i, e in enumerate(self.vec) if e)
 
     @property
     def degree(self) -> int:
-        return sum(e for _, e in self.exps)
+        return sum(self.vec)
 
     @property
     def is_unit(self) -> bool:
-        return not self.exps
+        return not any(self.vec)
 
     @property
     def support(self) -> tuple[int, ...]:
-        return tuple(i for i, _ in self.exps)
+        return tuple(i for i, e in enumerate(self.vec) if e)
 
     def exponent(self, index: int) -> int:
-        for i, e in self.exps:
-            if i == index:
-                return e
-            if i > index:
-                break
-        return 0
+        return self.vec[index]
 
     def exponent_vector(self) -> tuple[int, ...]:
         """Dense exponent tuple over the whole table."""
-        vec = [0] * len(self.table)
-        for i, e in self.exps:
-            vec[i] = e
-        return tuple(vec)
+        return self.vec
 
     def divides(self, other: "Monomial") -> bool:
         _check_table(self, other)
-        them = dict(other.exps)
-        return all(e <= them.get(i, 0) for i, e in self.exps)
+        return all(map(le, self.vec, other.vec))
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         _check_table(self, other)
-        return _merge(self, other, lambda a, b: a + b)
+        return Monomial(self.table, tuple(map(add, self.vec, other.vec)))
 
     def sort_key(self) -> tuple:
         """Ascending total degree, then descending lex on exponent vectors."""
-        return (self.degree, tuple(-e for e in self.exponent_vector()))
+        return (self.degree, tuple(map(neg, self.vec)))
 
     def name_form(self) -> tuple[tuple[str, int], ...]:
         """Table-independent form: sorted (variable name, exponent) pairs."""
-        return tuple(sorted((self.table.names[i], e) for i, e in self.exps))
+        return tuple(sorted((n, e) for n, e in zip(self.table.names, self.vec) if e))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Monomial):
             return NotImplemented
         if self.table is other.table:
-            return self.exps == other.exps
+            return self.vec == other.vec
         return self.name_form() == other.name_form()
 
     def __hash__(self) -> int:
         return hash(self.name_form())
 
     def __str__(self) -> str:
-        if not self.exps:
-            return "1"
-        parts = []
-        for i, e in self.exps:
-            name = self.table.names[i]
-            parts.append(name if e == 1 else f"{name}^{e}")
-        return "*".join(parts)
+        pairs = zip(self.table.names, self.vec)
+        return "*".join(n if e == 1 else f"{n}^{e}" for n, e in pairs if e) or "1"
 
     def __repr__(self) -> str:
         return f"Monomial({self})"
 
 
 def _check_table(a: Monomial, b: Monomial) -> None:
-    if a.table != b.table:
+    if a.table is not b.table and a.table != b.table:
         raise ValueError("mismatched variable tables")
-
-
-def _merge(a: Monomial, b: Monomial, combine) -> Monomial:
-    """Coordinatewise combine of two sparse exponent lists (absent = 0)."""
-    out = []
-    ia = dict(a.exps)
-    ib = dict(b.exps)
-    for i in sorted(set(ia) | set(ib)):
-        e = combine(ia.get(i, 0), ib.get(i, 0))
-        if e:
-            out.append((i, e))
-    return Monomial(a.table, tuple(out))
 
 
 def lcm(a: Monomial, b: Monomial) -> Monomial:
     """Least common multiple: coordinatewise max of exponents."""
     _check_table(a, b)
-    return _merge(a, b, max)
+    return Monomial(a.table, tuple(map(max, a.vec, b.vec)))
 
 
 def gcd(a: Monomial, b: Monomial) -> Monomial:
     """Greatest common divisor: coordinatewise min of exponents."""
     _check_table(a, b)
-    return _merge(a, b, min)
+    return Monomial(a.table, tuple(map(min, a.vec, b.vec)))
 
 
 def quotient(a: Monomial, b: Monomial) -> Monomial:
     """Exact division a / b; raises if b does not divide a."""
-    _check_table(a, b)
     if not b.divides(a):
         raise ValueError(f"{b} does not divide {a}")
-    return _merge(a, b, lambda x, y: x - y)
+    return Monomial(a.table, tuple(map(sub, a.vec, b.vec)))
 
 
 def lcm_all(table: VariableTable, monomials: Iterable[Monomial]) -> Monomial:
@@ -233,6 +208,19 @@ def gcd_all(monomials: Iterable[Monomial]) -> Monomial:
     for m in it:
         acc = gcd(acc, m)
     return acc
+
+
+def subset_lcms(table: VariableTable, gens: Sequence[Monomial]) -> list[Monomial]:
+    """lcm of every subset of `gens`, indexed by bitmask; entry 0 is the unit.
+
+    Each entry extends the entry for its mask without the lowest set bit by
+    one lcm.
+    """
+    lcms = [Monomial.unit(table)]
+    for mask in range(1, 1 << len(gens)):
+        low = (mask & -mask).bit_length() - 1
+        lcms.append(lcm(lcms[mask & (mask - 1)], gens[low]))
+    return lcms
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,9 +266,12 @@ class MonomialIdeal:
         return len(self.gens)
 
     def without(self, index: int) -> "MonomialIdeal":
-        """The ideal generated by all generators except `gens[index]`."""
-        rest = self.gens[:index] + self.gens[index + 1 :]
-        return MonomialIdeal(self.ring, rest)
+        """The ideal generated by all generators except `gens[index]`, built once."""
+        key = f"without.{index}"
+        if key not in self._facts:
+            rest = self.gens[:index] + self.gens[index + 1 :]
+            self._facts[key] = MonomialIdeal(self.ring, rest)
+        return self._facts[key]
 
     def used_variables(self) -> tuple[int, ...]:
         return tuple(sorted(frozenset().union(*self.supports)))

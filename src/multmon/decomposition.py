@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Monomial, MonomialIdeal, lcm, minimalize, per_ideal, quotient
+from .core import Monomial, MonomialIdeal, lcm, minimalize, per_ideal, quotient, subset_lcms
 from .errors import HypothesisError, InternalConsistencyError
-from .formulas import CISplit, _free_subset_lcms, validate_split
+from .formulas import CISplit, validate_split
 from .invariants import codim, dominance_witnesses
 from .taylor import BettiTable, betti_table, multiplicity_ps
 
@@ -53,13 +53,9 @@ def third_decomposition(ideal: MonomialIdeal, pivot: int) -> ThirdDecomposition:
     if dominance_witnesses(ideal)[pivot] is None:
         raise HypothesisError("the pivot generator must be dominant")
     m = ideal.gens[pivot]
-    rest = [g for i, g in enumerate(ideal.gens) if i != pivot]
-    quotients = [quotient(lcm(m, g), m) for g in rest]
-    return ThirdDecomposition(
-        pivot=pivot,
-        m1=MonomialIdeal(ideal.ring, tuple(rest)),
-        mm1=minimalize(ideal.ring, quotients),
-    )
+    m1 = ideal.without(pivot)
+    quotients = [quotient(lcm(m, g), m) for g in m1.gens]
+    return ThirdDecomposition(pivot=pivot, m1=m1, mm1=minimalize(ideal.ring, quotients))
 
 
 @per_ideal
@@ -118,7 +114,7 @@ def structural_terms(ideal: MonomialIdeal, split: CISplit) -> list[Decomposition
     """One term per subset of the free part, ordered by size then bitmask."""
     validate_split(ideal, split)
     h = [ideal.gens[i] for i in split.ci]
-    lcms = _free_subset_lcms(ideal, split.free)
+    lcms = subset_lcms(ideal.ring, [ideal.gens[i] for i in split.free])
     masks = sorted(range(len(lcms)), key=lambda m: (m.bit_count(), m))
     terms = []
     for mask in masks:

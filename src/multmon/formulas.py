@@ -11,7 +11,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import Monomial, MonomialIdeal, gcd, gcd_all, lcm, per_ideal
+from .core import Monomial, MonomialIdeal, gcd, gcd_all, lcm, per_ideal, subset_lcms
 from .errors import HypothesisError, InternalConsistencyError
 from .invariants import (
     codim,
@@ -223,16 +223,6 @@ def validate_split(ideal: MonomialIdeal, split: CISplit) -> None:
         raise HypothesisError("codimension must equal the size of the CI part")
 
 
-def _free_subset_lcms(ideal: MonomialIdeal, free: tuple[int, ...]) -> list[Monomial]:
-    """lcm of every subset of the free part, indexed by bitmask over `free`."""
-    size = 1 << len(free)
-    lcms = [Monomial.unit(ideal.ring)] * size
-    for mask in range(1, size):
-        low = (mask & -mask).bit_length() - 1
-        lcms[mask] = lcm(lcms[mask & (mask - 1)], ideal.gens[free[low]])
-    return lcms
-
-
 def e_structural(ideal: MonomialIdeal, split: CISplit) -> int:
     """Alternating sum over free-part subsets of products of lcm-quotient degrees.
 
@@ -241,7 +231,7 @@ def e_structural(ideal: MonomialIdeal, split: CISplit) -> int:
     """
     validate_split(ideal, split)
     h = [ideal.gens[i] for i in split.ci]
-    lcms = _free_subset_lcms(ideal, split.free)
+    lcms = subset_lcms(ideal.ring, [ideal.gens[i] for i in split.free])
     total = 0
     for mask, mbar in enumerate(lcms):
         base = mbar.degree

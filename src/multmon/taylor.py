@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
-from .core import Monomial, MonomialIdeal, lcm, quotient
+from .core import Monomial, MonomialIdeal, per_ideal, quotient, subset_lcms
 from .errors import InternalConsistencyError, ResourceCapError, UnsupportedError
 from .invariants import codim, is_dominant
 
@@ -52,16 +52,6 @@ def _require_small(ideal: MonomialIdeal) -> None:
         )
 
 
-def _low_bit_indices(q: int) -> list[int]:
-    """low[mask] = index of the lowest set bit, for every nonzero mask."""
-    size = 1 << q
-    low = [0] * size
-    for i in range(q):
-        for mask in range(1 << i, size, 1 << (i + 1)):
-            low[mask] = i
-    return low
-
-
 def lcm_degree_table(ideal: MonomialIdeal) -> list[int]:
     """deg(lcm of members) for every generator bitmask; index = mask.
 
@@ -88,7 +78,7 @@ def lcm_degree_table(ideal: MonomialIdeal) -> list[int]:
     return deg
 
 
-@lru_cache(maxsize=256)
+@per_ideal
 def _signed_degree_counts(ideal: MonomialIdeal) -> tuple[tuple[int, int], ...]:
     """Histogram of face degrees weighted by (-1)^hdeg, over nonempty faces."""
     deg = lcm_degree_table(ideal)
@@ -172,19 +162,10 @@ class TaylorResolution:
 
 
 def taylor_resolution(ideal: MonomialIdeal) -> TaylorResolution:
-    """Enumerate every face with its multidegree.
-
-    Multidegrees are built incrementally: each mask extends the mask without
-    its lowest bit by one lcm.
-    """
+    """Enumerate every face with its multidegree (`core.subset_lcms`)."""
     _require_small(ideal)
-    q = ideal.q
-    size = 1 << q
-    low = _low_bit_indices(q)
-    mdegs: list[Monomial] = [Monomial.unit(ideal.ring)] * size
-    for mask in range(1, size):
-        mdegs[mask] = lcm(mdegs[mask & (mask - 1)], ideal.gens[low[mask]])
-    masks = sorted(range(size), key=lambda m: (m.bit_count(), m))
+    mdegs = subset_lcms(ideal.ring, ideal.gens)
+    masks = sorted(range(len(mdegs)), key=lambda m: (m.bit_count(), m))
     faces = tuple(TaylorFace(m, m.bit_count(), mdegs[m]) for m in masks)
     return TaylorResolution(ideal, faces)
 

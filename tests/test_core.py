@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multmon import (
+    MAX_EXPONENT,
     Monomial,
     MonomialIdeal,
     VariableTable,
@@ -67,11 +68,27 @@ def test_quotient_rejects_non_divisor():
 
 
 def test_mismatched_tables_rejected():
-    other = VariableTable(("x", "y"))
+    other = Monomial.from_map(VariableTable(("x", "y")), {0: 1})
+    for op in (lcm, gcd, quotient, Monomial.divides, Monomial.__mul__):
+        with pytest.raises(ValueError):
+            op(mono("a"), other)
+
+
+def test_from_map_rejects_out_of_range_input():
     with pytest.raises(ValueError):
-        lcm(mono("a"), Monomial.from_map(other, {0: 1}))
+        Monomial.from_map(ABCDE, {0: -1})
+    for index in (5, -1):
+        with pytest.raises(ValueError):
+            Monomial.from_map(ABCDE, {index: 1})
+    assert Monomial.from_map(ABCDE, {0: MAX_EXPONENT}).degree == MAX_EXPONENT
     with pytest.raises(ValueError):
-        gcd(mono("a"), Monomial.from_map(other, {0: 1}))
+        Monomial.from_map(ABCDE, {0: MAX_EXPONENT + 1})
+
+
+def test_constructor_rejects_wrong_length():
+    for vec in ((1, 0, 0, 0), (1, 0, 0, 0, 0, 0), ()):
+        with pytest.raises(ValueError):
+            Monomial(ABCDE, vec)
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +194,60 @@ def test_conditional_degree_identity(ms):
     lhs = quotient(lcm(head, rest), rest).degree
     rhs = len(polar_set(head) - frozenset().union(*(polar_set(m) for m in tail)))
     assert lhs == rhs
+
+
+# ---------------------------------------------------------------------------
+# the dense core against a sparse reference, on a wide table
+
+WIDE = VariableTable(tuple(f"x{i}" for i in range(12)))
+WIDE_REVERSED = VariableTable(WIDE.names[::-1])
+
+sparse_maps = st.dictionaries(st.integers(0, 11), st.integers(1, 6), max_size=3)
+
+
+def _sparse(m: Monomial) -> dict[int, int]:
+    """The reference form: index -> positive exponent, read by name."""
+    return {WIDE.index(name): e for name, e in m.name_form()}
+
+
+def _combine(x: dict, y: dict, op) -> dict:
+    out = {i: op(x.get(i, 0), y.get(i, 0)) for i in set(x) | set(y)}
+    return {i: e for i, e in out.items() if e}
+
+
+@settings(max_examples=300)
+@given(sparse_maps, sparse_maps)
+def test_dense_operations_match_sparse_reference(x, y):
+    a, b = Monomial.from_map(WIDE, x), Monomial.from_map(WIDE, y)
+    assert _sparse(lcm(a, b)) == _combine(x, y, max)
+    assert _sparse(gcd(a, b)) == _combine(x, y, min)
+    assert _sparse(a * b) == _combine(x, y, lambda s, t: s + t)
+    divides = all(e <= y.get(i, 0) for i, e in x.items())
+    assert a.divides(b) == divides
+    if divides:
+        assert _sparse(quotient(b, a)) == _combine(y, x, lambda s, t: s - t)
+    assert a.degree == sum(x.values())
+    assert a.support == tuple(sorted(x))
+    assert a.exps == tuple(sorted(x.items()))
+    assert a.is_unit == (not x)
+
+
+@given(sparse_maps)
+def test_text_round_trip(x):
+    m = Monomial.from_map(WIDE, x)
+    if not m.is_unit:
+        assert parse_ideal(str(m), WIDE.names).gens[0] == m
+    else:
+        assert str(m) == "1"
+
+
+@given(sparse_maps, sparse_maps)
+def test_equality_and_hash_across_variable_orders(x, y):
+    a = Monomial.from_map(WIDE, x)
+    flipped = Monomial.from_map(WIDE_REVERSED, {11 - i: e for i, e in x.items()})
+    assert a == flipped and hash(a) == hash(flipped)
+    other = Monomial.from_map(WIDE_REVERSED, {11 - i: e for i, e in y.items()})
+    assert (a == other) == (x == y)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -211,6 +212,19 @@ def test_multiplicity_invariant_under_relabeling_and_permutation():
             ),
         )
         assert multiplicity_ps(relabeled) == e
+
+
+def test_resolution_footprint_stays_small():
+    # 2^14 multidegrees, each one exponent tuple over 14 variables
+    ideal = parse_ideal(", ".join(f"x{i}^2*x{(i + 1) % 14}" for i in range(14)))
+    tracemalloc.start()
+    try:
+        resolution = taylor_resolution(ideal)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(resolution.faces) == 1 << 14
+    assert peak < 10 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_engine_matches_oracle_quick():
