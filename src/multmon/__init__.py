@@ -67,8 +67,6 @@ from .oracle import (
 )
 from .parsing import (
     ParsedIdeal,
-    format_ideal,
-    format_monomial,
     ideal_from_maps,
     parse_ideal,
     parse_ideal_detailed,
@@ -76,7 +74,6 @@ from .parsing import (
 from .taylor import (
     Q_MAX,
     BettiTable,
-    TaylorFace,
     TaylorResolution,
     betti_table,
     differential_coefficient,
@@ -84,7 +81,6 @@ from .taylor import (
     lcm_degree_table,
     multiplicity_ps,
     ps_power_sum,
-    ps_power_sum_full,
     regularity_dominant,
     taylor_resolution,
 )

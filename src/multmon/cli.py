@@ -53,7 +53,9 @@ from .parsing import is_valid_variable_name, parse_ideal_detailed
 from .taylor import (
     Q_MAX,
     betti_table,
+    face_order,
     is_taylor_minimal,
+    member_indices,
     multiplicity_ps,
     regularity_dominant,
     taylor_resolution,
@@ -217,23 +219,24 @@ def _result_for(
             ),
             key=lambda e: (e["hdeg"], e["degree"], e["mdeg"]),
         )
-        graded = [
-            {"hdeg": i, "degree": d, "count": c}
-            for (i, d), c in sorted(table.graded().items())
-        ]
-        ranks = [table.total(i) for i in range(ideal.q + 1)]
+        graded = []
+        ranks = [0] * (ideal.q + 1)
+        for (i, d), c in sorted(table.graded().items()):
+            graded.append({"hdeg": i, "degree": d, "count": c})
+            ranks[i] += c
         return {"entries": entries, "graded": graded, "ranks": ranks}, "taylor", [], None
 
     if command == "taylor":
         resolution = taylor_resolution(ideal)
+        mdegs = resolution.mdegs
         faces = [
             {
-                "members": list(f.member_indices()),
-                "hdeg": f.hdeg,
-                "mdeg": str(f.mdeg),
-                "degree": f.mdeg.degree,
+                "members": list(member_indices(mask)),
+                "hdeg": mask.bit_count(),
+                "mdeg": str(mdegs[mask]),
+                "degree": mdegs[mask].degree,
             }
-            for f in resolution.faces
+            for mask in face_order(ideal.q)
         ]
         return {"ranks": list(resolution.ranks()), "faces": faces}, "taylor", [], None
 

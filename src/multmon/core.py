@@ -128,10 +128,6 @@ class Monomial:
     def exponent(self, index: int) -> int:
         return self.vec[index]
 
-    def exponent_vector(self) -> tuple[int, ...]:
-        """Dense exponent tuple over the whole table."""
-        return self.vec
-
     def divides(self, other: "Monomial") -> bool:
         _check_table(self, other)
         return all(map(le, self.vec, other.vec))
@@ -342,7 +338,7 @@ def polar_set(m: Monomial) -> frozenset[tuple[int, int]]:
     The label set's cardinality equals the total degree; unions/intersections
     of these sets turn lcm/gcd degree identities into counting.
     """
-    return frozenset((i, s) for i, e in m.exps for s in range(1, e + 1))
+    return frozenset((i, s) for i, e in enumerate(m.vec) for s in range(1, e + 1))
 
 
 def polar_sets(ideal: MonomialIdeal) -> list[frozenset[tuple[int, int]]]:

@@ -18,7 +18,7 @@ from .core import Monomial, MonomialIdeal, lcm, minimalize, per_ideal, quotient,
 from .errors import HypothesisError, InternalConsistencyError
 from .formulas import CISplit, validate_split
 from .invariants import codim, dominance_witnesses
-from .taylor import BettiTable, betti_table, multiplicity_ps
+from .taylor import BettiTable, betti_table, face_order, multiplicity_ps
 
 __all__ = [
     "ThirdDecomposition",
@@ -115,9 +115,8 @@ def structural_terms(ideal: MonomialIdeal, split: CISplit) -> list[Decomposition
     validate_split(ideal, split)
     h = [ideal.gens[i] for i in split.ci]
     lcms = subset_lcms(ideal.ring, [ideal.gens[i] for i in split.free])
-    masks = sorted(range(len(lcms)), key=lambda m: (m.bit_count(), m))
     terms = []
-    for mask in masks:
+    for mask in face_order(len(split.free)):
         mbar = lcms[mask]
         quotients = tuple(quotient(lcm(mbar, hi), mbar) for hi in h)
         nonunit = [m for m in quotients if not m.is_unit]

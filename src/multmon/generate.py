@@ -31,10 +31,6 @@ def make_table(n: int) -> VariableTable:
     return VariableTable(tuple(f"v{i}" for i in range(n)))
 
 
-def _monomial(table: VariableTable, pairs: dict[int, int]) -> Monomial:
-    return Monomial.from_map(table, pairs)
-
-
 def random_ideal(
     rng: random.Random,
     max_gens: int = 8,
@@ -54,7 +50,7 @@ def random_ideal(
         widest = max(1, min(3, n) if rng.random() < 0.25 else min(2, n))
         size = rng.randint(1, widest)
         support = rng.sample(range(n), size)
-        raw.append(_monomial(table, {v: rng.randint(1, max_exp) for v in support}))
+        raw.append(Monomial.from_map(table, {v: rng.randint(1, max_exp) for v in support}))
     return minimalize(table, raw)
 
 
@@ -72,7 +68,7 @@ def random_codim1_ideal(
     for g in base.gens:
         exps = dict(g.exps)
         exps[v] = exps.get(v, 0) + rng.randint(1, 2)
-        raw.append(_monomial(base.ring, exps))
+        raw.append(Monomial.from_map(base.ring, exps))
     return minimalize(base.ring, raw)
 
 
@@ -90,7 +86,7 @@ def random_complete_intersection(
     offset = 0
     for size in sizes:
         gens.append(
-            _monomial(
+            Monomial.from_map(
                 table,
                 {offset + i: rng.randint(1, max_exp) for i in range(size)},
             )
@@ -127,12 +123,12 @@ def random_stem_ideal(
             exps = {stem_var: rng.randint(1, max_exp)}
             if rng.random() < 0.5:
                 exps[private] = rng.randint(1, max_exp)
-            gens.append(_monomial(table, exps))
+            gens.append(Monomial.from_map(table, exps))
             private += 1
         else:
             for _ in range(size):
                 gens.append(
-                    _monomial(
+                    Monomial.from_map(
                         table,
                         {
                             stem_var: rng.randint(1, max_exp),
@@ -175,7 +171,7 @@ def random_quadratic_dominant(
             gens.append({var: 1, var + 1: 1})
             var += 2
     table = make_table(max(var, 1))
-    return MonomialIdeal(table, tuple(_monomial(table, g) for g in gens))
+    return MonomialIdeal(table, tuple(Monomial.from_map(table, g) for g in gens))
 
 
 def random_dominant_with_split(
@@ -200,7 +196,7 @@ def random_dominant_with_split(
     gens = []
     for i in range(c):
         gens.append(
-            _monomial(
+            Monomial.from_map(
                 table,
                 {anchors[i]: rng.randint(1, max_exp), ci_private[i]: max_exp + 1},
             )
@@ -209,7 +205,7 @@ def random_dominant_with_split(
         chosen = rng.sample(anchors, rng.randint(1, c))
         exps = {a: rng.randint(1, max_exp) for a in chosen}
         exps[free_private[j]] = rng.randint(1, max_exp)
-        gens.append(_monomial(table, exps))
+        gens.append(Monomial.from_map(table, exps))
     return MonomialIdeal(table, tuple(gens))
 
 
@@ -237,7 +233,7 @@ def random_aci(
         for size in sizes:
             support = list(range(offset, offset + size))
             supports.append(support)
-            ci.append(_monomial(table, {v: rng.randint(2, max_exp) for v in support}))
+            ci.append(Monomial.from_map(table, {v: rng.randint(2, max_exp) for v in support}))
             offset += size
         touched = rng.sample(range(q), rng.randint(1, q) if dominant else rng.randint(2, q))
         extra_exps: dict[int, int] = {}
@@ -252,7 +248,7 @@ def random_aci(
         else:
             if dominant:
                 extra_exps[n - 1] = 1
-            extra = _monomial(table, extra_exps)
+            extra = Monomial.from_map(table, extra_exps)
             if any(g.divides(extra) or extra.divides(g) for g in ci):
                 continue
             return MonomialIdeal(table, tuple(ci) + (extra,))

@@ -103,8 +103,8 @@ def dominance_witnesses(ideal: MonomialIdeal) -> tuple[int | None, ...]:
     witnesses: list[int | None] = []
     for i, g in enumerate(gens):
         found = None
-        for v, e in g.exps:
-            if all(other.exponent(v) < e for j, other in enumerate(gens) if j != i):
+        for v, e in enumerate(g.vec):
+            if e and all(other.vec[v] < e for j, other in enumerate(gens) if j != i):
                 found = v
                 break
         witnesses.append(found)

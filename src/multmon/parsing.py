@@ -27,8 +27,6 @@ __all__ = [
     "parse_ideal",
     "parse_ideal_detailed",
     "ideal_from_maps",
-    "format_monomial",
-    "format_ideal",
     "is_valid_variable_name",
 ]
 
@@ -106,7 +104,16 @@ def _scan_factor(scanner: _Scanner, factors: dict[str, int]) -> None:
         digits = []
         while scanner.peek() is not None and scanner.peek().isdigit():
             digits.append(scanner.advance())
-        value = int("".join(digits))
+        significant = "".join(digits).lstrip("0")
+        # decided on the digits: int() refuses strings past a few thousand digits
+        if len(significant) > len(str(MAX_EXPONENT)):
+            raise ParseError(
+                "exponent-too-large",
+                f"exponent of {len(significant)} digits exceeds the {MAX_EXPONENT} cap",
+                line,
+                column,
+            )
+        value = int(significant or "0")
         if value == 0:
             raise ParseError("zero-exponent", "exponents must be positive", line, column)
     total = factors.get(name, 0) + value
@@ -228,12 +235,3 @@ def ideal_from_maps(
         raise ParseError("empty-ideal", "no generators found")
     ideal, _ = _build(factor_maps, var_names)
     return ideal
-
-
-def format_monomial(m: Monomial) -> str:
-    """Render with '*' separators so the output re-parses under the grammar."""
-    return str(m)
-
-
-def format_ideal(ideal: MonomialIdeal) -> str:
-    return str(ideal)

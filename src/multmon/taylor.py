@@ -1,8 +1,9 @@
 """The Taylor complex of a monomial ideal and the power-sum multiplicity engine.
 
 For an ideal with q minimal generators the complex has one face per subset of
-generators; a face's multidegree is the lcm of its members and its homological
-degree is the subset size.  Ranks are binomial: C(q, s) faces in degree s.
+generators.  A face is a bitmask into one list of subset lcms: its
+multidegree is `mdegs[mask]`, the lcm of its members, and its homological
+degree is `mask.bit_count()`.  Ranks are binomial: C(q, s) faces in degree s.
 
 The engine evaluates, exactly, the alternating sums
 
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 from .core import Monomial, MonomialIdeal, per_ideal, quotient, subset_lcms
 from .errors import InternalConsistencyError, ResourceCapError, UnsupportedError
@@ -28,16 +28,16 @@ from .invariants import codim, is_dominant
 
 __all__ = [
     "Q_MAX",
-    "TaylorFace",
     "TaylorResolution",
     "BettiTable",
+    "face_order",
+    "member_indices",
     "taylor_resolution",
     "differential_coefficient",
     "is_taylor_minimal",
     "betti_table",
     "regularity_dominant",
     "ps_power_sum",
-    "ps_power_sum_full",
     "multiplicity_ps",
     "lcm_degree_table",
 ]
@@ -93,18 +93,11 @@ def _signed_degree_counts(ideal: MonomialIdeal) -> tuple[tuple[int, int], ...]:
 def ps_power_sum(ideal: MonomialIdeal, k: int) -> int:
     """Alternating k-th power sum of face degrees over homological degrees >= 1.
 
-    At k = 0 this equals -1 (the empty face is excluded; see
-    `ps_power_sum_full` for the variant that includes it).
+    At k = 0 this equals -1: the empty face is excluded.
     """
     if k < 0:
         raise ValueError("power-sum exponent must be nonnegative")
     return sum(count * d**k for d, count in _signed_degree_counts(ideal))
-
-
-def ps_power_sum_full(ideal: MonomialIdeal, k: int) -> int:
-    """As `ps_power_sum` but including the rank-one degree-0 face, so 0 at k = 0."""
-    base = ps_power_sum(ideal, k)
-    return base + 1 if k == 0 else base
 
 
 def multiplicity_ps(ideal: MonomialIdeal) -> int:
@@ -125,53 +118,40 @@ def multiplicity_ps(ideal: MonomialIdeal) -> int:
     return total // fact
 
 
-@dataclass(frozen=True)
-class TaylorFace:
-    """One face: a bitmask of generator indices, its size, and its lcm."""
+def face_order(q: int) -> list[int]:
+    """Face masks of a q-generator complex by homological degree, then bitmask."""
+    return sorted(range(1 << q), key=lambda m: (m.bit_count(), m))
 
-    members: int
-    hdeg: int
-    mdeg: Monomial
 
-    def member_indices(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.members.bit_length()) if self.members >> i & 1)
+def member_indices(mask: int) -> tuple[int, ...]:
+    """Generator indices of a face, in increasing order."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 @dataclass(frozen=True)
 class TaylorResolution:
-    """All 2^q faces of an ideal, ordered by homological degree then bitmask."""
+    """The Taylor complex of an ideal as one lcm list.
+
+    Face `mask` (a bitmask of generator indices) has homological degree
+    `mask.bit_count()` and multidegree `mdegs[mask]`.
+    """
 
     ideal: MonomialIdeal
-    faces: tuple[TaylorFace, ...]
-
-    def face(self, mask: int) -> TaylorFace:
-        return self._by_mask[mask]
-
-    @cached_property
-    def _by_mask(self) -> dict[int, TaylorFace]:
-        return {f.members: f for f in self.faces}
-
-    def faces_of_hdeg(self, s: int) -> tuple[TaylorFace, ...]:
-        return tuple(f for f in self.faces if f.hdeg == s)
+    mdegs: list[Monomial]
 
     def ranks(self) -> tuple[int, ...]:
-        out = [0] * (self.ideal.q + 1)
-        for f in self.faces:
-            out[f.hdeg] += 1
-        return tuple(out)
+        q = self.ideal.q
+        return tuple(math.comb(q, s) for s in range(q + 1))
 
 
 def taylor_resolution(ideal: MonomialIdeal) -> TaylorResolution:
-    """Enumerate every face with its multidegree (`core.subset_lcms`)."""
+    """Every face's multidegree (`core.subset_lcms`)."""
     _require_small(ideal)
-    mdegs = subset_lcms(ideal.ring, ideal.gens)
-    masks = sorted(range(len(mdegs)), key=lambda m: (m.bit_count(), m))
-    faces = tuple(TaylorFace(m, m.bit_count(), mdegs[m]) for m in masks)
-    return TaylorResolution(ideal, faces)
+    return TaylorResolution(ideal, subset_lcms(ideal.ring, ideal.gens))
 
 
 def differential_coefficient(
-    resolution: TaylorResolution, face: TaylorFace, removed_position: int
+    resolution: TaylorResolution, mask: int, removed_position: int
 ) -> tuple[int, Monomial]:
     """Signed monomial coefficient of one term of the boundary map.
 
@@ -179,15 +159,15 @@ def differential_coefficient(
     generator-index order; the sign is +1 for odd positions, and the
     coefficient is mdeg(face) / mdeg(face minus that member).
     """
-    members = face.member_indices()
+    members = member_indices(mask)
     if not 1 <= removed_position <= len(members):
         raise ValueError(
-            f"removed position {removed_position} out of range for a face of size {face.hdeg}"
+            f"removed position {removed_position} out of range for a face of size {len(members)}"
         )
     removed = members[removed_position - 1]
-    sub = resolution.face(face.members ^ (1 << removed))
     sign = 1 if removed_position % 2 == 1 else -1
-    return sign, quotient(face.mdeg, sub.mdeg)
+    mdegs = resolution.mdegs
+    return sign, quotient(mdegs[mask], mdegs[mask ^ (1 << removed)])
 
 
 def is_taylor_minimal(ideal: MonomialIdeal) -> bool:
@@ -229,9 +209,6 @@ class BettiTable:
     def total(self, hdeg: int) -> int:
         return sum(count for (i, _), count in self.entries.items() if i == hdeg)
 
-    def max_hdeg(self) -> int:
-        return max(i for i, _ in self.entries)
-
 
 def betti_table(ideal: MonomialIdeal) -> BettiTable:
     """Betti numbers read off the Taylor complex; requires a dominant ideal.
@@ -244,12 +221,9 @@ def betti_table(ideal: MonomialIdeal) -> BettiTable:
         raise UnsupportedError(
             "Betti numbers need a dominant ideal; no algorithm in scope for others"
         )
-    resolution = taylor_resolution(ideal)
-    entries: dict[tuple[int, Monomial], int] = {}
-    for face in resolution.faces:
-        key = (face.hdeg, face.mdeg)
-        entries[key] = entries.get(key, 0) + 1
-    return BettiTable(entries)
+    mdegs = taylor_resolution(ideal).mdegs
+    # A witness exponent appears in an lcm iff its generator is a member: no two faces collide.
+    return BettiTable({(mask.bit_count(), m): 1 for mask, m in enumerate(mdegs)})
 
 
 def regularity_dominant(ideal: MonomialIdeal) -> int:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import re
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from multmon import Monomial, VariableTable, minimalize, multiplicity_ps
 
 EXAMPLE = "a^3*c, a*b*e^3, a^2*b^2, c^2, d^2*e^2"
 GOLDEN = Path(__file__).parent / "data" / "golden_ideals.txt"
+GOLDEN_OUTPUTS = Path(__file__).parent / "data" / "golden_outputs.json"
 ABCDE = VariableTable(("a", "b", "c", "d", "e"))
 
 ideals = st.builds(
@@ -281,6 +283,48 @@ def test_summed_exponent_over_the_cap_is_a_parse_error(capsys, tmp_path):
     assert (error["line"], error["column"]) == (1, 20)
 
 
+def test_exponent_too_long_for_int_is_a_parse_error(capsys, tmp_path):
+    digits = "0" * 20 + "9" * 5000  # past int()'s default limit on digit strings
+    code = cli.main(["codim", "--ideal", f"x^{digits}"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "Traceback" not in captured.err and "5000 digits" in captured.err
+
+    batch = tmp_path / "ideals.txt"
+    batch.write_text(f"x^2\ny * x^{digits}\nx^0002147483648\n")
+    code, docs = run_cli(capsys, "codim", "--file", str(batch))
+    assert code == 1 and len(docs) == 3
+    error = docs[1]["error"]
+    assert error["code"] == "exponent-too-large" and error["exit_code"] == 1
+    assert (error["line"], error["column"]) == (1, 7)
+    assert docs[2]["result"]["codim"] == 1  # leading zeros do not count
+
+
+def _golden_outputs() -> dict[str, dict]:
+    """stdout and exit code of every command, plain and --pretty, over the golden batch.
+
+    Timings are replaced by a fixed token so the snapshot is reproducible.
+    """
+    outputs = {}
+    for command in cli.COMMANDS:
+        for style in ("plain", "pretty"):
+            argv = [command, "--file", str(GOLDEN)] + (["--pretty"] if style == "pretty" else [])
+            code, out = _quiet_main(*argv)
+            out = re.sub(r'"timing_ms": [^,}]+', '"timing_ms": "<ms>"', out)
+            out = re.sub(r"(?m)^time: .* ms$", "time: <ms> ms", out)
+            outputs[f"{command} {style}"] = {"exit_code": code, "stdout": out}
+    return outputs
+
+
+def test_cli_output_matches_the_golden_snapshot():
+    # Regenerate after an intended output change: `python tests/test_cli.py`.
+    expected = json.loads(GOLDEN_OUTPUTS.read_text(encoding="utf-8"))
+    actual = _golden_outputs()
+    assert actual.keys() == expected.keys()
+    for key, value in expected.items():
+        assert actual[key] == value, key
+
+
 def _quiet_main(*argv) -> tuple[int, str]:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
@@ -302,3 +346,7 @@ def test_method_table_is_consistent(ideal):
     auto = next((m for m in cli.AUTO_METHODS if cli.METHODS[m][0](ideal)), "ps")
     code, out = _quiet_main(*argv)
     assert code == 0 and json.loads(out)["method"] == auto
+
+
+if __name__ == "__main__":
+    GOLDEN_OUTPUTS.write_text(json.dumps(_golden_outputs(), indent=1) + "\n", encoding="utf-8")

@@ -19,7 +19,7 @@ from multmon.generate import random_ideal
 def hilbert_count(ideal: MonomialIdeal, d: int) -> int:
     """Number of degree-d monomials outside the ideal, by enumeration."""
     n = len(ideal.ring)
-    gens = [g.exponent_vector() for g in ideal.gens]
+    gens = [g.vec for g in ideal.gens]
     count = 0
     vec = [0] * n
 

@@ -9,7 +9,6 @@ import pytest
 from multmon import (
     MAX_EXPONENT,
     ParseError,
-    format_ideal,
     ideal_from_maps,
     parse_ideal,
     parse_ideal_detailed,
@@ -110,11 +109,11 @@ def test_round_trip_examples():
         "q_1^4*q_2, q_2^2",
     ):
         ideal = parse_ideal(text)
-        assert parse_ideal(format_ideal(ideal)) == ideal
+        assert parse_ideal(str(ideal)) == ideal
 
 
 def test_round_trip_random():
     rng = random.Random(2718)
     for _ in range(200):
         ideal = random_ideal(rng)
-        assert parse_ideal(format_ideal(ideal)) == ideal
+        assert parse_ideal(str(ideal)) == ideal
