@@ -7,6 +7,10 @@ monomial ideal stores its unique minimal generating set in a canonical order
 exponent vectors) so that equal ideals compare equal regardless of how their
 generators were supplied.
 
+Every subset lcm comes from one recurrence, `lcm_columns`: per variable, the
+exponent column over all generator bitmasks.  `subset_lcms` zips the columns
+into monomials; `taylor.lcm_degree_table` sums them into degrees.
+
 Everything here is an immutable value; operations return fresh objects.
 """
 
@@ -15,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import wraps
 from operator import add, le, neg, sub
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "MAX_EXPONENT",
@@ -28,6 +32,7 @@ __all__ = [
     "quotient",
     "lcm_all",
     "gcd_all",
+    "lcm_columns",
     "subset_lcms",
     "minimalize",
     "polar_set",
@@ -67,9 +72,6 @@ class VariableTable:
             return self._lookup[name]
         except KeyError:
             raise KeyError(f"unknown variable {name!r}") from None
-
-    def name(self, index: int) -> str:
-        return self.names[index]
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,17 +208,31 @@ def gcd_all(monomials: Iterable[Monomial]) -> Monomial:
     return acc
 
 
-def subset_lcms(table: VariableTable, gens: Sequence[Monomial]) -> list[Monomial]:
-    """lcm of every subset of `gens`, indexed by bitmask; entry 0 is the unit.
+def lcm_columns(gens: Sequence[Monomial], variables: Iterable[int]) -> Iterator[list[int]]:
+    """Per variable, its exponent in the lcm of every subset of `gens`; index = mask.
 
-    Each entry extends the entry for its mask without the lowest set bit by
-    one lcm.
+    A mask with highest set bit `1 << i` takes the larger of `gens[i]`'s exponent
+    and the entry without that bit (a slice copy when `gens[i]` lacks the
+    variable).  One list is reused for every variable: copy a column to keep it.
     """
-    lcms = [Monomial.unit(table)]
-    for mask in range(1, 1 << len(gens)):
-        low = (mask & -mask).bit_length() - 1
-        lcms.append(lcm(lcms[mask & (mask - 1)], gens[low]))
-    return lcms
+    col = [0] * (1 << len(gens))
+    for v in variables:
+        for i, g in enumerate(gens):
+            bit = 1 << i
+            e = g.vec[v]
+            if e:
+                for sub in range(bit):
+                    m = col[sub]
+                    col[bit + sub] = m if m >= e else e
+            else:
+                col[bit : bit + bit] = col[:bit]
+        yield col
+
+
+def subset_lcms(table: VariableTable, gens: Sequence[Monomial]) -> list[Monomial]:
+    """lcm of every subset of `gens`, indexed by bitmask; entry 0 is the unit."""
+    columns = [col[:] for col in lcm_columns(gens, range(len(table)))]
+    return [Monomial(table, vec) for vec in zip(*columns)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -311,24 +327,15 @@ def per_ideal(fn: Callable) -> Callable:
 
 
 def minimalize(ring: VariableTable, raw: Iterable[Monomial]) -> MonomialIdeal:
-    """Drop duplicates and generators divisible by another; sort canonically."""
-    items = list(raw)
-    if not items:
-        raise ValueError("cannot minimalize an empty generator list")
-    for m in items:
-        if m.table != ring:
-            raise ValueError("generator does not live in the given ring")
-        if m.is_unit:
-            raise ValueError("the unit monomial cannot be a generator")
-    unique = []
-    for m in items:
-        if m not in unique:
-            unique.append(m)
-    kept = [
-        m
-        for m in unique
-        if not any(other.divides(m) for other in unique if other != m)
-    ]
+    """Drop duplicates and generators divisible by another; sort canonically.
+
+    In canonical order a divisor or duplicate comes first, so one pass keeps each
+    monomial no kept one divides; `MonomialIdeal` rejects empty, unit, foreign.
+    """
+    kept: list[Monomial] = []
+    for m in sorted(raw, key=Monomial.sort_key):
+        if not any(k.divides(m) for k in kept):
+            kept.append(m)
     return MonomialIdeal(ring, tuple(kept))
 
 

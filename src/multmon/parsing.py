@@ -31,7 +31,8 @@ __all__ = [
 ]
 
 _VAR_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
-_VAR_BODY = _VAR_START | set("0123456789_")
+_DIGITS = set("0123456789")  # ASCII only: str.isdigit() also takes '²' and '١'
+_VAR_BODY = _VAR_START | _DIGITS | {"_"}
 
 
 def is_valid_variable_name(name: str) -> bool:
@@ -98,11 +99,11 @@ def _scan_factor(scanner: _Scanner, factors: dict[str, int]) -> None:
     value = 1
     if scanner.peek() == "^":
         scanner.advance()
-        if scanner.peek() is None or not scanner.peek().isdigit():
+        if scanner.peek() not in _DIGITS:
             raise scanner.error("syntax", "expected an integer exponent after '^'")
         line, column = scanner.line, scanner.column
         digits = []
-        while scanner.peek() is not None and scanner.peek().isdigit():
+        while scanner.peek() in _DIGITS:
             digits.append(scanner.advance())
         significant = "".join(digits).lstrip("0")
         # decided on the digits: int() refuses strings past a few thousand digits
@@ -219,6 +220,8 @@ def ideal_from_maps(
     for mapping in maps:
         factors: dict[str, int] = {}
         for name, e in mapping.items():
+            if not isinstance(e, int) or isinstance(e, bool):
+                raise ParseError("syntax", f"exponent of {name!r} must be an integer")
             if e == 0:
                 raise ParseError("zero-exponent", f"exponent of {name!r} must be positive")
             if e < 0:

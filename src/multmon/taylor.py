@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add
 
-from .core import Monomial, MonomialIdeal, per_ideal, quotient, subset_lcms
+from .core import Monomial, MonomialIdeal, lcm_columns, per_ideal, quotient, subset_lcms
 from .errors import InternalConsistencyError, ResourceCapError, UnsupportedError
 from .invariants import codim, is_dominant
 
@@ -55,26 +56,13 @@ def _require_small(ideal: MonomialIdeal) -> None:
 def lcm_degree_table(ideal: MonomialIdeal) -> list[int]:
     """deg(lcm of members) for every generator bitmask; index = mask.
 
-    Computed per variable with a subset DP over the highest set bit, so the
-    whole table costs O(2^q * n) integer operations and no monomial objects;
-    generators not involving the variable extend the table by a slice copy.
+    The sum of the `core.lcm_columns` columns of the used variables: O(2^q * n)
+    integer operations and no monomial objects.
     """
     _require_small(ideal)
-    q = ideal.q
-    size = 1 << q
-    deg = [0] * size
-    maxv = [0] * size
-    for v in ideal.used_variables():
-        for i in range(q):
-            bit = 1 << i
-            e = ideal.gens[i].exponent(v)
-            if e:
-                for sub in range(bit):
-                    m = maxv[sub]
-                    maxv[bit + sub] = m if m >= e else e
-            else:
-                maxv[bit : bit + bit] = maxv[:bit]
-        deg = [d + m for d, m in zip(deg, maxv)]
+    deg = [0] * (1 << ideal.q)
+    for col in lcm_columns(ideal.gens, ideal.used_variables()):
+        deg = list(map(add, deg, col))
     return deg
 
 

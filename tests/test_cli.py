@@ -300,6 +300,23 @@ def test_exponent_too_long_for_int_is_a_parse_error(capsys, tmp_path):
     assert docs[2]["result"]["codim"] == 1  # leading zeros do not count
 
 
+def test_non_ascii_exponent_digits_are_a_parse_error(capsys, tmp_path):
+    code = cli.main(["codim", "--ideal", "x^\u00b2"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "Traceback" not in captured.err and "line 1, column 3" in captured.err
+
+    batch = tmp_path / "ideals.txt"
+    batch.write_text("x^\u00b2\ny, x^\u0661\nx^2, y^3\n", encoding="utf-8")
+    code, docs = run_cli(capsys, "codim", "--file", str(batch))
+    assert code == 1 and len(docs) == 3
+    for doc, column in zip(docs, (3, 6)):
+        error = doc["error"]
+        assert error["code"] == "syntax" and error["exit_code"] == 1
+        assert (error["line"], error["column"]) == (1, column)
+    assert docs[2]["result"]["codim"] == 2
+
+
 def _golden_outputs() -> dict[str, dict]:
     """stdout and exit code of every command, plain and --pretty, over the golden batch.
 

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import multmon.cli as cli
+import multmon.formulas as formulas
 import multmon.oracle as oracle
 from multmon import (
     Monomial,
@@ -175,8 +176,12 @@ def test_cycle_cover_counts():
 
 
 def test_oracle_imports_no_other_route():
-    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
-    imported = {
-        node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level
-    }
-    assert imported == {"core", "errors", "invariants"}
+    # the closed forms, too, share only `core` (and its subset-lcm DP) with the Taylor engine
+    for module in (oracle, formulas):
+        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+        imported = {
+            node.module
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level
+        }
+        assert imported == {"core", "errors", "invariants"}, module.__name__

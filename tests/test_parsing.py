@@ -54,7 +54,8 @@ def test_zero_exponent_error():
 
 
 def test_syntax_errors():
-    for text in ("x^", "x^2,", "x 2", "x+y", "a^2b"):
+    # '²' and Arabic-Indic one pass str.isdigit(); only ASCII digits make an exponent
+    for text in ("x^", "x^2,", "x 2", "x+y", "a^2b", "x^\u00b2", "x^\u0661", "x^1\u00b2"):
         with pytest.raises(ParseError) as info:
             parse_ideal(text)
         assert info.value.code == "syntax", text
@@ -100,6 +101,10 @@ def test_structured_input():
     with pytest.raises(ParseError) as info:
         ideal_from_maps([])
     assert info.value.code == "empty-ideal"
+    for bad in (1.5, "2", True, 2.0, None):
+        with pytest.raises(ParseError) as info:
+            ideal_from_maps([{"y": 1}, {"x": bad}])
+        assert info.value.code == "syntax", repr(bad)
 
 
 def test_round_trip_examples():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 import tracemalloc
+from functools import reduce
 
 import pytest
 
@@ -18,6 +19,8 @@ from multmon import (
     differential_coefficient,
     is_dominant,
     is_taylor_minimal,
+    lcm,
+    lcm_degree_table,
     multiplicity_associativity,
     multiplicity_ps,
     parse_ideal,
@@ -26,6 +29,7 @@ from multmon import (
     regularity_dominant,
     taylor_resolution,
 )
+from multmon.core import subset_lcms
 from multmon.generate import (
     make_table,
     random_dominant_with_split,
@@ -55,6 +59,24 @@ def test_resolution_pair_multidegree():
     ideal = parse_ideal("a^3*c, a*b*e^3")
     r = taylor_resolution(ideal)
     assert r.mdegs[0b11] == parse_ideal("a^3*b*c*e^3").gens[0]
+
+
+def test_subset_lcms_and_degree_table_match_a_folded_lcm():
+    # the columns are built by one DP; a left fold of `lcm` over each face certifies it
+    rng = random.Random(1618)
+    ideals = [random_ideal(rng, max_gens=9, max_vars=7) for _ in range(40)]
+    ideals += [parse_ideal("x^5"), parse_ideal("x^3, y^2*z, x*z^4, w")]
+    assert any(ideal.used_variables() != tuple(range(len(ideal.ring))) for ideal in ideals)
+    for ideal in ideals:
+        lcms = subset_lcms(ideal.ring, ideal.gens)
+        degrees = lcm_degree_table(ideal)
+        unit = Monomial.unit(ideal.ring)
+        assert len(lcms) == len(degrees) == 1 << ideal.q
+        for mask in range(1 << ideal.q):
+            members = [g for i, g in enumerate(ideal.gens) if mask >> i & 1]
+            expected = reduce(lcm, members, unit)
+            assert lcms[mask] == expected, (str(ideal), mask)
+            assert degrees[mask] == expected.degree, (str(ideal), mask)
 
 
 def test_face_order_is_hdeg_then_mask():
