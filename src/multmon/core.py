@@ -262,12 +262,11 @@ class MonomialIdeal:
             if g.is_unit:
                 raise ValueError("the unit monomial cannot be a generator")
         gens = tuple(sorted(gens, key=Monomial.sort_key))
-        for i, g in enumerate(gens):
-            for j, h in enumerate(gens):
-                if i != j and g.divides(h):
-                    raise ValueError(
-                        f"not a minimal generating set: {g} divides {h}"
-                    )
+        # in this order a divisor, or the first of two equal generators, comes first
+        for j, h in enumerate(gens):
+            for g in gens[:j]:
+                if g.divides(h):
+                    raise ValueError(f"not a minimal generating set: {g} divides {h}")
         object.__setattr__(self, "gens", gens)
         object.__setattr__(self, "supports", tuple(frozenset(g.support) for g in gens))
         object.__setattr__(self, "_facts", {})

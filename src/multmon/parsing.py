@@ -12,10 +12,16 @@ first-occurrence order unless an explicit ordered name list is supplied.
 Repeated variables within one monomial multiply (exponents add).  The parsed
 generator list is always minimalized; dropped generators are reported as
 notices.
+
+Scanning alternates a filler pattern (whitespace, comments) and a factor
+pattern (`var`, then '^' and ASCII digits); line and column are computed from
+the offset of an error only when one is raised.  Structured input and
+explicit name lists must use the same `var` token.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -30,14 +36,16 @@ __all__ = [
     "is_valid_variable_name",
 ]
 
-_VAR_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
-_DIGITS = set("0123456789")  # ASCII only: str.isdigit() also takes '²' and '١'
-_VAR_BODY = _VAR_START | _DIGITS | {"_"}
+_VAR = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+_FILLER = re.compile(r"(?:\s|#[^\n]*)*")
+# [0-9], not \d: only ASCII digits make an exponent ('١' is a \d)
+_FACTOR = re.compile(rf"({_VAR.pattern})(\^[0-9]*)?")
+_CAP_DIGITS = len(str(MAX_EXPONENT))
 
 
 def is_valid_variable_name(name: str) -> bool:
     """Whether `name` matches the grammar's variable token."""
-    return bool(name) and name[0] in _VAR_START and all(c in _VAR_BODY for c in name[1:])
+    return isinstance(name, str) and _VAR.fullmatch(name) is not None
 
 
 @dataclass(frozen=True)
@@ -46,131 +54,73 @@ class ParsedIdeal:
     notices: tuple[str, ...]
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.column = 1
-
-    def peek(self) -> str | None:
-        return self.text[self.pos] if self.pos < len(self.text) else None
-
-    def advance(self) -> str:
-        ch = self.text[self.pos]
-        self.pos += 1
-        if ch == "\n":
-            self.line += 1
-            self.column = 1
-        else:
-            self.column += 1
-        return ch
-
-    def skip_filler(self) -> bool:
-        """Consume whitespace and comments; report whether anything was eaten."""
-        ate = False
-        while True:
-            ch = self.peek()
-            if ch is not None and ch.isspace():
-                self.advance()
-                ate = True
-            elif ch == "#":
-                while self.peek() not in (None, "\n"):
-                    self.advance()
-                ate = True
-            else:
-                return ate
-
-    def error(self, code: str, message: str) -> ParseError:
-        return ParseError(code, message, self.line, self.column)
-
-
-def _scan_var(scanner: _Scanner) -> str:
-    chars = [scanner.advance()]
-    while scanner.peek() in _VAR_BODY:
-        chars.append(scanner.advance())
-    return "".join(chars)
-
-
-def _scan_factor(scanner: _Scanner, factors: dict[str, int]) -> None:
-    """Scan one factor and add its exponent to its variable's entry in `factors`."""
-    line, column = scanner.line, scanner.column
-    name = _scan_var(scanner)
-    value = 1
-    if scanner.peek() == "^":
-        scanner.advance()
-        if scanner.peek() not in _DIGITS:
-            raise scanner.error("syntax", "expected an integer exponent after '^'")
-        line, column = scanner.line, scanner.column
-        digits = []
-        while scanner.peek() in _DIGITS:
-            digits.append(scanner.advance())
-        significant = "".join(digits).lstrip("0")
-        # decided on the digits: int() refuses strings past a few thousand digits
-        if len(significant) > len(str(MAX_EXPONENT)):
-            raise ParseError(
-                "exponent-too-large",
-                f"exponent of {len(significant)} digits exceeds the {MAX_EXPONENT} cap",
-                line,
-                column,
-            )
-        value = int(significant or "0")
-        if value == 0:
-            raise ParseError("zero-exponent", "exponents must be positive", line, column)
-    total = factors.get(name, 0) + value
-    if total > MAX_EXPONENT:
-        raise ParseError(
-            "exponent-too-large",
-            f"exponent {total} exceeds the {MAX_EXPONENT} cap",
-            line,
-            column,
-        )
-    factors[name] = total
-
-
-def _scan_monomial(scanner: _Scanner) -> dict[str, int]:
-    factors: dict[str, int] = {}
-    while True:
-        _scan_factor(scanner, factors)
-        ate_space = scanner.skip_filler()
-        ch = scanner.peek()
-        if ch == "*":
-            scanner.advance()
-            scanner.skip_filler()
-            if scanner.peek() not in _VAR_START:
-                raise scanner.error("syntax", "expected a variable after '*'")
-            continue
-        if ch in _VAR_START and ate_space:
-            continue
-        return factors
+def _error(text: str, pos: int, code: str, message: str) -> ParseError:
+    line = text.count("\n", 0, pos) + 1
+    return ParseError(code, message, line, pos - text.rfind("\n", 0, pos))
 
 
 def _scan_ideal(text: str) -> list[dict[str, int]]:
-    scanner = _Scanner(text)
-    scanner.skip_filler()
-    if scanner.peek() is None:
-        raise scanner.error("empty-ideal", "no generators found")
+    """One name -> summed exponent map per monomial, in the order written."""
+    pos = _FILLER.match(text).end()
+    if pos == len(text):
+        raise _error(text, pos, "empty-ideal", "no generators found")
     monomials = []
     while True:
-        if scanner.peek() not in _VAR_START:
-            raise scanner.error("syntax", "expected a variable")
-        monomials.append(_scan_monomial(scanner))
-        ch = scanner.peek()
-        if ch is None:
+        m = _FACTOR.match(text, pos)
+        if m is None:
+            raise _error(text, pos, "syntax", "expected a variable")
+        factors: dict[str, int] = {}
+        while m:
+            name, power = m.groups()
+            value, at = 1, m.start()
+            if power is not None:
+                at = m.start(2) + 1
+                if len(power) == 1:
+                    raise _error(text, at, "syntax", "expected an integer exponent after '^'")
+                digits = power[1:].lstrip("0")
+                # decided on the digits: int() refuses strings past a few thousand digits
+                if len(digits) > _CAP_DIGITS:
+                    message = f"exponent of {len(digits)} digits exceeds the {MAX_EXPONENT} cap"
+                    raise _error(text, at, "exponent-too-large", message)
+                value = int(digits or "0")
+                if value == 0:
+                    raise _error(text, at, "zero-exponent", "exponents must be positive")
+            total = factors.get(name, 0) + value
+            if total > MAX_EXPONENT:
+                message = f"exponent {total} exceeds the {MAX_EXPONENT} cap"
+                raise _error(text, at, "exponent-too-large", message)
+            factors[name] = total
+            end = m.end()
+            pos = _FILLER.match(text, end).end()
+            if text.startswith("*", pos):
+                pos = _FILLER.match(text, pos + 1).end()
+                m = _FACTOR.match(text, pos)
+                if m is None:
+                    raise _error(text, pos, "syntax", "expected a variable after '*'")
+            else:
+                # whitespace alone may separate factors; 'a^2b' has none before 'b'
+                m = pos > end and _FACTOR.match(text, pos)
+        monomials.append(factors)
+        if pos == len(text):
             return monomials
-        if ch in ",;":
-            scanner.advance()
-            scanner.skip_filler()
-            if scanner.peek() is None:
-                raise scanner.error("syntax", "expected a monomial after the separator")
-            continue
-        raise scanner.error("syntax", f"unexpected character {ch!r}")
+        if text[pos] not in ",;":
+            raise _error(text, pos, "syntax", f"unexpected character {text[pos]!r}")
+        pos = _FILLER.match(text, pos + 1).end()
+        if pos == len(text):
+            raise _error(text, pos, "syntax", "expected a monomial after the separator")
+
+
+def _check_names(names: Iterable[str]) -> None:
+    for name in names:
+        if not is_valid_variable_name(name):
+            raise ParseError("syntax", f"{name!r} is not a valid variable name")
 
 
 def _build(
     factor_maps: list[dict[str, int]], var_names: Sequence[str] | None
 ) -> tuple[MonomialIdeal, tuple[str, ...]]:
     if var_names is not None:
+        _check_names(var_names)
         table = VariableTable(tuple(var_names))
         known = set(var_names)
         for factors in factor_maps:
@@ -218,6 +168,7 @@ def ideal_from_maps(
     """Structured input: one name -> exponent mapping per generator."""
     factor_maps = []
     for mapping in maps:
+        _check_names(mapping)
         factors: dict[str, int] = {}
         for name, e in mapping.items():
             if not isinstance(e, int) or isinstance(e, bool):

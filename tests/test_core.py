@@ -116,8 +116,14 @@ def test_minimalize_rejects_empty_and_unit():
 
 
 def test_constructor_rejects_non_minimal():
-    with pytest.raises(ValueError):
-        MonomialIdeal(ABCDE, (mono("a"), mono("a^2")))
+    # a duplicate, a divisor before its multiple, and a divisor after it
+    for gens in (
+        ("b*c", "a", "b*c"),
+        ("a", "a^2"),
+        ("c^3", "a*b^2*d", "b*d", "e"),
+    ):
+        with pytest.raises(ValueError, match="not a minimal generating set"):
+            MonomialIdeal(ABCDE, tuple(mono(g) for g in gens))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multmon import (
     MAX_EXPONENT,
@@ -75,6 +77,49 @@ def test_exponent_cap():
     assert parse_ideal(f"x^{MAX_EXPONENT}").gens[0].degree == MAX_EXPONENT
 
 
+# one text per ParseError message: (text, code, message, line, column)
+CAP = MAX_EXPONENT
+ERROR_SITES = [
+    ("x^2 # c\n\ty^", "syntax", "expected an integer exponent after '^'", 2, 4),
+    ("a*\n", "syntax", "expected a variable after '*'", 2, 1),
+    ("x,\r\n# c\n", "syntax", "expected a monomial after the separator", 3, 1),
+    ("x y+z", "syntax", "unexpected character '+'", 1, 4),
+    ("x;\n  3", "syntax", "expected a variable", 2, 3),
+    ("x^2,\n\tx^0", "zero-exponent", "exponents must be positive", 2, 4),
+    ("x^2147483648 x", "exponent-too-large", f"exponent 2147483649 exceeds the {CAP} cap", 1, 14),
+    ("y*x^999999999999", "exponent-too-large", f"exponent of 12 digits exceeds the {CAP} cap",
+     1, 5),
+    ("# only\n  ", "empty-ideal", "no generators found", 2, 3),
+]
+
+
+@pytest.mark.parametrize("text, code, message, line, column", ERROR_SITES)
+def test_error_sites(text, code, message, line, column):
+    with pytest.raises(ParseError) as info:
+        parse_ideal(text)
+    assert info.value.code == code
+    assert str(info.value) == f"{message} (line {line}, column {column})"
+    assert (info.value.line, info.value.column) == (line, column)
+
+
+# the pieces of the texts above
+TOKENS = ["x", "y", "a", "z", "3", "^", "^2", "^0", "^2147483648", "^999999999999"]
+TOKENS += ["*", ",", ";", "+", " ", "\t", "\n", "\r\n", "# c", "# only"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(TOKENS), max_size=12).map("".join))
+def test_any_text_parses_round_trip_or_fails_inside_it(text):
+    try:
+        ideal = parse_ideal(text)
+    except ParseError as err:
+        lines = text.split("\n")
+        assert 1 <= err.line <= len(lines)
+        assert 1 <= err.column <= len(lines[err.line - 1]) + 1
+    else:
+        assert parse_ideal(str(ideal)) == ideal
+
+
 def test_error_positions_on_later_lines():
     with pytest.raises(ParseError) as info:
         parse_ideal("x^2,\n y^0")
@@ -84,6 +129,10 @@ def test_error_positions_on_later_lines():
 def test_explicit_variable_order():
     ideal = parse_ideal("b*a", var_names=("a", "b"))
     assert ideal.ring.names == ("a", "b")
+    for names in (("a", "b c"), ("a", "2b"), ("a", ""), ("a", "b\u00b2")):
+        with pytest.raises(ParseError) as info:
+            parse_ideal("a", var_names=names)
+        assert info.value.code == "syntax", names
     with pytest.raises(ParseError) as info:
         parse_ideal("c", var_names=("a", "b"))
     assert info.value.code == "unknown-variable"
@@ -105,6 +154,14 @@ def test_structured_input():
         with pytest.raises(ParseError) as info:
             ideal_from_maps([{"y": 1}, {"x": bad}])
         assert info.value.code == "syntax", repr(bad)
+    # each of these would render text that parses differently or not at all
+    for name in ("x y", "2x", "", "x^2", "x*y", "\u00e9"):
+        with pytest.raises(ParseError) as info:
+            ideal_from_maps([{"y": 1}, {name: 1}])
+        assert info.value.code == "syntax", repr(name)
+    with pytest.raises(ParseError) as info:
+        ideal_from_maps([{"x": 1}], var_names=("x", "y z"))
+    assert info.value.code == "syntax"
 
 
 def test_round_trip_examples():
