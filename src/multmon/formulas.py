@@ -19,6 +19,7 @@ from .invariants import (
     is_complete_intersection,
     is_dominant,
     pairwise_coprime,
+    support_components,
 )
 
 __all__ = [
@@ -84,28 +85,7 @@ def detect_stem(ideal: MonomialIdeal) -> StemStructure | None:
     dominant, _ = is_dominant(ideal)
     if not dominant:
         return None
-    q = ideal.q
-    supports = ideal.supports
-    component = list(range(q))
-
-    def find(i: int) -> int:
-        while component[i] != i:
-            component[i] = component[component[i]]
-            i = component[i]
-        return i
-
-    for i in range(q):
-        for j in range(i + 1, q):
-            if supports[i] & supports[j]:
-                component[find(i)] = find(j)
-
-    groups: dict[int, list[int]] = {}
-    for i in range(q):
-        groups.setdefault(find(i), []).append(i)
-    blocks = sorted(
-        (tuple(sorted(members)) for members in groups.values()),
-        key=lambda block: (-len(block), block[0]),
-    )
+    blocks = sorted(support_components(ideal), key=lambda block: (-len(block), block[0]))
     stems = []
     for block in blocks:
         stem = gcd_all(ideal.gens[i] for i in block)
@@ -157,11 +137,8 @@ def quadratic_dominant_data(ideal: MonomialIdeal) -> QuadraticDominantData:
         if any(g.degree != 2 for g in ideal.gens):
             raise HypothesisError("all generators must have total degree 2")
         raise HypothesisError("the quadratic formulas require a dominant ideal")
-    # A generator is coprime to all others when each of its variables is private.
+    isolated = tuple(block[0] for block in support_components(ideal) if len(block) == 1)
     counts = Counter(v for s in ideal.supports for v in s)
-    isolated = tuple(
-        i for i, s in enumerate(ideal.supports) if all(counts[v] == 1 for v in s)
-    )
     shared = tuple(sorted(v for v, n in counts.items() if n > 1))
     return QuadraticDominantData(isolated, shared)
 

@@ -1,21 +1,23 @@
 """Codimension, dominance, and (almost) complete-intersection classification.
 
 The codimension of a monomial ideal equals the minimum size of a set of
-variables meeting every minimal generator's support, so it is computed as an
-exact minimum vertex cover of the support hypergraph (branch and bound with a
-greedy upper bound; heuristics prune, never approximate).  Each fact here
-is computed once per ideal (`core.per_ideal`).
+variables meeting every minimal generator's support.  `covers` searches each
+connected component of the supports at increasing sizes from a disjoint
+packing (which prunes, never approximates); the oracle lists its covers with
+the same search.  Each fact here is computed once per ideal (`core.per_ideal`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .core import MonomialIdeal, per_ideal
 from .errors import InternalConsistencyError
 
 __all__ = [
+    "covers",
+    "support_components",
     "codim",
     "pairwise_coprime",
     "dominance_witnesses",
@@ -27,60 +29,71 @@ __all__ = [
 ]
 
 
-def _inclusion_minimal(supports: Iterable[frozenset[int]]) -> list[frozenset[int]]:
-    # A cover of a subset also covers every superset, so supersets are noise.
-    unique = sorted(set(supports), key=len)
-    kept: list[frozenset[int]] = []
-    for s in unique:
-        if not any(t <= s for t in kept):
-            kept.append(s)
-    return kept
+def _packing(supports: list[int]) -> int:
+    """Greedy count of pairwise-disjoint supports in list order: a lower bound on any cover."""
+    used = count = 0
+    for s in supports:
+        if not s & used:
+            used |= s
+            count += 1
+    return count
 
 
-def _greedy_cover(supports: list[frozenset[int]]) -> int:
-    uncovered = list(supports)
-    size = 0
-    while uncovered:
-        counts: dict[int, int] = {}
-        for s in uncovered:
-            for v in s:
-                counts[v] = counts.get(v, 0) + 1
-        top = max(counts.values())
-        best = min(v for v in counts if counts[v] == top)
-        uncovered = [s for s in uncovered if best not in s]
-        size += 1
-    return size
+def covers(supports: list[int], size: int, chosen: int = 0) -> Iterator[int]:
+    """Yield `chosen | C` for covers C, of at most `size` variables, of the support bitmasks.
+
+    Branches on the smallest support and bans each tried variable from its
+    later siblings; a branch is entered only while a packing of what it leaves
+    uncovered fits.  Yields nothing only when no such cover exists, and at the
+    least size yields every cover exactly once.
+    """
+    pivot = min(supports, key=int.bit_count)
+    while True:
+        bit = pivot & -pivot
+        rest = [s for s in supports if not s & bit]
+        if not rest:
+            yield chosen | bit
+        elif _packing(rest) < size:
+            yield from covers(rest, size - 1, chosen | bit)
+        pivot ^= bit
+        if not pivot:
+            return
+        supports = [s & ~bit for s in supports]
+        if not all(supports):
+            return
 
 
-def _disjoint_lower_bound(supports: list[frozenset[int]]) -> int:
-    # Pairwise disjoint supports need pairwise distinct cover variables.
-    chosen: list[frozenset[int]] = []
-    for s in sorted(supports, key=len):
-        if all(not (s & t) for t in chosen):
-            chosen.append(s)
-    return len(chosen)
+@per_ideal
+def support_components(ideal: MonomialIdeal) -> tuple[tuple[int, ...], ...]:
+    """Sorted generator indices of each component of the shares-a-variable graph, by first index."""
+    groups: list[tuple[frozenset[int], list[int]]] = []
+    for i, s in enumerate(ideal.supports):
+        members = [i]
+        kept = []
+        for variables, block in groups:
+            if s.isdisjoint(variables):
+                kept.append((variables, block))
+            else:
+                s |= variables
+                members += block
+        groups = [*kept, (s, members)]
+    return tuple(sorted(tuple(sorted(block)) for _, block in groups))
 
 
 @per_ideal
 def codim(ideal: MonomialIdeal) -> int:
-    """Minimum number of variables meeting every generator's support."""
-    supports = _inclusion_minimal(ideal.supports)
-    best = _greedy_cover(supports)
+    """Minimum number of variables meeting every generator's support.
 
-    def search(chosen: int, uncovered: list[frozenset[int]]) -> None:
-        nonlocal best
-        if not uncovered:
-            if chosen < best:
-                best = chosen
-            return
-        if chosen + _disjoint_lower_bound(uncovered) >= best:
-            return
-        pivot = min(uncovered, key=len)
-        for v in sorted(pivot):
-            search(chosen + 1, [s for s in uncovered if v not in s])
-
-    search(0, supports)
-    return best
+    Least covers of components add up; a packing that takes every support is least.
+    """
+    total = 0
+    for block in support_components(ideal):
+        supports = list(dict.fromkeys(sum(1 << v for v in ideal.supports[i]) for i in block))
+        size = _packing(supports)
+        while size < len(supports) and not next(covers(supports, size), 0):
+            size += 1
+        total += size
+    return total
 
 
 def pairwise_coprime(supports: Iterable[frozenset[int]]) -> bool:

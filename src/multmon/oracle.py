@@ -4,8 +4,8 @@ The multiplicity of S/M equals the sum, over all size-c variable covers of the
 generators' supports (c = codim), of the number of standard monomials of the
 ideal restricted to the cover's variables.  This path shares nothing with the
 power-sum engine beyond monomial arithmetic, and both halves are
-output-sensitive: covers come from a search that branches on an uncovered
-support and stops at size c, and colengths from a staircase count that cuts
+output-sensitive: covers come from the pruned search `invariants.covers`,
+the same one that finds c, and colengths from a staircase count that cuts
 each variable's range at the generators' distinct exponents (the slice idea of
 Roune, JSC 44 (2009)).  The counting box is still capped, erroring out past
 the cap rather than approximating.
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .core import MonomialIdeal
 from .errors import ResourceCapError
-from .invariants import codim
+from .invariants import codim, covers
 
 __all__ = [
     "COLENGTH_GRID_CAP",
@@ -37,44 +37,17 @@ class CoverContribution:
     colength: int
 
 
-def _extend_covers(c: int, size: int, chosen: int, uncovered: list[int], found: list[int]) -> None:
-    """Add to `found` every size-c cover extending `chosen` (all bitmasks).
-
-    `uncovered` holds the supports `chosen` misses, minus banned variables.
-    The search branches on the smallest of them; each variable it tries is
-    banned from its later siblings, so every cover is reached exactly once.
-    """
-    pivot = min(uncovered, key=int.bit_count)
-    size += 1
-    while True:
-        bit = pivot & -pivot
-        rest = [s for s in uncovered if not s & bit]
-        if not rest:
-            found.append(chosen | bit)
-        elif size < c:
-            _extend_covers(c, size, chosen | bit, rest, found)
-        pivot ^= bit
-        if not pivot:
-            return
-        uncovered = [s & ~bit for s in uncovered]
-        if not all(uncovered):
-            return
-
-
 def minimal_covers(ideal: MonomialIdeal) -> list[frozenset[int]]:
     """All variable sets of size exactly codim meeting every generator's support.
 
     Any cover of that size is automatically minimal, so no post-filter is
-    needed.  A pruned search finds them (see `_extend_covers`): its cost grows
+    needed.  The pruned search `invariants.covers` finds them: its cost grows
     with the covers and dead branches it meets, not with the C(n, codim)
     variable subsets.  Covers are listed in lexicographic variable order.
     """
-    supports = {sum(1 << v for v in s) for s in ideal.supports}
-    found: list[int] = []
-    _extend_covers(codim(ideal), 0, 0, list(supports), found)
-    covers = [[v for v in range(mask.bit_length()) if mask >> v & 1] for mask in found]
-    covers.sort()
-    return [frozenset(cover) for cover in covers]
+    supports = list(dict.fromkeys(sum(1 << v for v in s) for s in ideal.supports))
+    found = [[v for v in range(m.bit_length()) if m >> v & 1] for m in covers(supports, codim(ideal))]
+    return [frozenset(cover) for cover in sorted(found)]
 
 
 def _restricted_vectors(ideal: MonomialIdeal, cov: tuple[int, ...]) -> list[tuple[int, ...]]:

@@ -111,9 +111,13 @@ def _scan_ideal(text: str) -> list[dict[str, int]]:
 
 
 def _check_names(names: Iterable[str]) -> None:
+    seen: set[str] = set()
     for name in names:
         if not is_valid_variable_name(name):
             raise ParseError("syntax", f"{name!r} is not a valid variable name")
+        if name in seen:
+            raise ParseError("syntax", f"duplicate variable name {name!r}")
+        seen.add(name)
 
 
 def _build(

@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import re
+import time
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -119,6 +120,22 @@ def test_taylor_cap_exit(capsys):
     text = ", ".join(f"x{i}^2" for i in range(21))
     code, docs = run_cli(capsys, "taylor", "--ideal", text)
     assert code == 4 and docs == []
+
+
+def test_many_support_components_answer_fast(capsys):
+    # codim is searched per component, so 13 disjoint triangles cost 13 small searches
+    text = ", ".join(f"a{i}*b{i}, b{i}*c{i}, a{i}*c{i}" for i in range(13))
+    started = time.perf_counter()
+    code, (doc,) = run_cli(capsys, "codim", "--ideal", text)
+    assert code == 0 and doc["result"]["codim"] == 26
+    assert time.perf_counter() - started < 2
+
+    started = time.perf_counter()
+    code = cli.main(["multiplicity", "--ideal", text])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert "39 generators exceeds the q <= 20 cap" in captured.err
+    assert time.perf_counter() - started < 2
 
 
 def test_diagram_command(capsys):

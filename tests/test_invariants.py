@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import pickle
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multmon import (
     classify,
@@ -15,13 +18,14 @@ from multmon import (
     is_dominant,
     parse_ideal,
 )
+from multmon.invariants import support_components
 from multmon.generate import (
     make_table,
     random_aci,
     random_complete_intersection,
     random_ideal,
 )
-from multmon.core import Monomial, MonomialIdeal
+from multmon.core import Monomial, MonomialIdeal, minimalize
 import multmon.cli as cli
 import multmon.invariants as invariants
 
@@ -32,6 +36,67 @@ def test_codim_examples():
     assert codim(parse_ideal("a^3*c, a*b*e^3, a^2*b^2, c^2, d^2*e^2")) == 3
     assert codim(parse_ideal("x^7")) == 1
     assert codim(parse_ideal("a^2*b*c, b^3*c, c^4, d^2*e^2, d*e*f, d*g^2")) == 2
+
+
+TABLE = make_table(12)
+
+
+def maps_on(variables):
+    return st.lists(
+        st.dictionaries(st.sampled_from(variables), st.integers(1, 3), min_size=1, max_size=3),
+        min_size=1,
+        max_size=7,
+    )
+
+
+def ideal_of(*maps):
+    return minimalize(TABLE, [Monomial.from_map(TABLE, m) for part in maps for m in part])
+
+
+def connected(supports):
+    """Whether the sets form one component of the shares-an-element graph (BFS)."""
+    queue = [0]
+    for i in queue:
+        for j, s in enumerate(supports):
+            if j not in queue and s & supports[i]:
+                queue.append(j)
+    return len(queue) == len(supports)
+
+
+@settings(max_examples=200, deadline=None)
+@given(maps_on(range(7)))
+def test_codim_is_the_least_subset_that_meets_every_support(maps):
+    ideal = ideal_of(maps)
+    used = ideal.used_variables()
+    least = next(
+        k
+        for k in range(1, len(used) + 1)
+        if any(all(s.intersection(combo) for s in ideal.supports) for combo in combinations(used, k))
+    )
+    assert codim(ideal) == least
+
+
+@settings(max_examples=200, deadline=None)
+@given(maps_on(range(6)), maps_on(range(6, 12)))
+def test_codims_add_over_disjoint_variables(left_maps, right_maps):
+    left, right, joined = ideal_of(left_maps), ideal_of(right_maps), ideal_of(left_maps, right_maps)
+    assert codim(joined) == codim(left) + codim(right)
+
+    def blocks(ideal):
+        return {frozenset(ideal.gens[i] for i in b) for b in support_components(ideal)}
+
+    assert blocks(joined) == blocks(left) | blocks(right)
+
+
+@settings(max_examples=200, deadline=None)
+@given(maps_on(range(12)))
+def test_support_components_partition_into_connected_blocks(maps):
+    ideal = ideal_of(maps)
+    blocks = support_components(ideal)
+    assert sorted(i for b in blocks for i in b) == list(range(ideal.q))
+    spans = [frozenset().union(*(ideal.supports[i] for i in b)) for b in blocks]
+    assert sum(map(len, spans)) == len(frozenset().union(*spans))
+    assert all(connected([ideal.supports[i] for i in b]) for b in blocks)
 
 
 def test_dominance_examples():
@@ -135,15 +200,15 @@ def test_classification_report_consistency():
 
 @pytest.fixture
 def searches(monkeypatch):
-    """Counts real codim searches (each starts by pruning the supports)."""
+    """Counts real codim searches (each starts by splitting the supports)."""
     count = [0]
-    original = invariants._inclusion_minimal
+    original = invariants.support_components
 
-    def counting(supports):
+    def counting(ideal):
         count[0] += 1
-        return original(supports)
+        return original(ideal)
 
-    monkeypatch.setattr(invariants, "_inclusion_minimal", counting)
+    monkeypatch.setattr(invariants, "support_components", counting)
     return count
 
 

@@ -129,7 +129,7 @@ def test_error_positions_on_later_lines():
 def test_explicit_variable_order():
     ideal = parse_ideal("b*a", var_names=("a", "b"))
     assert ideal.ring.names == ("a", "b")
-    for names in (("a", "b c"), ("a", "2b"), ("a", ""), ("a", "b\u00b2")):
+    for names in (("a", "b c"), ("a", "2b"), ("a", ""), ("a", "b\u00b2"), ("a", "a", "b")):
         with pytest.raises(ParseError) as info:
             parse_ideal("a", var_names=names)
         assert info.value.code == "syntax", names
@@ -159,9 +159,10 @@ def test_structured_input():
         with pytest.raises(ParseError) as info:
             ideal_from_maps([{"y": 1}, {name: 1}])
         assert info.value.code == "syntax", repr(name)
-    with pytest.raises(ParseError) as info:
-        ideal_from_maps([{"x": 1}], var_names=("x", "y z"))
-    assert info.value.code == "syntax"
+    for names in (("x", "y z"), ["x", "x"]):
+        with pytest.raises(ParseError) as info:
+            ideal_from_maps([{"x": 1}], var_names=names)
+        assert info.value.code == "syntax", names
 
 
 def test_round_trip_examples():
