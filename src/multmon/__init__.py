@@ -79,6 +79,7 @@ from .taylor import (
     differential_coefficient,
     is_taylor_minimal,
     lcm_degree_table,
+    minimal_resolution,
     multiplicity_ps,
     ps_power_sum,
     regularity_dominant,

@@ -16,6 +16,7 @@ import json
 import random
 import sys
 import time
+from collections import Counter
 from typing import Sequence
 
 from . import __version__
@@ -52,10 +53,9 @@ from .oracle import multiplicity_associativity
 from .parsing import is_valid_variable_name, parse_ideal_detailed
 from .taylor import (
     Q_MAX,
-    betti_table,
     face_order,
     is_taylor_minimal,
-    member_indices,
+    minimal_resolution,
     multiplicity_ps,
     regularity_dominant,
     taylor_resolution,
@@ -211,30 +211,29 @@ def _result_for(
         return result, "classification", [], None
 
     if command == "betti":
-        table = betti_table(ideal)
-        entries = sorted(
-            (
-                {"hdeg": i, "mdeg": str(m), "degree": m.degree, "count": c}
-                for (i, m), c in table.entries.items()
-            ),
-            key=lambda e: (e["hdeg"], e["degree"], e["mdeg"]),
-        )
-        graded = []
-        ranks = [0] * (ideal.q + 1)
-        for (i, d), c in sorted(table.graded().items()):
-            graded.append({"hdeg": i, "degree": d, "count": c})
-            ranks[i] += c
-        return {"entries": entries, "graded": graded, "ranks": ranks}, "taylor", [], None
+        resolution = minimal_resolution(ideal)
+        hdegs = map(int.bit_count, range(1 << ideal.q))
+        faces = sorted(zip(hdegs, resolution.degrees, resolution.labels))
+        entries = [{"hdeg": i, "mdeg": m, "degree": d, "count": 1} for i, d, m in faces]
+        graded = [
+            {"hdeg": i, "degree": d, "count": c}
+            for (i, d), c in sorted(Counter((i, d) for i, d, _ in faces).items())
+        ]
+        result = {"entries": entries, "graded": graded, "ranks": list(resolution.ranks())}
+        return result, "taylor", [], None
 
     if command == "taylor":
         resolution = taylor_resolution(ideal)
-        mdegs = resolution.mdegs
+        degrees, labels = resolution.degrees, resolution.labels
+        members = [[]]
+        for i in range(ideal.q):
+            members += [m + [i] for m in members]
         faces = [
             {
-                "members": list(member_indices(mask)),
-                "hdeg": mask.bit_count(),
-                "mdeg": str(mdegs[mask]),
-                "degree": mdegs[mask].degree,
+                "members": members[mask],
+                "hdeg": len(members[mask]),
+                "mdeg": labels[mask],
+                "degree": degrees[mask],
             }
             for mask in face_order(ideal.q)
         ]

@@ -85,10 +85,19 @@ def codim(ideal: MonomialIdeal) -> int:
     """Minimum number of variables meeting every generator's support.
 
     Least covers of components add up; a packing that takes every support is least.
+    Each component's supports are ordered as a walk (next, the first one meeting
+    the last one taken): a packing in that order follows the shape of the
+    support graph, not the variable names that fix the generator order.
     """
     total = 0
     for block in support_components(ideal):
         supports = list(dict.fromkeys(sum(1 << v for v in ideal.supports[i]) for i in block))
+        for j in range(1, len(supports) - 1):
+            last = supports[j - 1]
+            for k in range(j, len(supports)):
+                if supports[k] & last:
+                    supports.insert(j, supports.pop(k))
+                    break
         size = _packing(supports)
         while size < len(supports) and not next(covers(supports, size), 0):
             size += 1

@@ -1,9 +1,13 @@
 """The Taylor complex of a monomial ideal and the power-sum multiplicity engine.
 
 For an ideal with q minimal generators the complex has one face per subset of
-generators.  A face is a bitmask into one list of subset lcms: its
-multidegree is `mdegs[mask]`, the lcm of its members, and its homological
+generators.  A face is a bitmask into mask-indexed lists read off the subset-lcm
+columns (`core.lcm_columns`): `degrees[mask]` is the total degree of the lcm of
+its members and `labels[mask]` that lcm rendered as text; its homological
 degree is `mask.bit_count()`.  Ranks are binomial: C(q, s) faces in degree s.
+The lcms themselves (`mdegs`) are built as `Monomial`s only when asked for.
+For a dominant ideal the complex is the minimal free resolution
+(`minimal_resolution`), so each face is one multigraded Betti number.
 
 The engine evaluates, exactly, the alternating sums
 
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from operator import add
 
 from .core import Monomial, MonomialIdeal, lcm_columns, per_ideal, quotient, subset_lcms
@@ -34,6 +39,7 @@ __all__ = [
     "face_order",
     "member_indices",
     "taylor_resolution",
+    "minimal_resolution",
     "differential_coefficient",
     "is_taylor_minimal",
     "betti_table",
@@ -108,7 +114,7 @@ def multiplicity_ps(ideal: MonomialIdeal) -> int:
 
 def face_order(q: int) -> list[int]:
     """Face masks of a q-generator complex by homological degree, then bitmask."""
-    return sorted(range(1 << q), key=lambda m: (m.bit_count(), m))
+    return sorted(range(1 << q), key=int.bit_count)  # stable: ties stay in mask order
 
 
 def member_indices(mask: int) -> tuple[int, ...]:
@@ -118,14 +124,22 @@ def member_indices(mask: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class TaylorResolution:
-    """The Taylor complex of an ideal as one lcm list.
+    """The Taylor complex of an ideal as mask-indexed lists.
 
     Face `mask` (a bitmask of generator indices) has homological degree
-    `mask.bit_count()` and multidegree `mdegs[mask]`.
+    `mask.bit_count()`, total degree `degrees[mask]` and multidegree rendered
+    as `labels[mask]`, byte-equal to `str` of that lcm ("1" for the empty face).
+    `mdegs[mask]` is the lcm itself, a `Monomial`; the list is built on first
+    access.
     """
 
     ideal: MonomialIdeal
-    mdegs: list[Monomial]
+    degrees: list[int]
+    labels: list[str]
+
+    @cached_property
+    def mdegs(self) -> list[Monomial]:
+        return subset_lcms(self.ideal.ring, self.ideal.gens)
 
     def ranks(self) -> tuple[int, ...]:
         q = self.ideal.q
@@ -133,9 +147,40 @@ class TaylorResolution:
 
 
 def taylor_resolution(ideal: MonomialIdeal) -> TaylorResolution:
-    """Every face's multidegree (`core.subset_lcms`)."""
+    """Every face's degree and rendered multidegree, in one pass over the lcm columns.
+
+    Each distinct exponent of a column is rendered once, as a `*`-prefixed
+    token; a face's label joins its tokens in variable order.
+    """
     _require_small(ideal)
-    return TaylorResolution(ideal, subset_lcms(ideal.ring, ideal.gens))
+    names = ideal.ring.names
+    used = ideal.used_variables()
+    degrees = [0] * (1 << ideal.q)
+    tokens = []
+    for v, col in zip(used, lcm_columns(ideal.gens, used)):
+        degrees = list(map(add, degrees, col))
+        name = names[v]
+        token = {e: f"*{name}^{e}" for e in set(col)}
+        token.update({0: "", 1: f"*{name}"})
+        tokens.append(list(map(token.__getitem__, col)))
+    labels = [label[1:] or "1" for label in map("".join, zip(*tokens))]
+    return TaylorResolution(ideal, degrees, labels)
+
+
+def minimal_resolution(ideal: MonomialIdeal) -> TaylorResolution:
+    """The Taylor complex of a dominant ideal, which is its minimal free resolution.
+
+    A witness exponent appears in an lcm iff its generator is a member, so no
+    two faces share a multidegree and each face is one Betti number of 1.
+    For non-dominant ideals the complex is not minimal and no in-scope
+    algorithm produces the minimal resolution.
+    """
+    dominant, _ = is_dominant(ideal)
+    if not dominant:
+        raise UnsupportedError(
+            "Betti numbers need a dominant ideal; no algorithm in scope for others"
+        )
+    return taylor_resolution(ideal)
 
 
 def differential_coefficient(
@@ -199,18 +244,8 @@ class BettiTable:
 
 
 def betti_table(ideal: MonomialIdeal) -> BettiTable:
-    """Betti numbers read off the Taylor complex; requires a dominant ideal.
-
-    For non-dominant ideals the complex is not minimal and no in-scope
-    algorithm produces the minimal resolution.
-    """
-    dominant, _ = is_dominant(ideal)
-    if not dominant:
-        raise UnsupportedError(
-            "Betti numbers need a dominant ideal; no algorithm in scope for others"
-        )
-    mdegs = taylor_resolution(ideal).mdegs
-    # A witness exponent appears in an lcm iff its generator is a member: no two faces collide.
+    """Betti numbers read off the Taylor complex; requires a dominant ideal."""
+    mdegs = minimal_resolution(ideal).mdegs
     return BettiTable({(mask.bit_count(), m): 1 for mask, m in enumerate(mdegs)})
 
 

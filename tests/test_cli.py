@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import random
 import re
 import time
 from pathlib import Path
@@ -13,7 +14,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import multmon.cli as cli
-from multmon import Monomial, VariableTable, minimalize, multiplicity_ps
+from multmon import (
+    Monomial,
+    VariableTable,
+    is_dominant,
+    minimalize,
+    multiplicity_ps,
+    parse_ideal,
+)
+from multmon.core import subset_lcms
 
 EXAMPLE = "a^3*c, a*b*e^3, a^2*b^2, c^2, d^2*e^2"
 GOLDEN = Path(__file__).parent / "data" / "golden_ideals.txt"
@@ -114,6 +123,66 @@ def test_taylor_command(capsys):
     assert doc["result"]["ranks"] == [1, 2, 1]
     top = doc["result"]["faces"][-1]
     assert top["mdeg"] == "x^2*y^3" and top["hdeg"] == 2
+
+
+def _reference_documents(ideal) -> tuple[dict, dict]:
+    """`betti` and `taylor` results built from one `Monomial` per face."""
+    q = ideal.q
+    lcms = subset_lcms(ideal.ring, ideal.gens)
+    table: dict[tuple[int, Monomial], int] = {}
+    for mask, m in enumerate(lcms):
+        key = (bin(mask).count("1"), m)
+        table[key] = table.get(key, 0) + 1
+    entries = sorted(
+        (
+            {"hdeg": i, "mdeg": str(m), "degree": m.degree, "count": c}
+            for (i, m), c in table.items()
+        ),
+        key=lambda e: (e["hdeg"], e["degree"], e["mdeg"]),
+    )
+    graded: dict[tuple[int, int], int] = {}
+    for e in entries:
+        graded[e["hdeg"], e["degree"]] = graded.get((e["hdeg"], e["degree"]), 0) + e["count"]
+    ranks = [0] * (q + 1)
+    for (i, _), c in graded.items():
+        ranks[i] += c
+    betti = {
+        "entries": entries,
+        "graded": [{"hdeg": i, "degree": d, "count": c} for (i, d), c in sorted(graded.items())],
+        "ranks": ranks,
+    }
+    faces = []
+    for mask in sorted(range(1 << q), key=lambda m: (bin(m).count("1"), m)):
+        members = [i for i in range(q) if mask >> i & 1]
+        m = lcms[mask]
+        faces.append({"members": members, "hdeg": len(members), "mdeg": str(m), "degree": m.degree})
+    return betti, {"ranks": ranks, "faces": faces}
+
+
+def test_betti_and_taylor_documents_match_a_per_face_reference(capsys):
+    # Dominant by private exponents 9-14 (x^10 sorts before x^9 as text); the
+    # explicit order is shuffled and names one variable no generator uses.
+    rng = random.Random(4242)
+    for q in range(1, 10):
+        for _ in range(3):
+            shared = [f"s{i}" for i in range(rng.randint(1, 4))]
+            gens = []
+            for i in range(q):
+                factors = [f"p{i}^{rng.randint(9, 14)}"]
+                k = rng.randint(0, min(2, len(shared)))
+                factors += [f"{v}^{rng.randint(1, 12)}" for v in rng.sample(shared, k)]
+                rng.shuffle(factors)
+                gens.append("*".join(factors))
+            names = shared + [f"p{i}" for i in range(q)] + ["unused"]
+            rng.shuffle(names)
+            text = ", ".join(gens)
+            ideal = parse_ideal(text, names)
+            assert is_dominant(ideal)[0] and ideal.q == q
+            betti, taylor = _reference_documents(ideal)
+            for command, expected in (("betti", betti), ("taylor", taylor)):
+                code, (doc,) = run_cli(capsys, command, "--ideal", text, "--vars", ",".join(names))
+                assert code == 0, (command, text, names)
+                assert json.dumps(doc["result"]) == json.dumps(expected), (command, text, names)
 
 
 def test_taylor_cap_exit(capsys):

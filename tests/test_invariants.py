@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pickle
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -170,6 +171,20 @@ def test_codim_bounds_and_invariance():
             ),
         )
         assert codim(relabeled) == c
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_codim_cost_does_not_follow_variable_names(seed):
+    # renaming reorders the generators; the cycle x0^2*x1, ..., x119^2*x0 stays one
+    rng = random.Random(seed)
+    names = [f"x{i}" for i in range(120)]
+    rng.shuffle(names)
+    gens = [f"{names[i]}^2*{names[(i + 1) % 120]}" for i in range(120)]
+    rng.shuffle(gens)
+    ideal = parse_ideal(", ".join(gens))
+    started = time.perf_counter()
+    assert codim(ideal) == 60
+    assert time.perf_counter() - started < 1
 
 
 def test_aci_codim_is_one_less_than_generators():

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 import math
 import random
 import tracemalloc
@@ -29,6 +32,7 @@ from multmon import (
     regularity_dominant,
     taylor_resolution,
 )
+from multmon import cli
 from multmon.core import subset_lcms
 from multmon.generate import (
     make_table,
@@ -77,6 +81,20 @@ def test_subset_lcms_and_degree_table_match_a_folded_lcm():
             expected = reduce(lcm, members, unit)
             assert lcms[mask] == expected, (str(ideal), mask)
             assert degrees[mask] == expected.degree, (str(ideal), mask)
+
+
+def test_resolution_labels_and_degrees_match_the_monomials():
+    # Non-dominant ideals included; explicit orders put unused variables first and between
+    rng = random.Random(2718)
+    ideals = [random_ideal(rng, max_gens=8, max_vars=6, max_exp=14) for _ in range(60)]
+    ideals += [parse_ideal("y^10*x^9, x^10, z^12", var_names=["w", "z", "x", "v", "y"])]
+    for ideal in ideals:
+        resolution = taylor_resolution(ideal)
+        assert "mdegs" not in vars(resolution)
+        assert resolution.degrees == lcm_degree_table(ideal), str(ideal)
+        assert resolution.labels == [str(m) for m in resolution.mdegs], str(ideal)
+        assert resolution.mdegs == subset_lcms(ideal.ring, ideal.gens)
+    assert resolution.labels[-1] == "z^12*x^10*y^10"
 
 
 def test_face_order_is_hdeg_then_mask():
@@ -263,6 +281,22 @@ def test_resolution_footprint_stays_small():
         tracemalloc.stop()
     assert len(resolution.mdegs) == 1 << 14
     assert peak < 10 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_betti_document_builds_no_monomial_per_face():
+    # 2^16 faces rendered from the lcm columns; per-face Monomials peaked at 45.8 MiB
+    text = ", ".join(f"x{i}^2*x{(i + 1) % 16}" for i in range(16))
+    out = io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["betti", "--ideal", text])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert len(json.loads(out.getvalue())["result"]["entries"]) == 1 << 16
+    assert peak < 38 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_engine_matches_oracle_quick():
