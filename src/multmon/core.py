@@ -8,8 +8,12 @@ exponent vectors) so that equal ideals compare equal regardless of how their
 generators were supplied.
 
 Every subset lcm comes from one recurrence, `lcm_columns`: per variable, the
-exponent column over all generator bitmasks.  `subset_lcms` zips the columns
-into monomials; `taylor.lcm_degree_table` sums them into degrees.
+exponent column over all generator bitmasks, packed into one integer with a
+fixed-width field per bitmask, so the 2^q faces cost a few big-integer
+operations per generator rather than a Python loop per face.
+`unpack_fields` reads a packed column as a memoryview of its fields;
+`subset_lcms` zips the fields into monomials and `taylor.lcm_degree_table`
+sums the columns into degrees.
 
 Everything here is an immutable value; operations return fresh objects.
 """
@@ -33,6 +37,7 @@ __all__ = [
     "lcm_all",
     "gcd_all",
     "lcm_columns",
+    "unpack_fields",
     "subset_lcms",
     "minimalize",
     "polar_set",
@@ -154,7 +159,15 @@ class Monomial:
         return self.name_form() == other.name_form()
 
     def __hash__(self) -> int:
-        return hash(self.name_form())
+        # computed on first use, not in the constructor: most monomials are never hashed
+        value = self.__dict__.get("_hash")
+        if value is None:
+            value = self.__dict__["_hash"] = hash(self.name_form())
+        return value
+
+    def __reduce__(self):
+        # string hashes differ between processes, so a cached hash is never pickled
+        return Monomial, (self.table, self.vec)
 
     def __str__(self) -> str:
         pairs = zip(self.table.names, self.vec)
@@ -208,31 +221,75 @@ def gcd_all(monomials: Iterable[Monomial]) -> Monomial:
     return acc
 
 
-def lcm_columns(gens: Sequence[Monomial], variables: Iterable[int]) -> Iterator[list[int]]:
-    """Per variable, its exponent in the lcm of every subset of `gens`; index = mask.
+# Field widths of a packed column, with the memoryview format of one field.
+_FIELD_FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
-    A mask with highest set bit `1 << i` takes the larger of `gens[i]`'s exponent
-    and the entry without that bit (a slice copy when `gens[i]` lacks the
-    variable).  One list is reused for every variable: copy a column to keep it.
+
+def lcm_columns(gens: Sequence[Monomial], variables: Sequence[int]) -> tuple[int, Iterator[int]]:
+    """Per variable, its exponent in the lcm of every subset of `gens`, packed.
+
+    `gens` is nonempty.  Returns the field width and an iterator over the
+    packed columns.  Field `mask` of a column (bits `mask * width` up to
+    `(mask + 1) * width`) holds the exponent for that generator bitmask.  The
+    width is the narrowest of 8, 16, 32 and 64 bits that holds the summed top
+    exponents of `variables`, so a field also holds any sum of the columns (a
+    face's degree); exponents are at most `MAX_EXPONENT`, so 64 bits suffice.
     """
-    col = [0] * (1 << len(gens))
-    for v in variables:
-        for i, g in enumerate(gens):
-            bit = 1 << i
-            e = g.vec[v]
-            if e:
-                for sub in range(bit):
-                    m = col[sub]
-                    col[bit + sub] = m if m >= e else e
-            else:
-                col[bit : bit + bit] = col[:bit]
+    by_variable = list(zip(*[g.vec for g in gens]))
+    exponents = list(map(by_variable.__getitem__, variables))
+    tops = list(map(max, exponents))
+    total = sum(tops)
+    width = 8
+    while total >> width:
+        width <<= 1
+    return width, _packed_columns(exponents, tops, width, len(gens))
+
+
+def _packed_columns(
+    exponents: list[tuple[int, ...]], tops: list[int], width: int, q: int
+) -> Iterator[int]:
+    """The columns of `lcm_columns`, one per exponent tuple, built level by level.
+
+    A column is a sum of levels, one per distinct nonzero exponent a: (a - prev)
+    in every field whose face has a member of exponent >= a, prev being the
+    next lower exponent (or 0).  The faces without such a member are the
+    subsets of the generators below a; their indicator z grows by one
+    doubling `z |= z << (width << k)` per generator k, taken in exponent
+    order, and the level is `(a - prev) * (ones - z)`.  Each step is one
+    big-integer operation: no Python code runs per face.
+    """
+    ones = ((1 << (width << q)) - 1) // ((1 << width) - 1)
+    shifts = [width << k for k in range(q)]
+    for exps, top in zip(exponents, tops):
+        if not top:  # a variable none of `gens` uses
+            yield 0
+            continue
+        col, z, prev = 0, 1, 0
+        for e, shift in sorted(zip(exps, shifts)):
+            if e > prev:
+                col += (e - prev) * (ones - z)
+                prev = e
+            if e == top:
+                break  # every level is in: z is not needed again
+            z |= z << shift
         yield col
+
+
+def unpack_fields(packed: int, width: int, q: int) -> memoryview:
+    """The 2^q fields of a packed column as a memoryview of unsigned ints; index = mask."""
+    # to_bytes needs both arguments before Python 3.11; `cast` reads the fields in
+    # the host's byte order, little-endian on x86-64 and arm64
+    data = packed.to_bytes((width << q) >> 3, "little")
+    return memoryview(data).cast(_FIELD_FORMATS[width])
 
 
 def subset_lcms(table: VariableTable, gens: Sequence[Monomial]) -> list[Monomial]:
     """lcm of every subset of `gens`, indexed by bitmask; entry 0 is the unit."""
-    columns = [col[:] for col in lcm_columns(gens, range(len(table)))]
-    return [Monomial(table, vec) for vec in zip(*columns)]
+    if not gens:
+        return [Monomial.unit(table)]
+    width, columns = lcm_columns(gens, range(len(table)))
+    fields = [unpack_fields(col, width, len(gens)) for col in columns]
+    return [Monomial(table, vec) for vec in zip(*fields)]
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,10 +1,11 @@
 """The Taylor complex of a monomial ideal and the power-sum multiplicity engine.
 
 For an ideal with q minimal generators the complex has one face per subset of
-generators.  A face is a bitmask into mask-indexed lists read off the subset-lcm
-columns (`core.lcm_columns`): `degrees[mask]` is the total degree of the lcm of
-its members and `labels[mask]` that lcm rendered as text; its homological
-degree is `mask.bit_count()`.  Ranks are binomial: C(q, s) faces in degree s.
+generators.  A face is a bitmask into mask-indexed lists read off the packed
+subset-lcm columns (`core.lcm_columns`, one big integer per variable):
+`degrees[mask]` is the total degree of the lcm of its members and
+`labels[mask]` that lcm rendered as text; its homological degree is
+`mask.bit_count()`.  Ranks are binomial: C(q, s) faces in degree s.
 The lcms themselves (`mdegs`) are built as `Monomial`s only when asked for.
 For a dominant ideal the complex is the minimal free resolution
 (`minimal_resolution`), so each face is one multigraded Betti number.
@@ -15,8 +16,10 @@ The engine evaluates, exactly, the alternating sums
 
 which vanish for 1 <= k < c and equal (-1)^c c! e for k = c, where c is the
 codimension and e the multiplicity.  All arithmetic is arbitrary-precision
-from the start; degrees repeat heavily across faces, so P(k) is evaluated
-from a signed degree histogram that is computed once per ideal and cached.
+from the start.  P(k) is two C-level sums over the degree table, its even and
+its odd faces picked out by cached byte selectors, each degree raised to the
+k-th power once; no Python code runs per face.  `multiplicity_ps` is cached
+on the ideal.
 
 Everything touching all 2^q faces is hard-capped at q <= 20.
 """
@@ -25,10 +28,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from operator import add
+from functools import cached_property, lru_cache
+from itertools import compress
 
-from .core import Monomial, MonomialIdeal, lcm_columns, per_ideal, quotient, subset_lcms
+from .core import (
+    Monomial,
+    MonomialIdeal,
+    lcm_columns,
+    per_ideal,
+    quotient,
+    subset_lcms,
+    unpack_fields,
+)
 from .errors import InternalConsistencyError, ResourceCapError, UnsupportedError
 from .invariants import codim, is_dominant
 
@@ -62,26 +73,25 @@ def _require_small(ideal: MonomialIdeal) -> None:
 def lcm_degree_table(ideal: MonomialIdeal) -> list[int]:
     """deg(lcm of members) for every generator bitmask; index = mask.
 
-    The sum of the `core.lcm_columns` columns of the used variables: O(2^q * n)
-    integer operations and no monomial objects.
+    The sum of the packed `core.lcm_columns` columns of the used variables,
+    unpacked once: O(q) big-integer operations per variable and no monomial
+    objects.
     """
     _require_small(ideal)
-    deg = [0] * (1 << ideal.q)
-    for col in lcm_columns(ideal.gens, ideal.used_variables()):
-        deg = list(map(add, deg, col))
-    return deg
+    width, columns = lcm_columns(ideal.gens, ideal.used_variables())
+    return unpack_fields(sum(columns), width, ideal.q).tolist()
 
 
-@per_ideal
-def _signed_degree_counts(ideal: MonomialIdeal) -> tuple[tuple[int, int], ...]:
-    """Histogram of face degrees weighted by (-1)^hdeg, over nonempty faces."""
-    deg = lcm_degree_table(ideal)
-    counts: dict[int, int] = {}
-    for mask in range(1, len(deg)):
-        sign = -1 if mask.bit_count() & 1 else 1
-        d = deg[mask]
-        counts[d] = counts.get(d, 0) + sign
-    return tuple(sorted(counts.items()))
+@lru_cache(maxsize=None)  # one entry per q <= Q_MAX
+def _face_parities(q: int) -> tuple[bytes, bytes]:
+    """Selectors of the even and the odd faces of a q-generator complex; index = mask."""
+    odd, ones = 0, 1  # packed one byte per face: odd hdeg, and every face
+    for k in range(q):
+        shift = 8 << k
+        odd |= (ones - odd) << shift
+        ones |= ones << shift
+    size = 1 << q
+    return (ones - odd).to_bytes(size, "little"), odd.to_bytes(size, "little")
 
 
 def ps_power_sum(ideal: MonomialIdeal, k: int) -> int:
@@ -91,9 +101,14 @@ def ps_power_sum(ideal: MonomialIdeal, k: int) -> int:
     """
     if k < 0:
         raise ValueError("power-sum exponent must be nonnegative")
-    return sum(count * d**k for d, count in _signed_degree_counts(ideal))
+    degrees = lcm_degree_table(ideal)
+    power = {d: d**k for d in set(degrees)}.__getitem__  # degrees repeat heavily
+    even, odd = (sum(map(power, compress(degrees, faces))) for faces in _face_parities(ideal.q))
+    # 0**k takes out the empty face, of degree 0 and even
+    return even - odd - 0**k
 
 
+@per_ideal
 def multiplicity_ps(ideal: MonomialIdeal) -> int:
     """Multiplicity via the alternating power sum at k = codim.
 
@@ -147,24 +162,24 @@ class TaylorResolution:
 
 
 def taylor_resolution(ideal: MonomialIdeal) -> TaylorResolution:
-    """Every face's degree and rendered multidegree, in one pass over the lcm columns.
+    """Every face's degree and rendered multidegree, read off the packed lcm columns.
 
-    Each distinct exponent of a column is rendered once, as a `*`-prefixed
-    token; a face's label joins its tokens in variable order.
+    Each exponent of a variable is rendered once, as a `*`-prefixed token; a
+    face's label joins its tokens in variable order.
     """
     _require_small(ideal)
-    names = ideal.ring.names
+    q, gens, names = ideal.q, ideal.gens, ideal.ring.names
     used = ideal.used_variables()
-    degrees = [0] * (1 << ideal.q)
-    tokens = []
-    for v, col in zip(used, lcm_columns(ideal.gens, used)):
-        degrees = list(map(add, degrees, col))
+    width, columns = lcm_columns(gens, used)
+    total, tokens = 0, []
+    for v, col in zip(used, columns):
+        total += col
         name = names[v]
-        token = {e: f"*{name}^{e}" for e in set(col)}
+        token = {e: f"*{name}^{e}" for e in {g.vec[v] for g in gens}}
         token.update({0: "", 1: f"*{name}"})
-        tokens.append(list(map(token.__getitem__, col)))
+        tokens.append(map(token.__getitem__, unpack_fields(col, width, q)))
     labels = [label[1:] or "1" for label in map("".join, zip(*tokens))]
-    return TaylorResolution(ideal, degrees, labels)
+    return TaylorResolution(ideal, unpack_fields(total, width, q).tolist(), labels)
 
 
 def minimal_resolution(ideal: MonomialIdeal) -> TaylorResolution:
