@@ -20,6 +20,7 @@ Everything here is an immutable value; operations return fresh objects.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from functools import wraps
 from operator import add, le, neg, sub
@@ -159,15 +160,7 @@ class Monomial:
         return self.name_form() == other.name_form()
 
     def __hash__(self) -> int:
-        # computed on first use, not in the constructor: most monomials are never hashed
-        value = self.__dict__.get("_hash")
-        if value is None:
-            value = self.__dict__["_hash"] = hash(self.name_form())
-        return value
-
-    def __reduce__(self):
-        # string hashes differ between processes, so a cached hash is never pickled
-        return Monomial, (self.table, self.vec)
+        return hash(self.name_form())
 
     def __str__(self) -> str:
         pairs = zip(self.table.names, self.vec)
@@ -225,18 +218,18 @@ def gcd_all(monomials: Iterable[Monomial]) -> Monomial:
 _FIELD_FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
 
-def lcm_columns(gens: Sequence[Monomial], variables: Sequence[int]) -> tuple[int, Iterator[int]]:
-    """Per variable, its exponent in the lcm of every subset of `gens`, packed.
+def lcm_columns(gens: Sequence[Monomial]) -> tuple[int, Iterator[int]]:
+    """Per variable of the table, its exponent in the lcm of every subset of `gens`, packed.
 
     `gens` is nonempty.  Returns the field width and an iterator over the
-    packed columns.  Field `mask` of a column (bits `mask * width` up to
+    packed columns, one per variable in table order (0 for a variable no
+    generator uses).  Field `mask` of a column (bits `mask * width` up to
     `(mask + 1) * width`) holds the exponent for that generator bitmask.  The
     width is the narrowest of 8, 16, 32 and 64 bits that holds the summed top
-    exponents of `variables`, so a field also holds any sum of the columns (a
-    face's degree); exponents are at most `MAX_EXPONENT`, so 64 bits suffice.
+    exponents, so a field also holds any sum of the columns (a face's
+    degree); exponents are at most `MAX_EXPONENT`, so 64 bits suffice.
     """
-    by_variable = list(zip(*[g.vec for g in gens]))
-    exponents = list(map(by_variable.__getitem__, variables))
+    exponents = list(zip(*[g.vec for g in gens]))
     tops = list(map(max, exponents))
     total = sum(tops)
     width = 8
@@ -277,9 +270,8 @@ def _packed_columns(
 
 def unpack_fields(packed: int, width: int, q: int) -> memoryview:
     """The 2^q fields of a packed column as a memoryview of unsigned ints; index = mask."""
-    # to_bytes needs both arguments before Python 3.11; `cast` reads the fields in
-    # the host's byte order, little-endian on x86-64 and arm64
-    data = packed.to_bytes((width << q) >> 3, "little")
+    # `cast` reads the fields in the host's byte order, so the bytes are written in it
+    data = packed.to_bytes((width << q) >> 3, sys.byteorder)
     return memoryview(data).cast(_FIELD_FORMATS[width])
 
 
@@ -287,8 +279,10 @@ def subset_lcms(table: VariableTable, gens: Sequence[Monomial]) -> list[Monomial
     """lcm of every subset of `gens`, indexed by bitmask; entry 0 is the unit."""
     if not gens:
         return [Monomial.unit(table)]
-    width, columns = lcm_columns(gens, range(len(table)))
-    fields = [unpack_fields(col, width, len(gens)) for col in columns]
+    q = len(gens)
+    width, columns = lcm_columns(gens)
+    zero = unpack_fields(0, width, q)  # shared by the variables no generator uses
+    fields = [unpack_fields(col, width, q) if col else zero for col in columns]
     return [Monomial(table, vec) for vec in zip(*fields)]
 
 

@@ -19,7 +19,7 @@ codimension and e the multiplicity.  All arithmetic is arbitrary-precision
 from the start.  P(k) is two C-level sums over the degree table, its even and
 its odd faces picked out by cached byte selectors, each degree raised to the
 k-th power once; no Python code runs per face.  `multiplicity_ps` is cached
-on the ideal.
+on the ideal; `ps_power_sum` is not, so each k builds the degree table anew.
 
 Everything touching all 2^q faces is hard-capped at q <= 20.
 """
@@ -73,12 +73,11 @@ def _require_small(ideal: MonomialIdeal) -> None:
 def lcm_degree_table(ideal: MonomialIdeal) -> list[int]:
     """deg(lcm of members) for every generator bitmask; index = mask.
 
-    The sum of the packed `core.lcm_columns` columns of the used variables,
-    unpacked once: O(q) big-integer operations per variable and no monomial
-    objects.
+    The sum of the packed `core.lcm_columns` columns, unpacked once: O(q)
+    big-integer operations per used variable and no monomial objects.
     """
     _require_small(ideal)
-    width, columns = lcm_columns(ideal.gens, ideal.used_variables())
+    width, columns = lcm_columns(ideal.gens)
     return unpack_fields(sum(columns), width, ideal.q).tolist()
 
 
@@ -169,10 +168,11 @@ def taylor_resolution(ideal: MonomialIdeal) -> TaylorResolution:
     """
     _require_small(ideal)
     q, gens, names = ideal.q, ideal.gens, ideal.ring.names
-    used = ideal.used_variables()
-    width, columns = lcm_columns(gens, used)
+    width, columns = lcm_columns(gens)
     total, tokens = 0, []
-    for v, col in zip(used, columns):
+    for v, col in enumerate(columns):
+        if not col:
+            continue  # a variable no generator uses
         total += col
         name = names[v]
         token = {e: f"*{name}^{e}" for e in {g.vec[v] for g in gens}}

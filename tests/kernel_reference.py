@@ -1,21 +1,15 @@
-"""Face-by-face reference for the packed subset-lcm kernel; runs without pytest.
+"""Face-by-face reference for the packed subset-lcm kernel.
 
 `check(ideal)` compares everything read off the packed columns with a left
 fold of `lcm` over each face's members: `lcm_degree_table`, `subset_lcms`,
 the `taylor_resolution` degrees and labels, and `ps_power_sum(ideal, k)` for
 k <= 3.  `BOUNDARY` pairs ideals whose lcm degree d sits on either side of
-each field-width limit with the width chosen.
-
-    PYTHONPATH=src python tests/kernel_reference.py
-
-checks the boundary ideals and 300 seeded random ones with neither pytest
-nor Hypothesis installed; `tests/test_lcm_kernel.py` drives the same check
-under both.
+each field-width limit with the width chosen.  `tests/test_lcm_kernel.py`
+runs the check on those ideals and on Hypothesis-drawn ones.
 """
 
 from __future__ import annotations
 
-import random
 from functools import reduce
 
 from multmon import (
@@ -24,13 +18,10 @@ from multmon import (
     MonomialIdeal,
     lcm,
     lcm_degree_table,
-    minimalize,
-    parse_ideal,
     ps_power_sum,
     taylor_resolution,
 )
 from multmon.core import lcm_columns, subset_lcms
-from multmon.generate import make_table
 
 # (ideal, field width): the lcm of all generators has degree 255 / 256,
 # 65535 / 65536 and 2^32 - 1 / 2^32, and then three exponents at the cap.
@@ -49,7 +40,7 @@ EXPONENTS = (1, 2, 3, 5, 255, 256, 65535, 65536, 2**31 - 1, MAX_EXPONENT)
 
 
 def field_width(ideal: MonomialIdeal) -> int:
-    width, _ = lcm_columns(ideal.gens, ideal.used_variables())
+    width, _ = lcm_columns(ideal.gens)
     return width
 
 
@@ -68,33 +59,3 @@ def check(ideal: MonomialIdeal) -> None:
     for k in range(4):
         expected = sum((-1) ** mask.bit_count() * d**k for mask, d in enumerate(degrees) if mask)
         assert ps_power_sum(ideal, k) == expected, (str(ideal), k)
-
-
-def random_ideal(rng: random.Random) -> MonomialIdeal:
-    """Up to 7 generators over up to 4 variables, exponents from `EXPONENTS` or 0."""
-    table = make_table(rng.randint(1, 4))
-    raw = []
-    for _ in range(rng.randint(1, 7)):
-        vec = [rng.choice(EXPONENTS) if rng.random() < 0.6 else 0 for _ in table.names]
-        if any(vec):
-            raw.append(Monomial(table, tuple(vec)))
-    return minimalize(table, raw or [Monomial(table, (1,) * len(table))])
-
-
-def main() -> None:
-    widths = set()
-    for text, width in BOUNDARY:
-        ideal = parse_ideal(text)
-        assert field_width(ideal) == width, (text, field_width(ideal))
-        check(ideal)
-        widths.add(width)
-    rng = random.Random(2031)
-    for _ in range(300):
-        ideal = random_ideal(rng)
-        check(ideal)
-        widths.add(field_width(ideal))
-    print(f"ok: {len(BOUNDARY)} boundary and 300 random ideals, field widths {sorted(widths)}")
-
-
-if __name__ == "__main__":
-    main()

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import pickle
 import random
 
 import pytest
@@ -255,17 +254,6 @@ def test_equality_and_hash_across_variable_orders(x, y):
     assert a == flipped and hash(a) == hash(flipped)
     other = Monomial.from_map(WIDE_REVERSED, {11 - i: e for i, e in y.items()})
     assert (a == other) == (x == y)
-
-
-def test_hash_is_cached_on_first_use_and_never_pickled():
-    m = Monomial.from_map(WIDE, {0: 2, 5: 1})
-    assert "_hash" not in vars(m)  # the constructor does no hashing work
-    h = hash(m)
-    assert vars(m)["_hash"] == h == hash(m)
-    # string hashes differ between processes, so an unpickled copy hashes afresh
-    copy = pickle.loads(pickle.dumps(m))
-    assert "_hash" not in vars(copy)
-    assert copy == m and hash(copy) == h
 
 
 # ---------------------------------------------------------------------------
