@@ -275,15 +275,28 @@ def unpack_fields(packed: int, width: int, q: int) -> memoryview:
     return memoryview(data).cast(_FIELD_FORMATS[width])
 
 
+def _checked_monomial(table: VariableTable, vec: tuple[int, ...]) -> Monomial:
+    """A `Monomial` without the constructor's checks, for a vector known to pass them."""
+    monomial = object.__new__(Monomial)
+    # attribute by attribute, as the constructor does: a filled-in `__dict__` takes twice the memory
+    object.__setattr__(monomial, "table", table)
+    object.__setattr__(monomial, "vec", vec)
+    return monomial
+
+
 def subset_lcms(table: VariableTable, gens: Sequence[Monomial]) -> list[Monomial]:
-    """lcm of every subset of `gens`, indexed by bitmask; entry 0 is the unit."""
+    """lcm of every subset of `gens`, indexed by bitmask; entry 0 is the unit.
+
+    Each lcm is a coordinatewise max of checked vectors, so it is built
+    without the constructor's checks.
+    """
     if not gens:
         return [Monomial.unit(table)]
     q = len(gens)
     width, columns = lcm_columns(gens)
     zero = unpack_fields(0, width, q)  # shared by the variables no generator uses
     fields = [unpack_fields(col, width, q) if col else zero for col in columns]
-    return [Monomial(table, vec) for vec in zip(*fields)]
+    return [_checked_monomial(table, vec) for vec in zip(*fields)]
 
 
 @dataclass(frozen=True, eq=False)
