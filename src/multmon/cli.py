@@ -52,7 +52,6 @@ from .invariants import (
 from .oracle import multiplicity_associativity
 from .parsing import is_valid_variable_name, parse_ideal_detailed
 from .taylor import (
-    Q_MAX,
     face_order,
     is_taylor_minimal,
     minimal_resolution,
@@ -87,11 +86,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--ideal", help="ideal text, e.g. \"a^2*b, b^3*c\"")
         p.add_argument("--file", help="batch file: one ideal per line, '#' comments")
         p.add_argument("--vars", help="explicit comma-separated variable order")
-        p.add_argument(
-            "--check",
-            action="store_true",
-            help="cross-check multiplicity with engine and oracle",
-        )
         fmt = p.add_mutually_exclusive_group()
         fmt.add_argument("--json", action="store_true", help="structured output (default)")
         fmt.add_argument("--pretty", action="store_true", help="human-readable rendering")
@@ -101,6 +95,11 @@ def _build_parser() -> _Parser:
         add_common(p)
         if name == "multiplicity":
             p.add_argument("--method", choices=("auto", *METHODS), default="auto")
+            p.add_argument(
+                "--check",
+                action="store_true",
+                help="cross-check multiplicity with engine and oracle",
+            )
         if name == "verify":
             p.add_argument("--random", action="store_true", help="verify seeded random ideals")
             p.add_argument("--seed", type=int, default=0, help="seed for --random")
@@ -113,6 +112,9 @@ def _build_parser() -> _Parser:
 
 
 def _structural(ideal: MonomialIdeal) -> int:
+    # dominance is cached and cheap; the split search scans C(q, codim) subsets
+    if not is_dominant(ideal)[0]:
+        raise HypothesisError("the structural formula requires a dominant ideal")
     split = find_ci_split(ideal)
     if split is None:
         raise HypothesisError("no pairwise-coprime subset of size codim exists")
@@ -206,7 +208,7 @@ def _result_for(
                 "blocks": [[str(ideal.gens[i]) for i in block] for block in structure.blocks],
             },
             "quadratic_dominant": is_quadratic_dominant(ideal),
-            "taylor_minimal": is_taylor_minimal(ideal) if ideal.q <= Q_MAX else None,
+            "taylor_minimal": is_taylor_minimal(ideal),
         }
         return result, "classification", [], None
 

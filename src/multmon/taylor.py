@@ -21,7 +21,8 @@ its odd faces picked out by cached byte selectors, each degree raised to the
 k-th power once; no Python code runs per face.  `multiplicity_ps` is cached
 on the ideal; `ps_power_sum` is not, so each k builds the degree table anew.
 
-Everything touching all 2^q faces is hard-capped at q <= 20.
+Everything touching all 2^q faces is hard-capped at q <= 20.  Minimality and
+regularity touch none: both follow from the dominance witnesses.
 """
 
 from __future__ import annotations
@@ -219,22 +220,14 @@ def differential_coefficient(
 
 
 def is_taylor_minimal(ideal: MonomialIdeal) -> bool:
-    """Whether no face shares its multidegree with one of its facets.
+    """Whether no face shares its multidegree with one of its facets: dominance.
 
-    Degrees decide this: a facet's multidegree divides the face's, so the
-    monomials are equal exactly when the total degrees are.
+    A witness exponent enters a face's lcm only with its generator, so a
+    dominant ideal's faces all differ from their facets; a generator with no
+    witness is matched in every variable by the others, so the full face and
+    the facet without that generator share an lcm.
     """
-    deg = lcm_degree_table(ideal)
-    q = ideal.q
-    for mask in range(1, 1 << q):
-        d = deg[mask]
-        rest = mask
-        while rest:
-            bit = rest & -rest
-            if deg[mask ^ bit] == d:
-                return False
-            rest ^= bit
-    return True
+    return is_dominant(ideal)[0]
 
 
 @dataclass
@@ -265,9 +258,13 @@ def betti_table(ideal: MonomialIdeal) -> BettiTable:
 
 
 def regularity_dominant(ideal: MonomialIdeal) -> int:
-    """max(deg(mdeg) - hdeg) over all faces; valid only for dominant ideals."""
+    """max(deg(mdeg) - hdeg) over all faces; valid only for dominant ideals.
+
+    Adding a generator to a face raises the lcm's degree by at least 1, through
+    its witness exponent, so deg - hdeg never falls as a face grows and the
+    full face attains the maximum.
+    """
     dominant, _ = is_dominant(ideal)
     if not dominant:
         raise UnsupportedError("regularity via the Taylor complex needs a dominant ideal")
-    deg = lcm_degree_table(ideal)
-    return max(deg[mask] - mask.bit_count() for mask in range(len(deg)))
+    return sum(map(max, zip(*(g.vec for g in ideal.gens)))) - ideal.q

@@ -3,22 +3,32 @@
 `check(ideal)` compares everything read off the packed columns with a left
 fold of `lcm` over each face's members: `lcm_degree_table`, `subset_lcms`,
 the `taylor_resolution` degrees and labels, and `ps_power_sum(ideal, k)` for
-k <= 3.  `BOUNDARY` pairs ideals whose lcm degree d sits on either side of
-each field-width limit with the width chosen.  `tests/test_lcm_kernel.py`
-runs the check on those ideals and on Hypothesis-drawn ones.
+k <= 3.  Two walks over the faces' degrees certify what the library decides
+from the dominance witnesses alone: whether any face has the degree of one of
+its facets (`is_taylor_minimal`), and for dominant ideals max(deg - hdeg)
+(`regularity_dominant`).  `BOUNDARY` pairs ideals whose lcm degree d sits on
+either side of each field-width limit with the width chosen.  `tests/test_lcm_kernel.py`
+runs the check on those ideals, on seeded random ones and on Hypothesis-drawn
+ones.
 """
 
 from __future__ import annotations
 
 from functools import reduce
 
+import pytest
+
 from multmon import (
     MAX_EXPONENT,
     Monomial,
     MonomialIdeal,
+    UnsupportedError,
+    is_dominant,
+    is_taylor_minimal,
     lcm,
     lcm_degree_table,
     ps_power_sum,
+    regularity_dominant,
     taylor_resolution,
 )
 from multmon.core import lcm_columns, subset_lcms
@@ -59,3 +69,17 @@ def check(ideal: MonomialIdeal) -> None:
     for k in range(4):
         expected = sum((-1) ** mask.bit_count() * d**k for mask, d in enumerate(degrees) if mask)
         assert ps_power_sum(ideal, k) == expected, (str(ideal), k)
+    # a facet's multidegree divides the face's, so equal degrees mean equal lcms
+    minimal = not any(
+        degrees[mask ^ 1 << i] == d
+        for mask, d in enumerate(degrees)
+        for i in range(ideal.q)
+        if mask >> i & 1
+    )
+    assert is_taylor_minimal(ideal) == minimal, str(ideal)
+    if is_dominant(ideal)[0]:
+        expected = max(d - mask.bit_count() for mask, d in enumerate(degrees))
+        assert regularity_dominant(ideal) == expected, str(ideal)
+    else:
+        with pytest.raises(UnsupportedError):
+            regularity_dominant(ideal)

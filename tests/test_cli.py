@@ -46,6 +46,10 @@ def run_cli(capsys, *argv):
     return code, docs
 
 
+def cycle(q: int, exponent: int = 2) -> str:
+    return ", ".join(f"x{i}^{exponent}*x{(i + 1) % q}" for i in range(q))
+
+
 def test_multiplicity_with_check(capsys):
     code, (doc,) = run_cli(capsys, "multiplicity", "--ideal", EXAMPLE, "--check")
     assert code == 0
@@ -80,6 +84,16 @@ def test_forced_method_hypothesis_violation(capsys):
     assert code == 2
 
 
+def test_forced_structural_method_rejects_a_non_dominant_ideal_first(capsys):
+    # the split search scans C(24, 12) subsets; it took 1.5 s before this exit
+    started = time.perf_counter()
+    code = cli.main(["multiplicity", "--ideal", cycle(24, exponent=1), "--method", "structural"])
+    captured = capsys.readouterr()
+    assert time.perf_counter() - started < 0.5
+    assert code == 2 and captured.out == ""
+    assert captured.err == "multmon: error: the structural formula requires a dominant ideal\n"
+
+
 def test_forced_quadratic_method(capsys):
     text = "a*b, a*c, d*e"  # quadratic dominant
     code, (doc,) = run_cli(capsys, "multiplicity", "--ideal", text, "--method", "quadratic")
@@ -106,6 +120,15 @@ def test_classify_command(capsys):
     assert doc["classification"]["dominant"] is True
     assert doc["result"]["taylor_minimal"] is True
     assert set(doc["classification"]["dominant_witnesses"]) == {"a", "b", "c"}
+
+
+def test_classify_above_the_taylor_cap(capsys):
+    # minimality is dominance, so it has no generator cap (it was null above q = 20)
+    for text, minimal in ((cycle(21), True), (cycle(21, exponent=1), False)):
+        started = time.perf_counter()
+        code, (doc,) = run_cli(capsys, "classify", "--ideal", text)
+        assert time.perf_counter() - started < 2
+        assert code == 0 and doc["result"]["taylor_minimal"] is minimal, text
 
 
 def test_betti_command_and_unsupported_exit(capsys):
@@ -234,6 +257,21 @@ def test_regularity_command(capsys):
     assert code == 3
 
 
+def test_regularity_above_the_taylor_cap(capsys):
+    # the full face attains max(deg - hdeg); q > 20 exited 4 before
+    started = time.perf_counter()
+    code, (doc,) = run_cli(capsys, "regularity", "--ideal", cycle(25))
+    assert time.perf_counter() - started < 2
+    assert code == 0 and doc["method"] == "taylor" and doc["result"]["regularity"] == 25
+
+    started = time.perf_counter()
+    text = ", ".join(f"a{i}*b{i}" for i in range(21))
+    code, (doc,) = run_cli(capsys, "regularity", "--ideal", text)
+    assert time.perf_counter() - started < 2
+    assert code == 0 and doc["method"] == "quadratic" and doc["result"]["regularity"] == 21
+    assert doc["checks"] == [{"method": "taylor", "value": 21}] and doc["agreement"] is True
+
+
 def test_verify_command(capsys):
     code, (doc,) = run_cli(capsys, "verify", "--ideal", EXAMPLE)
     assert code == 0
@@ -286,6 +324,10 @@ def test_usage_errors(capsys):
     capsys.readouterr()
     assert cli.main(["verify", "--random", "--cases", "0"]) == 1
     capsys.readouterr()
+    for command in cli.COMMANDS:  # only multiplicity reads --check
+        if command != "multiplicity":
+            assert cli.main([command, "--ideal", "x^2, y^3", "--check"]) == 1, command
+            assert "unrecognized arguments: --check" in capsys.readouterr().err
 
 
 def test_batch_mode_preserves_order_and_reports_errors(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from time import perf_counter
 
 import pytest
@@ -9,8 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from kernel_reference import BOUNDARY, EXPONENTS, check, field_width
 
-from multmon import Monomial, ResourceCapError, minimalize, multiplicity_ps, parse_ideal
-from multmon.generate import make_table
+from multmon import (
+    Monomial,
+    ResourceCapError,
+    is_dominant,
+    minimalize,
+    multiplicity_ps,
+    parse_ideal,
+)
+from multmon.generate import make_table, random_ideal
 
 
 @st.composite
@@ -33,6 +41,14 @@ def test_every_field_width_matches_a_folded_lcm(text, width):
     ideal = parse_ideal(text)
     assert field_width(ideal) == width
     check(ideal)
+
+
+def test_seeded_random_ideals_match_a_folded_lcm():
+    rng = random.Random(8)
+    ideals = [random_ideal(rng, max_gens=7, max_vars=5) for _ in range(1000)]
+    assert {is_dominant(ideal)[0] for ideal in ideals} == {False, True}
+    for ideal in ideals:
+        check(ideal)
 
 
 def cycle(q: int) -> str:

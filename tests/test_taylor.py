@@ -20,7 +20,6 @@ from multmon import (
     betti_table,
     codim,
     differential_coefficient,
-    is_dominant,
     is_taylor_minimal,
     lcm,
     lcm_degree_table,
@@ -32,7 +31,7 @@ from multmon import (
     regularity_dominant,
     taylor_resolution,
 )
-from multmon import cli
+from multmon import cli, core, taylor
 from multmon.core import subset_lcms
 from multmon.generate import (
     make_table,
@@ -155,11 +154,18 @@ def test_minimality_examples():
     assert is_taylor_minimal(parse_ideal("x^9"))
 
 
-def test_minimality_iff_dominance():
-    rng = random.Random(8)
-    for _ in range(1000):
-        ideal = random_ideal(rng, max_gens=7, max_vars=5)
-        assert is_taylor_minimal(ideal) == is_dominant(ideal)[0], str(ideal)
+def test_minimality_and_regularity_walk_no_face(monkeypatch):
+    # both are read off the dominance witnesses, so neither has the q <= 20 cap
+    def refuse(*args):
+        raise AssertionError("built the subset-lcm columns")
+
+    monkeypatch.setattr(taylor, "lcm_columns", refuse)
+    monkeypatch.setattr(core, "lcm_columns", refuse)
+    cycle = parse_ideal(", ".join(f"x{i}^2*x{(i + 1) % 25}" for i in range(25)))
+    assert is_taylor_minimal(cycle) and regularity_dominant(cycle) == 25
+    squarefree = parse_ideal(", ".join(f"x{i}*x{(i + 1) % 21}" for i in range(21)))
+    assert not is_taylor_minimal(squarefree)
+    assert regularity_dominant(parse_ideal("x^2, y^3")) == 3
 
 
 def test_betti_examples():
