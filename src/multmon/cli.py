@@ -112,7 +112,7 @@ def _build_parser() -> _Parser:
 
 
 def _structural(ideal: MonomialIdeal) -> int:
-    # dominance is cached and cheap; the split search scans C(q, codim) subsets
+    # dominance is cached and cheap; the split search is exponential at worst
     if not is_dominant(ideal)[0]:
         raise HypothesisError("the structural formula requires a dominant ideal")
     split = find_ci_split(ideal)

@@ -13,6 +13,7 @@ shifted Betti tables of one small complete intersection per free-part subset.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from .core import Monomial, MonomialIdeal, lcm, minimalize, per_ideal, quotient, subset_lcms
 from .errors import HypothesisError, InternalConsistencyError
@@ -117,7 +118,7 @@ def structural_terms(ideal: MonomialIdeal, split: CISplit) -> list[Decomposition
     lcms = subset_lcms(ideal.ring, [ideal.gens[i] for i in split.free])
     terms = []
     for mask in face_order(len(split.free)):
-        mbar = lcms[mask]
+        mbar = Monomial(ideal.ring, lcms[mask])
         quotients = tuple(quotient(lcm(mbar, hi), mbar) for hi in h)
         nonunit = [m for m in quotients if not m.is_unit]
         if not nonunit:
@@ -137,14 +138,13 @@ def betti_decomposition(ideal: MonomialIdeal, split: CISplit) -> BettiTable:
     """Betti table assembled from the structural terms.
 
     Each term's table (a complete intersection's, hence computable from its
-    Taylor complex) is shifted by (j, multiplication by mbar) and the counts
+    Taylor complex) is shifted by (j, adding mbar's exponents) and the counts
     are summed; the assembly is multigraded, so collisions in total degree
     are preserved.
     """
-    entries: dict[tuple[int, Monomial], int] = {}
+    entries: dict[tuple[int, tuple[int, ...]], int] = {}
     for term in structural_terms(ideal, split):
-        sub = betti_table(term.ideal)
-        for (i, m), count in sub.entries.items():
-            key = (i + term.j, m * term.mbar)
+        for (i, vec), count in betti_table(term.ideal).entries.items():
+            key = (i + term.j, tuple(map(add, vec, term.mbar.vec)))
             entries[key] = entries.get(key, 0) + count
     return BettiTable(entries)

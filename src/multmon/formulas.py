@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from math import prod
 
-from .core import Monomial, MonomialIdeal, gcd, gcd_all, lcm, per_ideal, subset_lcms
+from .core import Monomial, MonomialIdeal, gcd, gcd_all, per_ideal, subset_lcms
 from .errors import HypothesisError, InternalConsistencyError
 from .invariants import (
     codim,
@@ -171,19 +171,27 @@ class CISplit:
 
 @per_ideal
 def find_ci_split(ideal: MonomialIdeal) -> CISplit | None:
-    """First size-codim pairwise-coprime subset of generators, if any.
+    """Lexicographically first size-codim pairwise-coprime subset of generators, if any.
 
-    Subsets are scanned in lexicographic index order; the complement becomes
-    the free part.
+    A depth-first search in index order adds a generator only when it is coprime
+    to those chosen and enough later ones remain; the complement is the free part.
+    Coprime supports are disjoint, so the c smallest must fit in the used variables.
     """
-    c = codim(ideal)
-    supports = ideal.supports
-    for combo in combinations(range(ideal.q), c):
-        if pairwise_coprime(supports[i] for i in combo):
-            chosen = set(combo)
-            free = tuple(i for i in range(ideal.q) if i not in chosen)
-            return CISplit(free, combo)
-    return None
+    c, q, supports = codim(ideal), ideal.q, ideal.supports
+    if sum(sorted(map(len, supports))[:c]) > len(ideal.used_variables()):
+        return None
+    chosen, used, i = [], set(), 0
+    while len(chosen) < c:
+        if i + c - len(chosen) > q:  # too few generators left: drop the last chosen
+            if not chosen:
+                return None
+            i = chosen.pop()
+            used -= supports[i]  # exactly its variables: the chosen supports are disjoint
+        elif used.isdisjoint(supports[i]):
+            chosen.append(i)
+            used |= supports[i]
+        i += 1
+    return CISplit(tuple(i for i in range(q) if i not in chosen), tuple(chosen))
 
 
 def validate_split(ideal: MonomialIdeal, split: CISplit) -> None:
@@ -207,14 +215,12 @@ def e_structural(ideal: MonomialIdeal, split: CISplit) -> int:
     a subset of size j contributes with sign (-1)^j.
     """
     validate_split(ideal, split)
-    h = [ideal.gens[i] for i in split.ci]
+    h = [ideal.gens[i].vec for i in split.ci]
     lcms = subset_lcms(ideal.ring, [ideal.gens[i] for i in split.free])
     total = 0
     for mask, mbar in enumerate(lcms):
-        base = mbar.degree
-        term = 1
-        for hi in h:
-            term *= lcm(mbar, hi).degree - base
+        base = sum(mbar)
+        term = prod(sum(map(max, mbar, hi)) - base for hi in h)
         total += -term if mask.bit_count() & 1 else term
     if total <= 0:
         raise InternalConsistencyError("structural sum must be positive")

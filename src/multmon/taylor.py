@@ -6,7 +6,7 @@ subset-lcm columns (`core.lcm_columns`, one big integer per variable):
 `degrees[mask]` is the total degree of the lcm of its members and
 `labels[mask]` that lcm rendered as text; its homological degree is
 `mask.bit_count()`.  Ranks are binomial: C(q, s) faces in degree s.
-The lcms themselves (`mdegs`) are built as `Monomial`s only when asked for.
+The lcms themselves (`mdegs`) are exponent tuples, built only when asked for.
 For a dominant ideal the complex is the minimal free resolution
 (`minimal_resolution`), so each face is one multigraded Betti number.
 
@@ -31,13 +31,13 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import compress
+from operator import sub
 
 from .core import (
     Monomial,
     MonomialIdeal,
     lcm_columns,
     per_ideal,
-    quotient,
     subset_lcms,
     unpack_fields,
 )
@@ -68,6 +68,13 @@ def _require_small(ideal: MonomialIdeal) -> None:
     if ideal.q > Q_MAX:
         raise ResourceCapError(
             f"Taylor complex too large: {ideal.q} generators exceeds the q <= {Q_MAX} cap"
+        )
+
+
+def _require_dominant(ideal: MonomialIdeal) -> None:
+    if not is_dominant(ideal)[0]:
+        raise UnsupportedError(
+            "Betti numbers need a dominant ideal; no algorithm in scope for others"
         )
 
 
@@ -144,8 +151,8 @@ class TaylorResolution:
     Face `mask` (a bitmask of generator indices) has homological degree
     `mask.bit_count()`, total degree `degrees[mask]` and multidegree rendered
     as `labels[mask]`, byte-equal to `str` of that lcm ("1" for the empty face).
-    `mdegs[mask]` is the lcm itself, a `Monomial`; the list is built on first
-    access.
+    `mdegs[mask]` is the lcm itself, an exponent tuple over the ideal's ring;
+    the list is built on first access.
     """
 
     ideal: MonomialIdeal
@@ -153,7 +160,7 @@ class TaylorResolution:
     labels: list[str]
 
     @cached_property
-    def mdegs(self) -> list[Monomial]:
+    def mdegs(self) -> list[tuple[int, ...]]:
         return subset_lcms(self.ideal.ring, self.ideal.gens)
 
     def ranks(self) -> tuple[int, ...]:
@@ -191,11 +198,7 @@ def minimal_resolution(ideal: MonomialIdeal) -> TaylorResolution:
     For non-dominant ideals the complex is not minimal and no in-scope
     algorithm produces the minimal resolution.
     """
-    dominant, _ = is_dominant(ideal)
-    if not dominant:
-        raise UnsupportedError(
-            "Betti numbers need a dominant ideal; no algorithm in scope for others"
-        )
+    _require_dominant(ideal)
     return taylor_resolution(ideal)
 
 
@@ -216,7 +219,8 @@ def differential_coefficient(
     removed = members[removed_position - 1]
     sign = 1 if removed_position % 2 == 1 else -1
     mdegs = resolution.mdegs
-    return sign, quotient(mdegs[mask], mdegs[mask ^ (1 << removed)])
+    coefficient = tuple(map(sub, mdegs[mask], mdegs[mask ^ (1 << removed)]))
+    return sign, Monomial(resolution.ideal.ring, coefficient)
 
 
 def is_taylor_minimal(ideal: MonomialIdeal) -> bool:
@@ -234,16 +238,16 @@ def is_taylor_minimal(ideal: MonomialIdeal) -> bool:
 class BettiTable:
     """Multigraded Betti numbers: (homological degree, multidegree) -> count.
 
-    Stored for the quotient ring convention, so (0, unit monomial) -> 1 is
-    always present.  The graded view collapses multidegrees to total degrees.
+    Multidegrees are exponent tuples, stored for the quotient ring convention,
+    so (0, all zeros) -> 1 is always present.  The graded view sums them.
     """
 
-    entries: dict[tuple[int, Monomial], int]
+    entries: dict[tuple[int, tuple[int, ...]], int]
 
     def graded(self) -> dict[tuple[int, int], int]:
         out: dict[tuple[int, int], int] = {}
-        for (i, m), count in self.entries.items():
-            key = (i, m.degree)
+        for (i, vec), count in self.entries.items():
+            key = (i, sum(vec))
             out[key] = out.get(key, 0) + count
         return out
 
@@ -252,9 +256,11 @@ class BettiTable:
 
 
 def betti_table(ideal: MonomialIdeal) -> BettiTable:
-    """Betti numbers read off the Taylor complex; requires a dominant ideal."""
-    mdegs = minimal_resolution(ideal).mdegs
-    return BettiTable({(mask.bit_count(), m): 1 for mask, m in enumerate(mdegs)})
+    """Betti numbers of a dominant ideal, one per Taylor face, read off `subset_lcms`."""
+    _require_dominant(ideal)
+    _require_small(ideal)
+    mdegs = subset_lcms(ideal.ring, ideal.gens)
+    return BettiTable({(mask.bit_count(), vec): 1 for mask, vec in enumerate(mdegs)})
 
 
 def regularity_dominant(ideal: MonomialIdeal) -> int:

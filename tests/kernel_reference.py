@@ -2,8 +2,8 @@
 
 `check(ideal)` compares everything read off the packed columns with a left
 fold of `lcm` over each face's members: `lcm_degree_table`, `subset_lcms`,
-the `taylor_resolution` degrees and labels, and `ps_power_sum(ideal, k)` for
-k <= 3.  Two walks over the faces' degrees certify what the library decides
+the `taylor_resolution` degrees and labels, `ps_power_sum(ideal, k)` for
+k <= 3, and for dominant ideals the `betti_table` entries, one per face.  Two walks over the faces' degrees certify what the library decides
 from the dominance witnesses alone: whether any face has the degree of one of
 its facets (`is_taylor_minimal`), and for dominant ideals max(deg - hdeg)
 (`regularity_dominant`).  `BOUNDARY` pairs ideals whose lcm degree d sits on
@@ -23,6 +23,7 @@ from multmon import (
     Monomial,
     MonomialIdeal,
     UnsupportedError,
+    betti_table,
     is_dominant,
     is_taylor_minimal,
     lcm,
@@ -62,7 +63,7 @@ def check(ideal: MonomialIdeal) -> None:
     ]
     degrees = [m.degree for m in folds]
     assert lcm_degree_table(ideal) == degrees, str(ideal)
-    assert subset_lcms(ideal.ring, ideal.gens) == folds, str(ideal)
+    assert subset_lcms(ideal.ring, ideal.gens) == [m.vec for m in folds], str(ideal)
     resolution = taylor_resolution(ideal)
     assert resolution.degrees == degrees, str(ideal)
     assert resolution.labels == [str(m) for m in folds], str(ideal)
@@ -80,6 +81,8 @@ def check(ideal: MonomialIdeal) -> None:
     if is_dominant(ideal)[0]:
         expected = max(d - mask.bit_count() for mask, d in enumerate(degrees))
         assert regularity_dominant(ideal) == expected, str(ideal)
+        faces = {(mask.bit_count(), m.vec): 1 for mask, m in enumerate(folds)}
+        assert betti_table(ideal).entries == faces, str(ideal)
     else:
         with pytest.raises(UnsupportedError):
             regularity_dominant(ideal)

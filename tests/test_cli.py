@@ -8,6 +8,7 @@ import json
 import random
 import re
 import time
+from functools import reduce
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -18,11 +19,11 @@ from multmon import (
     Monomial,
     VariableTable,
     is_dominant,
+    lcm,
     minimalize,
     multiplicity_ps,
     parse_ideal,
 )
-from multmon.core import subset_lcms
 
 EXAMPLE = "a^3*c, a*b*e^3, a^2*b^2, c^2, d^2*e^2"
 GOLDEN = Path(__file__).parent / "data" / "golden_ideals.txt"
@@ -131,6 +132,18 @@ def test_classify_above_the_taylor_cap(capsys):
         assert code == 0 and doc["result"]["taylor_minimal"] is minimal, text
 
 
+def test_auto_split_search_above_the_taylor_cap(capsys):
+    # an odd cycle has no split, and the split search scanned C(27, 14) subsets (32 s)
+    started = time.perf_counter()
+    code, docs = run_cli(capsys, "multiplicity", "--ideal", cycle(27))
+    assert time.perf_counter() - started < 1
+    assert code == 4 and docs == []
+    started = time.perf_counter()
+    code, (doc,) = run_cli(capsys, "multiplicity", "--ideal", cycle(24))
+    assert time.perf_counter() - started < 2
+    assert doc["method"] == "structural" and doc["result"]["multiplicity"] == 2
+
+
 def test_betti_command_and_unsupported_exit(capsys):
     code, (doc,) = run_cli(capsys, "betti", "--ideal", "x^2, y^3")
     assert code == 0
@@ -149,9 +162,13 @@ def test_taylor_command(capsys):
 
 
 def _reference_documents(ideal) -> tuple[dict, dict]:
-    """`betti` and `taylor` results built from one `Monomial` per face."""
+    """`betti` and `taylor` results built from one `Monomial` per face, a fold of `lcm`."""
     q = ideal.q
-    lcms = subset_lcms(ideal.ring, ideal.gens)
+    unit = Monomial.unit(ideal.ring)
+    lcms = [
+        reduce(lcm, (g for i, g in enumerate(ideal.gens) if mask >> i & 1), unit)
+        for mask in range(1 << q)
+    ]
     table: dict[tuple[int, Monomial], int] = {}
     for mask, m in enumerate(lcms):
         key = (bin(mask).count("1"), m)

@@ -8,6 +8,7 @@ import pytest
 
 from multmon import (
     HypothesisError,
+    Monomial,
     betti_decomposition,
     betti_table,
     codim,
@@ -157,7 +158,7 @@ def test_betti_decomposition_examples():
     ideal = parse_ideal("a^3*c, a*b*e^3, a^2*b^2, c^2, d^2*e^2")
     assembled = betti_decomposition(ideal, find_ci_split(ideal))
     assert assembled.total(0) == 1
-    first_layer = {str(m) for (i, m) in assembled.entries if i == 1}
+    first_layer = {str(Monomial(ideal.ring, m)) for (i, m) in assembled.entries if i == 1}
     assert first_layer == {str(g) for g in ideal.gens}
     assert assembled.total(1) == 5
     assert assembled.entries == betti_table(ideal).entries

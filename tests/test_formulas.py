@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multmon import (
+    CISplit,
     HypothesisError,
+    Monomial,
     aci_dominant_witness,
     aci_product_difference,
     codim,
@@ -21,6 +26,7 @@ from multmon import (
     find_ci_split,
     gcd_all,
     is_dominant,
+    minimalize,
     multiplicity_ps,
     parse_ideal,
     quadratic_dominant_data,
@@ -28,11 +34,13 @@ from multmon import (
     regularity_dominant,
 )
 from multmon.generate import (
+    make_table,
     random_codim1_ideal,
     random_complete_intersection,
     random_quadratic_dominant,
     random_stem_ideal,
 )
+from multmon.invariants import pairwise_coprime
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +192,30 @@ def test_find_ci_split_examples():
     assert [str(ideal.gens[i]) for i in split.free] == ["x*y^2"]
 
     assert find_ci_split(parse_ideal("a^2*b, b^2*c, c^2*a")) is None
+
+
+def _first_split_by_scan(ideal):
+    """The reference: every size-codim subset, in lexicographic order."""
+    for combo in combinations(range(ideal.q), codim(ideal)):
+        if pairwise_coprime(ideal.supports[i] for i in combo):
+            return CISplit(tuple(i for i in range(ideal.q) if i not in combo), combo)
+    return None
+
+
+SPLIT_TABLE = make_table(7)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.dictionaries(st.integers(0, 6), st.integers(1, 3), min_size=1, max_size=3),
+        min_size=1,
+        max_size=10,
+    )
+)
+def test_find_ci_split_is_the_first_split_of_the_scan(maps):
+    ideal = minimalize(SPLIT_TABLE, [Monomial.from_map(SPLIT_TABLE, m) for m in maps])
+    assert find_ci_split(ideal) == _first_split_by_scan(ideal), str(ideal)
 
 
 def test_e_structural_example():
