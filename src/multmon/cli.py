@@ -5,7 +5,9 @@ Each run emits one structured JSON document (one per line in batch mode);
 docs/schema.md.  Errors map to exit codes: 0 success, 1 usage/parse error,
 2 hypothesis violation, 3 unsupported, 4 resource cap, 5 internal
 consistency failure.  One table of multiplicity routes (`METHODS`) drives
-the `auto` choice, `--method` and `verify`.
+the `auto` choice, `--method` and `verify`.  Each route checks its own
+hypotheses and raises `HypothesisError` outside them: `--method` exits 2 on
+it, while `auto` and `verify` skip to the next route.
 """
 
 from __future__ import annotations
@@ -17,11 +19,11 @@ import random
 import sys
 import time
 from collections import Counter
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import __version__
 from .core import MonomialIdeal, polar_sets
-from .decomposition import multiplicity_recurrence, recurrence_pivot
+from .decomposition import multiplicity_recurrence
 from .errors import (
     HypothesisError,
     InternalConsistencyError,
@@ -37,18 +39,11 @@ from .formulas import (
     e_quadratic_dominant,
     e_stem,
     e_structural,
-    find_ci_split,
     is_quadratic_dominant,
     reg_quadratic_dominant,
 )
 from .generate import random_ideal
-from .invariants import (
-    classify,
-    codim,
-    is_almost_complete_intersection,
-    is_complete_intersection,
-    is_dominant,
-)
+from .invariants import classify, codim
 from .oracle import multiplicity_associativity
 from .parsing import is_valid_variable_name, parse_ideal_detailed
 from .taylor import (
@@ -111,51 +106,34 @@ def _build_parser() -> _Parser:
 # multiplicity methods
 
 
-def _structural(ideal: MonomialIdeal) -> int:
-    # dominance is cached and cheap; the split search is exponential at worst
-    if not is_dominant(ideal)[0]:
-        raise HypothesisError("the structural formula requires a dominant ideal")
-    split = find_ci_split(ideal)
-    if split is None:
-        raise HypothesisError("no pairwise-coprime subset of size codim exists")
-    return e_structural(ideal, split)
-
-
-def _recurrence(ideal: MonomialIdeal) -> int:
-    pivot = recurrence_pivot(ideal)
-    if pivot is None:
-        raise HypothesisError("no dominant pivot preserves the codimension")
-    return multiplicity_recurrence(ideal, pivot)
-
-
-# Route name -> (applies, compute), in the order `verify` reports them.
-# `compute` raises `HypothesisError` where `applies` is false.  The rows look
-# routes up by this module's names at call time, so replacing a name here (as
-# tests and the benchmark's tracer do) reaches every use.
+# Route name -> multiplicity, in the order `verify` reports them.  A route
+# outside its hypotheses raises `HypothesisError`; no other check is made here.
+# The rows look routes up by this module's names at call time, so replacing a
+# name here (as tests and the benchmark's tracer do) reaches every use.
 METHODS = {
-    "ps": (lambda i: True, lambda i: multiplicity_ps(i)),
-    "oracle": (lambda i: True, lambda i: multiplicity_associativity(i)),
-    "codim1": (lambda i: codim(i) == 1, lambda i: e_codim1(i)),
-    "ci": (lambda i: is_complete_intersection(i), lambda i: e_complete_intersection(i)),
-    "stem": (lambda i: detect_stem(i) is not None, lambda i: e_stem(i)),
-    "aci": (lambda i: is_almost_complete_intersection(i) is not None, lambda i: e_aci(i)),
-    "structural": (lambda i: is_dominant(i)[0] and find_ci_split(i) is not None, _structural),
-    "quadratic": (lambda i: is_quadratic_dominant(i), lambda i: e_quadratic_dominant(i)),
-    "recurrence": (lambda i: recurrence_pivot(i) is not None, _recurrence),
+    "ps": lambda i: multiplicity_ps(i),
+    "oracle": lambda i: multiplicity_associativity(i),
+    "codim1": lambda i: e_codim1(i),
+    "ci": lambda i: e_complete_intersection(i),
+    "stem": lambda i: e_stem(i),
+    "aci": lambda i: e_aci(i),
+    "structural": lambda i: e_structural(i),
+    "quadratic": lambda i: e_quadratic_dominant(i),
+    "recurrence": lambda i: multiplicity_recurrence(i),
 }
 
-# What `auto` tries, cheapest first; the ps engine answers when none applies.
-AUTO_METHODS = ("codim1", "ci", "stem", "aci", "structural")
+# What `auto` tries, cheapest first; the ps engine holds for every ideal.
+AUTO_METHODS = ("codim1", "ci", "stem", "aci", "structural", "ps")
 
 
-def _auto_method(ideal: MonomialIdeal) -> str:
-    return next((m for m in AUTO_METHODS if METHODS[m][0](ideal)), "ps")
-
-
-def _consensus(ideal: MonomialIdeal) -> dict[str, int]:
-    """Every applicable route's multiplicity, in table order."""
-    applicable = [name for name, (applies, _) in METHODS.items() if applies(ideal)]
-    return {name: METHODS[name][1](ideal) for name in applicable}
+def _answers(ideal: MonomialIdeal, names: Iterable[str]) -> Iterator[tuple[str, int]]:
+    """(name, multiplicity) of each named route whose hypotheses hold, in order."""
+    for name in names:
+        try:
+            value = METHODS[name](ideal)
+        except HypothesisError:
+            continue
+        yield name, value
 
 
 # ---------------------------------------------------------------------------
@@ -168,13 +146,9 @@ def _classification_payload(ideal: MonomialIdeal, report) -> dict:
         "codim": report.codim,
         "codim1": report.is_codim1,
         "dominant": report.is_dominant,
-        "dominant_witnesses": [
-            None if w is None else names[w] for w in report.dominant_witness
-        ],
+        "dominant_witnesses": [None if w is None else names[w] for w in report.dominant_witness],
         "complete_intersection": report.is_ci,
-        "aci_witness": None
-        if report.aci_witness is None
-        else str(ideal.gens[report.aci_witness]),
+        "aci_witness": None if report.aci_witness is None else str(ideal.gens[report.aci_witness]),
     }
 
 
@@ -185,13 +159,13 @@ def _result_for(
     command = args.command
 
     if command == "multiplicity":
-        method = args.method if args.method != "auto" else _auto_method(ideal)
-        value = METHODS[method][1](ideal)
-        checks = []
-        agreement = None
+        if args.method == "auto":
+            method, value = next(_answers(ideal, AUTO_METHODS))
+        else:
+            method, value = args.method, METHODS[args.method](ideal)
+        checks, agreement = [], None
         if args.check:
-            for other in ("ps", "oracle"):
-                checks.append({"method": other, "value": METHODS[other][1](ideal)})
+            checks = [{"method": m, "value": METHODS[m](ideal)} for m in ("ps", "oracle")]
             agreement = all(c["value"] == value for c in checks)
         return {"multiplicity": value}, method, checks, agreement
 
@@ -265,7 +239,7 @@ def _result_for(
         return {"regularity": value}, "taylor", [], None
 
     if command == "verify":
-        values = _consensus(ideal)
+        values = dict(_answers(ideal, METHODS))
         agreement = len(set(values.values())) == 1
         checks = [{"method": m, "value": v} for m, v in values.items()]
         result = {
@@ -277,10 +251,10 @@ def _result_for(
     raise UsageError(f"unknown command {command!r}")
 
 
-def _execute(text: str, args) -> tuple[dict, int]:
-    """Run one command over one ideal text; returns (document, exit code)."""
+def _execute(text: str, args, names: list[str] | None) -> tuple[dict, int]:
+    """Run one command over one ideal text in the `--vars` order; returns (document, exit code)."""
     started = time.perf_counter()
-    parsed = parse_ideal_detailed(text, _var_list(args))
+    parsed = parse_ideal_detailed(text, names)
     ideal = parsed.ideal
     report = classify(ideal)
     result, method, checks, agreement = _result_for(ideal, args)
@@ -305,7 +279,7 @@ def _execute(text: str, args) -> tuple[dict, int]:
 
 
 def _var_list(args) -> list[str] | None:
-    if not getattr(args, "vars", None):
+    if not args.vars:
         return None
     names = [name.strip() for name in args.vars.split(",")]
     for name in names:
@@ -404,7 +378,7 @@ def _error_document(command: str, text: str | None, exc: Exception, exit_code: i
     return doc
 
 
-def _run_batch(args) -> int:
+def _run_batch(args, names: list[str] | None) -> int:
     try:
         with open(args.file, encoding="utf-8") as handle:
             lines = handle.read().splitlines()
@@ -416,7 +390,7 @@ def _run_batch(args) -> int:
         if not stripped:
             continue
         try:
-            document, code = _execute(stripped, args)
+            document, code = _execute(stripped, args, names)
         except MultmonError as exc:
             code = exc.exit_code
             document = _error_document(args.command, stripped, exc, code)
@@ -439,7 +413,7 @@ def _run_random_verify(args) -> int:
     failures = []
     for index in range(args.cases):
         ideal = random_ideal(rng, max_gens=8, max_vars=6, max_exp=4)
-        values = _consensus(ideal)
+        values = dict(_answers(ideal, METHODS))
         if len(set(values.values())) != 1:
             failures.append({"case": index, "ideal": str(ideal), "methods": values})
     document = {
@@ -459,11 +433,12 @@ def _dispatch(args) -> int:
         return _run_random_verify(args)
     if args.file and args.ideal:
         raise UsageError("--ideal and --file are mutually exclusive")
-    if args.file:
-        return _run_batch(args)
-    if not args.ideal:
+    if not (args.file or args.ideal):
         raise UsageError("provide an ideal with --ideal or --file")
-    document, code = _execute(args.ideal, args)
+    names = _var_list(args)  # once per run: a bad list is one usage error, not one per line
+    if args.file:
+        return _run_batch(args, names)
+    document, code = _execute(args.ideal, args, names)
     _emit(document, args)
     return code
 

@@ -22,12 +22,16 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from functools import wraps
-from operator import add, le, neg, sub
+from functools import reduce, wraps
+from itertools import compress
+from operator import add, le, neg, or_, sub
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
+
+from .errors import ResourceCapError
 
 __all__ = [
     "MAX_EXPONENT",
+    "POLAR_LABEL_CAP",
     "VariableTable",
     "Monomial",
     "MonomialIdeal",
@@ -47,6 +51,8 @@ __all__ = [
 
 # Exponents beyond this are rejected everywhere; keeps power sums desk-scale.
 MAX_EXPONENT = 2**31
+# Most slot labels `polar_sets` builds for one ideal: the sum of generator degrees.
+POLAR_LABEL_CAP = 10**5
 
 
 @dataclass(frozen=True)
@@ -196,22 +202,15 @@ def quotient(a: Monomial, b: Monomial) -> Monomial:
 
 def lcm_all(table: VariableTable, monomials: Iterable[Monomial]) -> Monomial:
     """lcm of any number of monomials; the empty lcm is the unit monomial."""
-    acc = Monomial.unit(table)
-    for m in monomials:
-        acc = lcm(acc, m)
-    return acc
+    return reduce(lcm, monomials, Monomial.unit(table))
 
 
 def gcd_all(monomials: Iterable[Monomial]) -> Monomial:
     """gcd of a nonempty collection of monomials."""
-    it = iter(monomials)
-    try:
-        acc = next(it)
-    except StopIteration:
-        raise ValueError("gcd of an empty collection is undefined") from None
-    for m in it:
-        acc = gcd(acc, m)
-    return acc
+    monomials = list(monomials)
+    if not monomials:
+        raise ValueError("gcd of an empty collection is undefined")
+    return reduce(gcd, monomials)
 
 
 # Field widths of a packed column, with the memoryview format of one field.
@@ -294,13 +293,13 @@ class MonomialIdeal:
     or a generator dividing another); use `minimalize` to normalize raw lists.
     Equality and hashing are table-independent: two ideals are equal when
     their generators agree as named monomials.  `supports` holds each
-    generator's variable set; facts derived from the ideal are cached on it
-    (see `per_ideal`).
+    generator's variables as a bitmask (bit v for variable v); facts derived
+    from the ideal are cached on it (see `per_ideal`).
     """
 
     ring: VariableTable
     gens: tuple[Monomial, ...]
-    supports: tuple[frozenset[int], ...] = field(init=False, repr=False, compare=False)
+    supports: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _facts: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -313,13 +312,14 @@ class MonomialIdeal:
             if g.is_unit:
                 raise ValueError("the unit monomial cannot be a generator")
         gens = tuple(sorted(gens, key=Monomial.sort_key))
+        supports = tuple(map(_support_mask, gens))
         # in this order a divisor, or the first of two equal generators, comes first
-        for j, h in enumerate(gens):
-            for g in gens[:j]:
+        for j, (h, t) in enumerate(zip(gens, supports)):
+            for g in _inside(gens, supports[:j], t):
                 if g.divides(h):
                     raise ValueError(f"not a minimal generating set: {g} divides {h}")
         object.__setattr__(self, "gens", gens)
-        object.__setattr__(self, "supports", tuple(frozenset(g.support) for g in gens))
+        object.__setattr__(self, "supports", supports)
         object.__setattr__(self, "_facts", {})
 
     @property
@@ -336,7 +336,8 @@ class MonomialIdeal:
         return self._facts[key]
 
     def used_variables(self) -> tuple[int, ...]:
-        return tuple(sorted(frozenset().union(*self.supports)))
+        used = reduce(or_, self.supports)
+        return tuple(v for v in range(used.bit_length()) if used >> v & 1)
 
     def name_form(self) -> tuple:
         forms = [g.name_form() for g in self.gens]
@@ -355,6 +356,16 @@ class MonomialIdeal:
 
     def __repr__(self) -> str:
         return f"MonomialIdeal({self})"
+
+
+def _support_mask(m: Monomial) -> int:
+    """The variables of `m` as a bitmask: bit v for variable v."""
+    return sum(1 << v for v, e in enumerate(m.vec) if e)
+
+
+def _inside(monomials: Iterable[Monomial], supports: Iterable[int], t: int) -> Iterator[Monomial]:
+    """The monomials whose support lies inside `t`: the only ones that can divide its monomial."""
+    return compress(monomials, map(t.__eq__, map(t.__or__, supports)))
 
 
 def per_ideal(fn: Callable) -> Callable:
@@ -380,12 +391,16 @@ def minimalize(ring: VariableTable, raw: Iterable[Monomial]) -> MonomialIdeal:
     """Drop duplicates and generators divisible by another; sort canonically.
 
     In canonical order a divisor or duplicate comes first, so one pass keeps each
-    monomial no kept one divides; `MonomialIdeal` rejects empty, unit, foreign.
+    monomial no kept one divides (a divisor's support lies inside the other's);
+    `MonomialIdeal` rejects empty, unit, foreign.
     """
     kept: list[Monomial] = []
+    supports: list[int] = []
     for m in sorted(raw, key=Monomial.sort_key):
-        if not any(k.divides(m) for k in kept):
+        t = _support_mask(m)
+        if not any(k.divides(m) for k in _inside(kept, supports, t)):
             kept.append(m)
+            supports.append(t)
     return MonomialIdeal(ring, tuple(kept))
 
 
@@ -399,5 +414,12 @@ def polar_set(m: Monomial) -> frozenset[tuple[int, int]]:
 
 
 def polar_sets(ideal: MonomialIdeal) -> list[frozenset[tuple[int, int]]]:
-    """One slot-label set per minimal generator, in canonical generator order."""
+    """One slot-label set per minimal generator, in canonical generator order.
+
+    There is one label per unit of degree, so more than `POLAR_LABEL_CAP` in
+    all raises `ResourceCapError` before any set is built.
+    """
+    total = sum(g.degree for g in ideal.gens)
+    if total > POLAR_LABEL_CAP:
+        raise ResourceCapError(f"polarization of {total} labels exceeds the {POLAR_LABEL_CAP} cap")
     return [polar_set(g) for g in ideal.gens]

@@ -71,13 +71,17 @@ def recurrence_pivot(ideal: MonomialIdeal) -> int | None:
     return None
 
 
-def multiplicity_recurrence(ideal: MonomialIdeal, pivot: int) -> int:
+def multiplicity_recurrence(ideal: MonomialIdeal, pivot: int | None = None) -> int:
     """Multiplicity via the pivot recurrence; needs codim(M) = codim(M1).
 
     When the quotient ideal keeps the codimension the answer is the
     difference of the two sub-multiplicities; when its codimension grows the
-    quotient term drops out entirely.
+    quotient term drops out entirely.  Without a `pivot`, `recurrence_pivot`'s is used.
     """
+    if pivot is None:
+        pivot = recurrence_pivot(ideal)
+        if pivot is None:
+            raise HypothesisError("no dominant pivot preserves the codimension")
     parts = third_decomposition(ideal, pivot)
     c = codim(ideal)
     if codim(parts.m1) != c:

@@ -58,7 +58,7 @@ class UnsupportedError(MultmonError):
 
 
 class ResourceCapError(MultmonError):
-    """A hard size cap was exceeded (Taylor complex size, colength grid)."""
+    """A hard size cap was exceeded (Taylor complex size, colength grid, polarization)."""
 
     exit_code = 4
 

@@ -54,10 +54,7 @@ def e_complete_intersection(ideal: MonomialIdeal) -> int:
     """Multiplicity of a complete intersection: product of generator degrees."""
     if not is_complete_intersection(ideal):
         raise HypothesisError("the degree-product formula requires pairwise-coprime generators")
-    result = 1
-    for g in ideal.gens:
-        result *= g.degree
-    return result
+    return prod(g.degree for g in ideal.gens)
 
 
 @dataclass(frozen=True)
@@ -105,10 +102,7 @@ def e_stem(ideal: MonomialIdeal) -> int:
     structure = detect_stem(ideal)
     if structure is None:
         raise HypothesisError("not a stem ideal")
-    result = 1
-    for stem in structure.stems:
-        result *= stem.degree
-    return result
+    return prod(stem.degree for stem in structure.stems)
 
 
 @dataclass(frozen=True)
@@ -138,7 +132,7 @@ def quadratic_dominant_data(ideal: MonomialIdeal) -> QuadraticDominantData:
             raise HypothesisError("all generators must have total degree 2")
         raise HypothesisError("the quadratic formulas require a dominant ideal")
     isolated = tuple(block[0] for block in support_components(ideal) if len(block) == 1)
-    counts = Counter(v for s in ideal.supports for v in s)
+    counts = Counter(v for g in ideal.gens for v in g.support)
     shared = tuple(sorted(v for v, n in counts.items() if n > 1))
     return QuadraticDominantData(isolated, shared)
 
@@ -178,16 +172,16 @@ def find_ci_split(ideal: MonomialIdeal) -> CISplit | None:
     Coprime supports are disjoint, so the c smallest must fit in the used variables.
     """
     c, q, supports = codim(ideal), ideal.q, ideal.supports
-    if sum(sorted(map(len, supports))[:c]) > len(ideal.used_variables()):
+    if sum(sorted(map(int.bit_count, supports))[:c]) > len(ideal.used_variables()):
         return None
-    chosen, used, i = [], set(), 0
+    chosen, used, i = [], 0, 0
     while len(chosen) < c:
         if i + c - len(chosen) > q:  # too few generators left: drop the last chosen
             if not chosen:
                 return None
             i = chosen.pop()
-            used -= supports[i]  # exactly its variables: the chosen supports are disjoint
-        elif used.isdisjoint(supports[i]):
+            used ^= supports[i]  # exactly its variables: the chosen supports are disjoint
+        elif not used & supports[i]:
             chosen.append(i)
             used |= supports[i]
         i += 1
@@ -208,12 +202,19 @@ def validate_split(ideal: MonomialIdeal, split: CISplit) -> None:
         raise HypothesisError("codimension must equal the size of the CI part")
 
 
-def e_structural(ideal: MonomialIdeal, split: CISplit) -> int:
+def e_structural(ideal: MonomialIdeal, split: CISplit | None = None) -> int:
     """Alternating sum over free-part subsets of products of lcm-quotient degrees.
 
     The empty subset contributes + the product of the CI generators' degrees;
-    a subset of size j contributes with sign (-1)^j.
+    a subset of size j contributes with sign (-1)^j.  Without a `split`, the
+    first one `find_ci_split` finds is used, searched only for a dominant ideal.
     """
+    if split is None:
+        if not is_dominant(ideal)[0]:  # cached and cheap; the split search is not
+            raise HypothesisError("the structural formula requires a dominant ideal")
+        split = find_ci_split(ideal)
+        if split is None:
+            raise HypothesisError("no pairwise-coprime subset of size codim exists")
     validate_split(ideal, split)
     h = [ideal.gens[i].vec for i in split.ci]
     lcms = subset_lcms(ideal.ring, [ideal.gens[i] for i in split.free])
@@ -233,12 +234,8 @@ def aci_product_difference(ci_gens: list[Monomial], extra: Monomial) -> int:
     A zero factor (when a CI generator divides `extra`) is kept as written;
     it simply kills the second product.
     """
-    full = 1
-    deflated = 1
-    for g in ci_gens:
-        full *= g.degree
-        deflated *= g.degree - gcd(g, extra).degree
-    return full - deflated
+    full = prod(g.degree for g in ci_gens)
+    return full - prod(g.degree - gcd(g, extra).degree for g in ci_gens)
 
 
 def e_aci(ideal: MonomialIdeal) -> int:

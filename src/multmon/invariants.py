@@ -39,43 +39,47 @@ def _packing(supports: list[int]) -> int:
     return count
 
 
-def covers(supports: list[int], size: int, chosen: int = 0) -> Iterator[int]:
-    """Yield `chosen | C` for covers C, of at most `size` variables, of the support bitmasks.
+def covers(supports: list[int], size: int) -> Iterator[int]:
+    """Yield covers, of at most `size` variables, of the support bitmasks, as bitmasks.
 
     Branches on the smallest support and bans each tried variable from its
     later siblings; a branch is entered only while a packing of what it leaves
     uncovered fits.  Yields nothing only when no such cover exists, and at the
-    least size yields every cover exactly once.
+    least size yields every cover exactly once.  The branches live on a stack,
+    not in recursion, so a cover may have any size: a frame holds the supports,
+    the size left, the variables chosen, the pivot's untried variables and the
+    variable to ban when the frame is popped.
     """
-    pivot = min(supports, key=int.bit_count)
-    while True:
+    stack = [(supports, size, 0, min(supports, key=int.bit_count), 0)]
+    while stack:
+        supports, size, chosen, pivot, ban = stack.pop()
+        if ban:
+            supports = [s & ~ban for s in supports]
+            if not all(supports):
+                continue
         bit = pivot & -pivot
+        if pivot ^ bit:  # the next sibling: popped once this branch is done
+            stack.append((supports, size, chosen, pivot ^ bit, bit))
         rest = [s for s in supports if not s & bit]
         if not rest:
             yield chosen | bit
         elif _packing(rest) < size:
-            yield from covers(rest, size - 1, chosen | bit)
-        pivot ^= bit
-        if not pivot:
-            return
-        supports = [s & ~bit for s in supports]
-        if not all(supports):
-            return
+            stack.append((rest, size - 1, chosen | bit, min(rest, key=int.bit_count), 0))
 
 
 @per_ideal
 def support_components(ideal: MonomialIdeal) -> tuple[tuple[int, ...], ...]:
     """Sorted generator indices of each component of the shares-a-variable graph, by first index."""
-    groups: list[tuple[frozenset[int], list[int]]] = []
+    groups: list[tuple[int, list[int]]] = []
     for i, s in enumerate(ideal.supports):
         members = [i]
         kept = []
         for variables, block in groups:
-            if s.isdisjoint(variables):
-                kept.append((variables, block))
-            else:
+            if s & variables:
                 s |= variables
                 members += block
+            else:
+                kept.append((variables, block))
         groups = [*kept, (s, members)]
     return tuple(sorted(tuple(sorted(block)) for _, block in groups))
 
@@ -91,7 +95,7 @@ def codim(ideal: MonomialIdeal) -> int:
     """
     total = 0
     for block in support_components(ideal):
-        supports = list(dict.fromkeys(sum(1 << v for v in ideal.supports[i]) for i in block))
+        supports = list(dict.fromkeys(ideal.supports[i] for i in block))
         for j in range(1, len(supports) - 1):
             last = supports[j - 1]
             for k in range(j, len(supports)):
@@ -105,11 +109,11 @@ def codim(ideal: MonomialIdeal) -> int:
     return total
 
 
-def pairwise_coprime(supports: Iterable[frozenset[int]]) -> bool:
-    """True when no two of the given variable sets share a variable."""
-    seen: set[int] = set()
+def pairwise_coprime(supports: Iterable[int]) -> bool:
+    """True when no two of the given support bitmasks share a variable."""
+    seen = 0
     for s in supports:
-        if not seen.isdisjoint(s):
+        if seen & s:
             return False
         seen |= s
     return True

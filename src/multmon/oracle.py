@@ -14,6 +14,7 @@ the cap rather than approximating.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from .core import MonomialIdeal
 from .errors import ResourceCapError
@@ -45,7 +46,7 @@ def minimal_covers(ideal: MonomialIdeal) -> list[frozenset[int]]:
     with the covers and dead branches it meets, not with the C(n, codim)
     variable subsets.  Covers are listed in lexicographic variable order.
     """
-    supports = list(dict.fromkeys(sum(1 << v for v in s) for s in ideal.supports))
+    supports = list(dict.fromkeys(ideal.supports))
     found = [[v for v in range(m.bit_length()) if m >> v & 1] for m in covers(supports, codim(ideal))]
     return [frozenset(cover) for cover in sorted(found)]
 
@@ -72,10 +73,7 @@ def _staircase(vectors: list[tuple[int, ...]], bounds: list[int]) -> int:
     there (those whose last exponent is at most the interval's start).
     """
     if not vectors:
-        count = 1
-        for b in bounds:
-            count *= b
-        return count
+        return prod(bounds)
     *rest, b = bounds
     if not rest:
         return min(b, min(vec[0] for vec in vectors))
@@ -104,13 +102,12 @@ def colength(ideal: MonomialIdeal, cover: frozenset[int]) -> int:
     distinct exponents rather than with the box.
     """
     cov = tuple(sorted(cover))
-    if len(cov) != codim(ideal) or not all(cover & s for s in ideal.supports):
+    mask = sum(1 << v for v in cov)
+    if len(cov) != codim(ideal) or not all(mask & s for s in ideal.supports):
         raise ValueError(f"{{{', '.join(ideal.ring.names[v] for v in cov)}}} is not a minimal cover")
     restricted = _restricted_vectors(ideal, cov)
     bounds = [max(vec[p] for vec in restricted) for p in range(len(cov))]
-    grid = 1
-    for b in bounds:
-        grid *= b
+    grid = prod(bounds)
     if grid > COLENGTH_GRID_CAP:
         raise ResourceCapError(
             f"colength grid of {grid} points exceeds the {COLENGTH_GRID_CAP} cap"

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import multmon.cli as cli
 from multmon import (
+    HypothesisError,
     Monomial,
     VariableTable,
     is_dominant,
@@ -86,7 +87,7 @@ def test_forced_method_hypothesis_violation(capsys):
 
 
 def test_forced_structural_method_rejects_a_non_dominant_ideal_first(capsys):
-    # the split search scans C(24, 12) subsets; it took 1.5 s before this exit
+    # dominance is checked first: the depth-first split search may still be exponential
     started = time.perf_counter()
     code = cli.main(["multiplicity", "--ideal", cycle(24, exponent=1), "--method", "structural"])
     captured = capsys.readouterr()
@@ -260,6 +261,16 @@ def test_diagram_command(capsys):
     assert {(l["var"], l["slot"]) for l in sets["d*g^2"]} == {("d", 1), ("g", 1), ("g", 2)}
 
 
+def test_diagram_is_capped_before_any_label_is_built(capsys):
+    # one label per unit of degree: this exponent would ask for 2^31 of them
+    started = time.perf_counter()
+    code = cli.main(["diagram", "--ideal", "x^2147483648"])
+    captured = capsys.readouterr()
+    assert time.perf_counter() - started < 1
+    assert code == 4 and captured.out == ""
+    assert captured.err.endswith("polarization of 2147483648 labels exceeds the 100000 cap\n")
+
+
 def test_regularity_command(capsys):
     code, (doc,) = run_cli(capsys, "regularity", "--ideal", "a*b, a*c, d*e")
     assert code == 0
@@ -364,9 +375,24 @@ def test_batch_mode_preserves_order_and_reports_errors(tmp_path, capsys):
     assert docs[2]["result"]["multiplicity"] == 2
 
 
+def test_batch_mode_checks_vars_once(tmp_path, capsys):
+    batch = tmp_path / "ideals.txt"
+    batch.write_text("a^2\nb^3\na*b\n")
+    code = cli.main(["codim", "--file", str(batch), "--vars", "a,a"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "multmon: error: --vars entries must be distinct\n"
+    code, docs = run_cli(capsys, "codim", "--file", str(batch), "--vars", "b,a")
+    assert code == 0 and [doc["input"]["vars"] for doc in docs] == [["b", "a"]] * 3
+
+
 def test_batch_mode_survives_an_unexpected_exception(tmp_path, capsys, monkeypatch):
-    def broken(ideal):
-        raise ZeroDivisionError("injected")
+    original = cli.e_codim1
+
+    def broken(ideal):  # `auto` tries the gcd formula on every line
+        if cli.codim(ideal) == 1:
+            raise ZeroDivisionError("injected")
+        return original(ideal)
 
     monkeypatch.setattr(cli, "e_codim1", broken)
     batch = tmp_path / "ideals.txt"
@@ -401,6 +427,13 @@ def test_minimalization_notice_in_document(capsys):
     _, (doc,) = run_cli(capsys, "multiplicity", "--ideal", "x^2,x^3")
     assert doc["input"]["notices"]
     assert doc["input"]["ideal"] == "x^2"
+
+
+def test_readme_shows_every_command():
+    # CI runs each `$ multmon ...` line of the README through the console script
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    shown = set(re.findall(r"(?m)^\$ multmon (\w+)", readme))
+    assert set(cli.COMMANDS) <= shown, set(cli.COMMANDS) - shown
 
 
 def test_parser_is_built_once():
@@ -499,15 +532,21 @@ def _quiet_main(*argv) -> tuple[int, str]:
 def test_method_table_is_consistent(ideal):
     argv = ["multiplicity", "--ideal", str(ideal), "--vars", ",".join(ideal.ring.names)]
     expected = multiplicity_ps(ideal)
-    for name, (applies, compute) in cli.METHODS.items():
-        if applies(ideal):
-            assert compute(ideal) == expected, name
-        else:
+    answered = []
+    for name, compute in cli.METHODS.items():
+        try:
+            value = compute(ideal)
+        except HypothesisError:
             assert name not in ("ps", "oracle")
             assert _quiet_main(*argv, "--method", name) == (2, ""), name
-    auto = next((m for m in cli.AUTO_METHODS if cli.METHODS[m][0](ideal)), "ps")
+        else:
+            assert value == expected, name
+            answered.append(name)
+    auto = next(m for m in cli.AUTO_METHODS if m in answered)
     code, out = _quiet_main(*argv)
     assert code == 0 and json.loads(out)["method"] == auto
+    code, out = _quiet_main("verify", *argv[1:])
+    assert code == 0 and list(json.loads(out)["result"]["methods"]) == answered
 
 
 if __name__ == "__main__":

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import multmon.core as core
 from multmon import (
     MAX_EXPONENT,
     Monomial,
     MonomialIdeal,
+    ResourceCapError,
     VariableTable,
     gcd,
     gcd_all,
@@ -143,6 +145,15 @@ def test_polar_sets_per_generator():
     ideal = parse_ideal("a^2*b, c")
     sets = polar_sets(ideal)
     assert [len(s) for s in sets] == [g.degree for g in ideal.gens]
+
+
+def test_polar_sets_cap_the_total_label_count(monkeypatch):
+    ideal = parse_ideal("a^3*b, c^2")  # 6 labels
+    monkeypatch.setattr(core, "POLAR_LABEL_CAP", 6)
+    assert sum(map(len, polar_sets(ideal))) == 6
+    monkeypatch.setattr(core, "POLAR_LABEL_CAP", 5)
+    with pytest.raises(ResourceCapError, match="^polarization of 6 labels exceeds the 5 cap$"):
+        polar_sets(ideal)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from multmon import (
     structural_terms,
     third_decomposition,
 )
+from multmon.decomposition import recurrence_pivot
 from multmon.generate import random_dominant_with_split, random_ideal
 
 from conftest import gen_index
@@ -74,6 +75,24 @@ def test_recurrence_examples():
         multiplicity_recurrence(ideal, gen_index(ideal, "z"))
     value = multiplicity_recurrence(ideal, gen_index(ideal, "x^2*y"))
     assert value == multiplicity_ps(ideal) == 2
+
+
+def test_recurrence_finds_its_own_pivot():
+    rng = random.Random(31)
+    answered = 0
+    for _ in range(200):
+        ideal = random_ideal(rng, max_gens=6)
+        pivot = recurrence_pivot(ideal)
+        if pivot is None:
+            with pytest.raises(HypothesisError):
+                multiplicity_recurrence(ideal)
+        else:
+            assert multiplicity_recurrence(ideal) == multiplicity_recurrence(ideal, pivot)
+            answered += 1
+    assert answered >= 40
+    # both pivots of a complete intersection lower the codimension when removed
+    with pytest.raises(HypothesisError, match="^no dominant pivot preserves the codimension$"):
+        multiplicity_recurrence(parse_ideal("x^2, y^3"))
 
 
 def test_recurrence_matches_engine_when_applicable():

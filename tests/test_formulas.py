@@ -37,6 +37,7 @@ from multmon.generate import (
     make_table,
     random_codim1_ideal,
     random_complete_intersection,
+    random_dominant_with_split,
     random_quadratic_dominant,
     random_stem_ideal,
 )
@@ -249,6 +250,19 @@ def test_e_structural_rejects_bad_split():
         e_structural(ideal, CISplit(free=(0, 1), ci=(2, 3)))  # wrong size
     with pytest.raises(HypothesisError):
         e_structural(ideal, CISplit(free=(0,), ci=(1, 2, 3)))  # not a partition
+
+
+def test_e_structural_finds_its_own_split():
+    rng = random.Random(37)
+    for _ in range(60):
+        ideal = random_dominant_with_split(rng)
+        assert e_structural(ideal) == e_structural(ideal, find_ci_split(ideal)), str(ideal)
+    # dominance is checked before the split search, so a non-dominant ideal
+    # with a split (x^3, y^3) reports dominance
+    with pytest.raises(HypothesisError, match="^the structural formula requires a dominant ideal$"):
+        e_structural(parse_ideal("x^2*y, x^3, y^3"))
+    with pytest.raises(HypothesisError, match="^no pairwise-coprime subset of size codim exists$"):
+        e_structural(parse_ideal("a^2*b, b^2*c, c^2*a"))
 
 
 # ---------------------------------------------------------------------------

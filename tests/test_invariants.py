@@ -19,7 +19,7 @@ from multmon import (
     is_dominant,
     parse_ideal,
 )
-from multmon.invariants import support_components
+from multmon.invariants import covers, support_components
 from multmon.generate import (
     make_table,
     random_aci,
@@ -72,7 +72,8 @@ def test_codim_is_the_least_subset_that_meets_every_support(maps):
     least = next(
         k
         for k in range(1, len(used) + 1)
-        if any(all(s.intersection(combo) for s in ideal.supports) for combo in combinations(used, k))
+        for combo in map(set, combinations(used, k))
+        if all(combo.intersection(g.support) for g in ideal.gens)
     )
     assert codim(ideal) == least
 
@@ -95,7 +96,7 @@ def test_support_components_partition_into_connected_blocks(maps):
     ideal = ideal_of(maps)
     blocks = support_components(ideal)
     assert sorted(i for b in blocks for i in b) == list(range(ideal.q))
-    spans = [frozenset().union(*(ideal.supports[i] for i in b)) for b in blocks]
+    spans = [frozenset().union(*(ideal.gens[i].support for i in b)) for b in blocks]
     assert sum(map(len, spans)) == len(frozenset().union(*spans))
     assert all(connected([ideal.supports[i] for i in b]) for b in blocks)
 
@@ -187,6 +188,39 @@ def test_codim_cost_does_not_follow_variable_names(seed):
     assert time.perf_counter() - started < 1
 
 
+def recursive_covers(supports, size, chosen=0):
+    """The reference for `covers`: the same search, one recursive call per chosen variable."""
+    pivot = min(supports, key=int.bit_count)
+    while True:
+        bit = pivot & -pivot
+        rest = [s for s in supports if not s & bit]
+        if not rest:
+            yield chosen | bit
+        elif invariants._packing(rest) < size:
+            yield from recursive_covers(rest, size - 1, chosen | bit)
+        pivot ^= bit
+        if not pivot:
+            return
+        supports = [s & ~bit for s in supports]
+        if not all(supports):
+            return
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 2**10 - 1), min_size=1, max_size=10), st.integers(1, 10))
+def test_covers_yields_what_the_recursive_search_yields_in_its_order(supports, size):
+    assert list(covers(supports, size)) == list(recursive_covers(supports, size))
+
+
+def test_covers_of_a_cover_past_the_recursion_limit():
+    # the recursive search took one Python frame per cover variable
+    q = 2000
+    supports = [1 << k | 1 << (k + 1) % q for k in range(q)]
+    cover = next(covers(supports, q // 2))
+    assert cover.bit_count() == q // 2 and all(cover & s for s in supports)
+    assert codim(parse_ideal(", ".join(f"x{k}*x{(k + 1) % q}" for k in range(q)))) == q // 2
+
+
 def test_aci_codim_is_one_less_than_generators():
     rng = random.Random(11)
     for _ in range(60):
@@ -231,7 +265,7 @@ def test_facts_are_computed_once_per_ideal_object(searches):
     ideal = parse_ideal("a^3*c, a*b*e^3, a^2*b^2, c^2, d^2*e^2")
     assert codim(ideal) == codim(ideal) == 3
     assert searches[0] == 1
-    assert ideal.supports[0] == frozenset(ideal.gens[0].support)
+    assert ideal.supports[0] == sum(1 << v for v in ideal.gens[0].support)
 
     smaller = ideal.without(0)
     assert smaller._facts == {}
