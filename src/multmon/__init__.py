@@ -83,6 +83,7 @@ from .taylor import (
     multiplicity_ps,
     ps_power_sum,
     regularity_dominant,
+    taylor_numerator,
     taylor_resolution,
 )
 

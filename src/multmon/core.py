@@ -13,7 +13,7 @@ fixed-width field per bitmask, so the 2^q faces cost a few big-integer
 operations per generator rather than a Python loop per face.
 `unpack_fields` reads a packed column as a memoryview of its fields;
 `subset_lcms` zips the fields into exponent tuples, not monomials, and
-`taylor.lcm_degree_table` sums the columns into degrees.
+`taylor.lcm_degree_table` sums the columns into parity-tagged degrees.
 
 Everything here is an immutable value; operations return fresh objects.
 """
@@ -224,15 +224,15 @@ def lcm_columns(gens: Sequence[Monomial]) -> tuple[int, Iterator[int]]:
     packed columns, one per variable in table order (0 for a variable no
     generator uses).  Field `mask` of a column (bits `mask * width` up to
     `(mask + 1) * width`) holds the exponent for that generator bitmask.  The
-    width is the narrowest of 8, 16, 32 and 64 bits that holds the summed top
-    exponents, so a field also holds any sum of the columns (a face's
-    degree); exponents are at most `MAX_EXPONENT`, so 64 bits suffice.
+    width is the narrowest of 8, 16, 32 and 64 bits that holds 2 * deg lcm(all)
+    + 1, so a field also holds twice any sum of the columns (a face's degree)
+    plus a spare low bit; exponents are at most `MAX_EXPONENT`, so 64 suffice.
     """
     exponents = list(zip(*[g.vec for g in gens]))
     tops = list(map(max, exponents))
-    total = sum(tops)
+    tagged = 2 * sum(tops) + 1
     width = 8
-    while total >> width:
+    while tagged >> width:
         width <<= 1
     return width, _packed_columns(exponents, tops, width, len(gens))
 

@@ -124,16 +124,15 @@ def dominance_witnesses(ideal: MonomialIdeal) -> tuple[int | None, ...]:
     """Per generator, the least variable whose exponent strictly beats all others.
 
     `None` marks a generator with no such variable (a non-dominant generator).
+    A variable can witness only the generator that alone reaches its top exponent.
     """
-    gens = ideal.gens
-    witnesses: list[int | None] = []
-    for i, g in enumerate(gens):
-        found = None
-        for v, e in enumerate(g.vec):
-            if e and all(other.vec[v] < e for j, other in enumerate(gens) if j != i):
-                found = v
-                break
-        witnesses.append(found)
+    witnesses: list[int | None] = [None] * ideal.q
+    for v, column in enumerate(zip(*(g.vec for g in ideal.gens))):
+        top = max(column)
+        if top and column.count(top) == 1:
+            i = column.index(top)
+            if witnesses[i] is None:
+                witnesses[i] = v
     return tuple(witnesses)
 
 

@@ -10,16 +10,16 @@ The lcms themselves (`mdegs`) are exponent tuples, built only when asked for.
 For a dominant ideal the complex is the minimal free resolution
 (`minimal_resolution`), so each face is one multigraded Betti number.
 
-The engine evaluates, exactly, the alternating sums
+The engine counts one signed degree histogram, the Hilbert-series numerator
+of S/I (Bayer-Stillman 1992, Bigatti 1997), and reads the power sums off it:
 
-    P(k) = sum over nonempty faces of (-1)^hdeg * deg(mdeg)^k
+    K(t) = sum over all faces F of (-1)^|F| * t^deg(lcm F)
+    P(k) = sum over nonempty faces of (-1)^hdeg * deg(mdeg)^k = sum_d K_d d^k - 0^k
 
-which vanish for 1 <= k < c and equal (-1)^c c! e for k = c, where c is the
-codimension and e the multiplicity.  All arithmetic is arbitrary-precision
-from the start.  P(k) is two C-level sums over the degree table, its even and
-its odd faces picked out by cached byte selectors, each degree raised to the
-k-th power once; no Python code runs per face.  `multiplicity_ps` is cached
-on the ideal; `ps_power_sum` is not, so each k builds the degree table anew.
+P(k) vanishes for 1 <= k < c and equals (-1)^c c! e at k = c, where c is the
+codimension and e the multiplicity; all arithmetic is arbitrary-precision.
+K is counted in C from one degree table and cached on the ideal, so a sweep
+over k builds one table and no Python code runs per face.
 
 Everything touching all 2^q faces is hard-capped at q <= 20.  Minimality and
 regularity touch none: both follow from the dominance witnesses.
@@ -28,9 +28,9 @@ regularity touch none: both follow from the dominance witnesses.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import compress
 from operator import sub
 
 from .core import (
@@ -59,6 +59,7 @@ __all__ = [
     "ps_power_sum",
     "multiplicity_ps",
     "lcm_degree_table",
+    "taylor_numerator",
 ]
 
 Q_MAX = 20
@@ -78,27 +79,43 @@ def _require_dominant(ideal: MonomialIdeal) -> None:
         )
 
 
-def lcm_degree_table(ideal: MonomialIdeal) -> list[int]:
-    """deg(lcm of members) for every generator bitmask; index = mask.
+def lcm_degree_table(ideal: MonomialIdeal) -> memoryview:
+    """2 * deg(lcm of members) + (|members| mod 2) for every generator bitmask; index = mask.
 
-    The sum of the packed `core.lcm_columns` columns, unpacked once: O(q)
-    big-integer operations per used variable and no monomial objects.
+    Twice the sum of the packed `core.lcm_columns` columns plus the odd faces'
+    indicator, unpacked once: O(q) big-integer operations per used variable.
     """
     _require_small(ideal)
     width, columns = lcm_columns(ideal.gens)
-    return unpack_fields(sum(columns), width, ideal.q).tolist()
+    return unpack_fields(2 * sum(columns) + _odd_faces(ideal.q, width), width, ideal.q)
 
 
-@lru_cache(maxsize=None)  # one entry per q <= Q_MAX
-def _face_parities(q: int) -> tuple[bytes, bytes]:
-    """Selectors of the even and the odd faces of a q-generator complex; index = mask."""
-    odd, ones = 0, 1  # packed one byte per face: odd hdeg, and every face
+@lru_cache(maxsize=None)  # one entry per q <= Q_MAX and field width in use
+def _odd_faces(q: int, width: int) -> int:
+    """The odd-face indicator in `width`-bit fields: field mask holds |mask| mod 2."""
+    odd, ones = 0, 1
     for k in range(q):
-        shift = 8 << k
+        shift = width << k
         odd |= (ones - odd) << shift
         ones |= ones << shift
-    size = 1 << q
-    return (ones - odd).to_bytes(size, "little"), odd.to_bytes(size, "little")
+    return odd
+
+
+@per_ideal
+def taylor_numerator(ideal: MonomialIdeal) -> dict[int, int]:
+    """K(t) as {d: K_d} over K_d != 0: the sum of (-1)^|F| over all faces F of degree d."""
+    table = lcm_degree_table(ideal)
+    # nonempty faces lie between generator 0's degree (the least) and the full
+    # face's; 0 is the empty face
+    values = range(table[1] - 1, (table[-1] | 1) + 1)
+    # on CPython 3.11 `bytes.count` scans about 1 ns a byte, `Counter` about 60 ns a face
+    if table.itemsize == 1 and len(values) <= 64 < len(table) // len(values):
+        counts = {0: 1, **{v: table.obj.count(v) for v in values}}
+    else:
+        counts = Counter(table)
+    get = counts.get  # K_d: the even faces of degree d less the odd ones
+    degrees = sorted({field >> 1 for field in counts})
+    return {d: n for d in degrees if (n := get(2 * d, 0) - get(2 * d + 1, 0))}
 
 
 def ps_power_sum(ideal: MonomialIdeal, k: int) -> int:
@@ -108,11 +125,8 @@ def ps_power_sum(ideal: MonomialIdeal, k: int) -> int:
     """
     if k < 0:
         raise ValueError("power-sum exponent must be nonnegative")
-    degrees = lcm_degree_table(ideal)
-    power = {d: d**k for d in set(degrees)}.__getitem__  # degrees repeat heavily
-    even, odd = (sum(map(power, compress(degrees, faces))) for faces in _face_parities(ideal.q))
     # 0**k takes out the empty face, of degree 0 and even
-    return even - odd - 0**k
+    return sum(n * d**k for d, n in taylor_numerator(ideal).items()) - 0**k
 
 
 @per_ideal

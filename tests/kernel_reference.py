@@ -1,15 +1,19 @@
 """Face-by-face reference for the packed subset-lcm kernel.
 
 `check(ideal)` compares everything read off the packed columns with a left
-fold of `lcm` over each face's members: `lcm_degree_table`, `subset_lcms`,
-the `taylor_resolution` degrees and labels, `ps_power_sum(ideal, k)` for
-k <= 3, and for dominant ideals the `betti_table` entries, one per face.  Two walks over the faces' degrees certify what the library decides
-from the dominance witnesses alone: whether any face has the degree of one of
-its facets (`is_taylor_minimal`), and for dominant ideals max(deg - hdeg)
-(`regularity_dominant`).  `BOUNDARY` pairs ideals whose lcm degree d sits on
-either side of each field-width limit with the width chosen.  `tests/test_lcm_kernel.py`
-runs the check on those ideals, on seeded random ones and on Hypothesis-drawn
-ones.
+fold of `lcm` over each face's members: `lcm_degree_table` (twice each
+face's degree plus its parity), `taylor_numerator` against a signed degree
+histogram counted face by face, `subset_lcms`, the `taylor_resolution`
+degrees and labels, `ps_power_sum(ideal, k)` for k <= 3, and for dominant
+ideals the `betti_table` entries, one per face.  Two walks over the faces'
+degrees certify what the library decides from the dominance witnesses
+alone: whether any face has the degree of one of its facets
+(`is_taylor_minimal`), and for dominant ideals max(deg - hdeg)
+(`regularity_dominant`).  `BOUNDARY` pairs ideals whose lcm degree d puts
+2d + 1 on either side of each field-width limit with the width chosen.
+`witnesses_by_pairs` is the pairwise definition of the dominance witnesses.
+`tests/test_lcm_kernel.py` runs the check on those ideals, on seeded random
+ones and on Hypothesis-drawn ones.
 """
 
 from __future__ import annotations
@@ -30,24 +34,26 @@ from multmon import (
     lcm_degree_table,
     ps_power_sum,
     regularity_dominant,
+    taylor_numerator,
     taylor_resolution,
 )
 from multmon.core import lcm_columns, subset_lcms
 
-# (ideal, field width): the lcm of all generators has degree 255 / 256,
-# 65535 / 65536 and 2^32 - 1 / 2^32, and then three exponents at the cap.
+# (ideal, field width): the lcm of all generators has degree d with 2d + 1 =
+# 255 / 257, 65535 / 65537 and 2^32 - 1 / 2^32 + 1, and then exponents at the cap.
 BOUNDARY = [
-    ("x^200*y^5, y^50*z^5, x^50*z^2", 8),
-    ("x^200*y^5, y^50*z^6, x^50*z^2", 16),
-    ("x^60000*y^5, y^5000*z^535, x^50*z^2", 16),
-    ("x^60000*y^5, y^5000*z^536, x^50*z^2", 32),
-    (f"x^{MAX_EXPONENT}*y, y^{MAX_EXPONENT - 2}*z, x*z", 32),
+    ("x^100*y^5, y^20*z^7, x^50*z^2", 8),
+    ("x^100*y^5, y^20*z^8, x^50*z^2", 16),
+    ("x^30000*y^5, y^2000*z^767, x^50*z^2", 16),
+    ("x^30000*y^5, y^2000*z^768, x^50*z^2", 32),
+    (f"x^{2**30}*y, y^{2**30 - 2}*z, x*z", 32),
+    (f"x^{2**30}*y, y^{2**30 - 1}*z, x*z", 64),
     (f"x^{MAX_EXPONENT}*y, y^{MAX_EXPONENT - 1}*z, x*z", 64),
     (f"x^{MAX_EXPONENT}, y^{MAX_EXPONENT}, x*y*z^{MAX_EXPONENT}, w^7*z", 64),
 ]
 
-# Exponents at and beside every width limit and at the cap, plus small ones.
-EXPONENTS = (1, 2, 3, 5, 255, 256, 65535, 65536, 2**31 - 1, MAX_EXPONENT)
+# Exponents beside every field-width limit, old and new, at the cap, and small ones.
+EXPONENTS = (1, 2, 3, 5, 127, 128, 255, 256, 32767, 32768, 65535, 65536, 2**31 - 1, MAX_EXPONENT)
 
 
 def field_width(ideal: MonomialIdeal) -> int:
@@ -62,7 +68,12 @@ def check(ideal: MonomialIdeal) -> None:
         for mask in range(1 << ideal.q)
     ]
     degrees = [m.degree for m in folds]
-    assert lcm_degree_table(ideal) == degrees, str(ideal)
+    tagged = [2 * d + (mask.bit_count() & 1) for mask, d in enumerate(degrees)]
+    assert lcm_degree_table(ideal).tolist() == tagged, str(ideal)
+    histogram: dict[int, int] = {}
+    for mask, d in enumerate(degrees):
+        histogram[d] = histogram.get(d, 0) + (-1) ** mask.bit_count()
+    assert taylor_numerator(ideal) == {d: n for d, n in histogram.items() if n}, str(ideal)
     assert subset_lcms(ideal.ring, ideal.gens) == [m.vec for m in folds], str(ideal)
     resolution = taylor_resolution(ideal)
     assert resolution.degrees == degrees, str(ideal)
@@ -86,3 +97,17 @@ def check(ideal: MonomialIdeal) -> None:
     else:
         with pytest.raises(UnsupportedError):
             regularity_dominant(ideal)
+
+
+def witnesses_by_pairs(ideal: MonomialIdeal) -> tuple[int | None, ...]:
+    """Per generator, the least variable whose exponent beats every other generator's."""
+    gens = ideal.gens
+    witnesses: list[int | None] = []
+    for i, g in enumerate(gens):
+        found = None
+        for v, e in enumerate(g.vec):
+            if e and all(other.vec[v] < e for j, other in enumerate(gens) if j != i):
+                found = v
+                break
+        witnesses.append(found)
+    return tuple(witnesses)

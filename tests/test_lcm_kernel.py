@@ -2,22 +2,29 @@
 
 from __future__ import annotations
 
+import math
 import random
 from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from kernel_reference import BOUNDARY, EXPONENTS, check, field_width
+from kernel_reference import BOUNDARY, EXPONENTS, check, field_width, witnesses_by_pairs
 
 from multmon import (
     Monomial,
     ResourceCapError,
+    codim,
+    dominance_witnesses,
     is_dominant,
     minimalize,
+    multiplicity_associativity,
     multiplicity_ps,
     parse_ideal,
+    ps_power_sum,
+    taylor_numerator,
 )
+from multmon import taylor
 from multmon.generate import make_table, random_ideal
 
 
@@ -34,6 +41,32 @@ def ideals(draw):
 @given(ideals())
 def test_packed_columns_match_a_folded_lcm(ideal):
     check(ideal)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(ideals(), st.randoms(use_true_random=False).map(random_ideal)))
+def test_dominance_witnesses_match_the_pairwise_definition(ideal):
+    assert dominance_witnesses(ideal) == witnesses_by_pairs(ideal), str(ideal)
+
+
+@st.composite
+def small_ideals(draw):
+    # exponents small enough for the cover oracle's colength grids
+    table = make_table(draw(st.integers(1, 4)))
+    vectors = st.tuples(*[st.integers(0, 4)] * len(table)).filter(any)
+    raw = draw(st.lists(vectors, min_size=1, max_size=6))
+    return minimalize(table, [Monomial(table, vec) for vec in raw])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(small_ideals(), st.randoms(use_true_random=False).map(random_ideal)))
+def test_numerator_vanishes_to_order_codim_and_gives_the_oracle_multiplicity(ideal):
+    # K(t) = sum_j (t - 1)^j * sum_d K_d C(d, j), and its lowest term is e (1 - t)^c
+    numerator, c = taylor_numerator(ideal), codim(ideal)
+    for j in range(c):
+        assert sum(n * math.comb(d, j) for d, n in numerator.items()) == 0, (str(ideal), j)
+    e = (-1) ** c * sum(n * math.comb(d, c) for d, n in numerator.items())
+    assert e == multiplicity_associativity(ideal), str(ideal)
 
 
 @pytest.mark.parametrize("text, width", BOUNDARY)
@@ -53,6 +86,32 @@ def test_seeded_random_ideals_match_a_folded_lcm():
 
 def cycle(q: int) -> str:
     return ", ".join(f"x{i}^2*x{(i + 1) % q}" for i in range(q))
+
+
+@pytest.mark.parametrize("text", [cycle(12), ", ".join(f"x{i}*x{i + 1}" for i in range(13))])
+def test_long_byte_tables_are_counted_value_by_value(text, monkeypatch):
+    # 2^12 and 2^13 one-byte faces over 44 and 26 values: no `Counter` pass
+    def no_counter(table):
+        raise AssertionError("counted face by face")
+
+    monkeypatch.setattr(taylor, "Counter", no_counter)
+    check(parse_ideal(text))
+
+
+def test_a_power_sum_sweep_builds_one_degree_table(monkeypatch):
+    calls, kernel = [], taylor.lcm_degree_table
+
+    def counted(ideal):
+        calls.append(ideal)
+        return kernel(ideal)
+
+    monkeypatch.setattr(taylor, "lcm_degree_table", counted)
+    ideal = parse_ideal(cycle(20))
+    c = codim(ideal)
+    sums = [ps_power_sum(ideal, k) for k in range(c + 1)]
+    assert sums[0] == -1 and not any(sums[1:c])
+    assert sums[c] == math.factorial(c) * multiplicity_ps(ideal)
+    assert len(calls) == 1
 
 
 def test_power_sum_on_cycle_20_takes_under_a_second():
