@@ -217,22 +217,24 @@ def gcd_all(monomials: Iterable[Monomial]) -> Monomial:
 _FIELD_FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
 
-def lcm_columns(gens: Sequence[Monomial]) -> tuple[int, Iterator[int]]:
+def lcm_columns(gens: Sequence[Monomial], tagged: bool = False) -> tuple[int, Iterator[int]]:
     """Per variable of the table, its exponent in the lcm of every subset of `gens`, packed.
 
     `gens` is nonempty.  Returns the field width and an iterator over the
     packed columns, one per variable in table order (0 for a variable no
     generator uses).  Field `mask` of a column (bits `mask * width` up to
     `(mask + 1) * width`) holds the exponent for that generator bitmask.  The
-    width is the narrowest of 8, 16, 32 and 64 bits that holds 2 * deg lcm(all)
-    + 1, so a field also holds twice any sum of the columns (a face's degree)
-    plus a spare low bit; exponents are at most `MAX_EXPONENT`, so 64 suffice.
+    width is the narrowest of 8, 16, 32 and 64 bits that holds deg lcm(all),
+    so a field also holds any sum of the columns (a face's degree); with
+    `tagged`, one that holds 2 * deg lcm(all) + 1, so a field also holds twice
+    a face's degree plus a spare low bit.  Exponents are at most
+    `MAX_EXPONENT`, so 64 suffice.
     """
     exponents = list(zip(*[g.vec for g in gens]))
     tops = list(map(max, exponents))
-    tagged = 2 * sum(tops) + 1
+    bound = 2 * sum(tops) + 1 if tagged else sum(tops)
     width = 8
-    while tagged >> width:
+    while bound >> width:
         width <<= 1
     return width, _packed_columns(exponents, tops, width, len(gens))
 

@@ -86,7 +86,7 @@ def lcm_degree_table(ideal: MonomialIdeal) -> memoryview:
     indicator, unpacked once: O(q) big-integer operations per used variable.
     """
     _require_small(ideal)
-    width, columns = lcm_columns(ideal.gens)
+    width, columns = lcm_columns(ideal.gens, tagged=True)
     return unpack_fields(2 * sum(columns) + _odd_faces(ideal.q, width), width, ideal.q)
 
 

@@ -9,8 +9,10 @@ ideals the `betti_table` entries, one per face.  Two walks over the faces'
 degrees certify what the library decides from the dominance witnesses
 alone: whether any face has the degree of one of its facets
 (`is_taylor_minimal`), and for dominant ideals max(deg - hdeg)
-(`regularity_dominant`).  `BOUNDARY` pairs ideals whose lcm degree d puts
-2d + 1 on either side of each field-width limit with the width chosen.
+(`regularity_dominant`).  `BOUNDARY` pairs ideals whose lcm degree d sits on
+either side of each field-width limit with the width of the subset-lcm
+columns, and `TAGGED_BOUNDARY` ideals whose 2d + 1 does with the width of the
+degree table.
 `witnesses_by_pairs` is the pairwise definition of the dominance witnesses.
 `tests/test_lcm_kernel.py` runs the check on those ideals, on seeded random
 ones and on Hypothesis-drawn ones.
@@ -39,9 +41,22 @@ from multmon import (
 )
 from multmon.core import lcm_columns, subset_lcms
 
-# (ideal, field width): the lcm of all generators has degree d with 2d + 1 =
-# 255 / 257, 65535 / 65537 and 2^32 - 1 / 2^32 + 1, and then exponents at the cap.
+# (ideal, field width) for the subset-lcm columns: the lcm of all generators
+# has degree 255 / 256, 65535 / 65536 and 2^32 - 1 / 2^32, and then three
+# exponents at the cap.
 BOUNDARY = [
+    ("x^200*y^5, y^50*z^5, x^50*z^2", 8),
+    ("x^200*y^5, y^50*z^6, x^50*z^2", 16),
+    ("x^60000*y^5, y^5000*z^535, x^50*z^2", 16),
+    ("x^60000*y^5, y^5000*z^536, x^50*z^2", 32),
+    (f"x^{MAX_EXPONENT}*y, y^{MAX_EXPONENT - 2}*z, x*z", 32),
+    (f"x^{MAX_EXPONENT}*y, y^{MAX_EXPONENT - 1}*z, x*z", 64),
+    (f"x^{MAX_EXPONENT}, y^{MAX_EXPONENT}, x*y*z^{MAX_EXPONENT}, w^7*z", 64),
+]
+
+# (ideal, field width) for the degree table, whose fields hold 2d + 1: d has
+# 2d + 1 = 255 / 257, 65535 / 65537 and 2^32 - 1 / 2^32 + 1, then the cap.
+TAGGED_BOUNDARY = [
     ("x^100*y^5, y^20*z^7, x^50*z^2", 8),
     ("x^100*y^5, y^20*z^8, x^50*z^2", 16),
     ("x^30000*y^5, y^2000*z^767, x^50*z^2", 16),
@@ -49,15 +64,14 @@ BOUNDARY = [
     (f"x^{2**30}*y, y^{2**30 - 2}*z, x*z", 32),
     (f"x^{2**30}*y, y^{2**30 - 1}*z, x*z", 64),
     (f"x^{MAX_EXPONENT}*y, y^{MAX_EXPONENT - 1}*z, x*z", 64),
-    (f"x^{MAX_EXPONENT}, y^{MAX_EXPONENT}, x*y*z^{MAX_EXPONENT}, w^7*z", 64),
 ]
 
 # Exponents beside every field-width limit, old and new, at the cap, and small ones.
 EXPONENTS = (1, 2, 3, 5, 127, 128, 255, 256, 32767, 32768, 65535, 65536, 2**31 - 1, MAX_EXPONENT)
 
 
-def field_width(ideal: MonomialIdeal) -> int:
-    width, _ = lcm_columns(ideal.gens)
+def field_width(ideal: MonomialIdeal, tagged: bool = False) -> int:
+    width, _ = lcm_columns(ideal.gens, tagged)
     return width
 
 

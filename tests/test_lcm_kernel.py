@@ -9,7 +9,14 @@ from time import perf_counter
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from kernel_reference import BOUNDARY, EXPONENTS, check, field_width, witnesses_by_pairs
+from kernel_reference import (
+    BOUNDARY,
+    EXPONENTS,
+    TAGGED_BOUNDARY,
+    check,
+    field_width,
+    witnesses_by_pairs,
+)
 
 from multmon import (
     Monomial,
@@ -73,6 +80,13 @@ def test_numerator_vanishes_to_order_codim_and_gives_the_oracle_multiplicity(ide
 def test_every_field_width_matches_a_folded_lcm(text, width):
     ideal = parse_ideal(text)
     assert field_width(ideal) == width
+    check(ideal)
+
+
+@pytest.mark.parametrize("text, width", TAGGED_BOUNDARY)
+def test_every_tagged_field_width_matches_a_folded_lcm(text, width):
+    ideal = parse_ideal(text)
+    assert field_width(ideal, tagged=True) == width
     check(ideal)
 
 
