@@ -373,9 +373,9 @@ def _inside(monomials: Iterable[Monomial], supports: Iterable[int], t: int) -> I
 def per_ideal(fn: Callable) -> Callable:
     """Compute `fn(ideal)` once per ideal object and cache it on the ideal.
 
-    Ideals are immutable, so a fact about one never goes stale.  A call that
-    raises caches nothing.  Facts are keyed by name so that an analysed
-    ideal still pickles.
+    Ideals are immutable and callers share the cached value, so a fact whose
+    `fn` returns an immutable value never goes stale.  A call that raises
+    caches nothing; facts are keyed by name so an analysed ideal pickles.
     """
     key = f"{fn.__module__}.{fn.__qualname__}"
 

@@ -102,11 +102,10 @@ def _odd_faces(q: int, width: int) -> int:
 
 
 @per_ideal
-def taylor_numerator(ideal: MonomialIdeal) -> dict[int, int]:
-    """K(t) as {d: K_d} over K_d != 0: the sum of (-1)^|F| over all faces F of degree d."""
+def taylor_numerator(ideal: MonomialIdeal) -> tuple[tuple[int, int], ...]:
+    """K(t) as (d, K_d) pairs by degree, K_d != 0: the sum of (-1)^|F| over faces F of degree d."""
     table = lcm_degree_table(ideal)
-    # nonempty faces lie between generator 0's degree (the least) and the full
-    # face's; 0 is the empty face
+    # 0 is the empty face; the others run from generator 0's degree (the least) to the full face's
     values = range(table[1] - 1, (table[-1] | 1) + 1)
     # on CPython 3.11 `bytes.count` scans about 1 ns a byte, `Counter` about 60 ns a face
     if table.itemsize == 1 and len(values) <= 64 < len(table) // len(values):
@@ -115,7 +114,7 @@ def taylor_numerator(ideal: MonomialIdeal) -> dict[int, int]:
         counts = Counter(table)
     get = counts.get  # K_d: the even faces of degree d less the odd ones
     degrees = sorted({field >> 1 for field in counts})
-    return {d: n for d in degrees if (n := get(2 * d, 0) - get(2 * d + 1, 0))}
+    return tuple((d, n) for d in degrees if (n := get(2 * d, 0) - get(2 * d + 1, 0)))
 
 
 def ps_power_sum(ideal: MonomialIdeal, k: int) -> int:
@@ -126,7 +125,7 @@ def ps_power_sum(ideal: MonomialIdeal, k: int) -> int:
     if k < 0:
         raise ValueError("power-sum exponent must be nonnegative")
     # 0**k takes out the empty face, of degree 0 and even
-    return sum(n * d**k for d, n in taylor_numerator(ideal).items()) - 0**k
+    return sum(n * d**k for d, n in taylor_numerator(ideal)) - 0**k
 
 
 @per_ideal

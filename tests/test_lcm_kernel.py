@@ -71,8 +71,8 @@ def test_numerator_vanishes_to_order_codim_and_gives_the_oracle_multiplicity(ide
     # K(t) = sum_j (t - 1)^j * sum_d K_d C(d, j), and its lowest term is e (1 - t)^c
     numerator, c = taylor_numerator(ideal), codim(ideal)
     for j in range(c):
-        assert sum(n * math.comb(d, j) for d, n in numerator.items()) == 0, (str(ideal), j)
-    e = (-1) ** c * sum(n * math.comb(d, c) for d, n in numerator.items())
+        assert sum(n * math.comb(d, j) for d, n in numerator) == 0, (str(ideal), j)
+    e = (-1) ** c * sum(n * math.comb(d, c) for d, n in numerator)
     assert e == multiplicity_associativity(ideal), str(ideal)
 
 
@@ -110,6 +110,19 @@ def test_long_byte_tables_are_counted_value_by_value(text, monkeypatch):
 
     monkeypatch.setattr(taylor, "Counter", no_counter)
     check(parse_ideal(text))
+
+
+def test_editing_the_numerator_cannot_change_later_power_sums():
+    # the value is cached on the ideal and read by every `ps_power_sum`
+    ideal, fresh = parse_ideal(cycle(6)), parse_ideal(cycle(6))
+    numerator = taylor_numerator(ideal)
+    with pytest.raises(TypeError):
+        numerator[0] = (0, 0)
+    with pytest.raises(AttributeError):
+        numerator.pop(0)
+    assert taylor_numerator(ideal) == taylor_numerator(fresh)
+    assert [ps_power_sum(ideal, k) for k in range(8)] == [ps_power_sum(fresh, k) for k in range(8)]
+    assert multiplicity_ps(ideal) == multiplicity_ps(fresh)
 
 
 def test_a_power_sum_sweep_builds_one_degree_table(monkeypatch):
