@@ -7,13 +7,13 @@ monomial ideal stores its unique minimal generating set in a canonical order
 exponent vectors) so that equal ideals compare equal regardless of how their
 generators were supplied.
 
-Every subset lcm comes from one recurrence, `lcm_columns`: per variable, the
-exponent column over all generator bitmasks, packed into one integer with a
-fixed-width field per bitmask, so the 2^q faces cost a few big-integer
-operations per generator rather than a Python loop per face.
+Every subset lcm comes from one recurrence, `lcm_columns`: per variable, how
+far its exponent in each face's lcm falls short of its largest, packed into
+one integer with a fixed-width field per generator bitmask, so the 2^q faces
+cost a few big-integer operations per generator, not a Python loop per face.
 `unpack_fields` reads a packed column as a memoryview of its fields;
-`subset_lcms` zips the fields into exponent tuples, not monomials, and
-`taylor.lcm_degree_table` sums the columns into parity-tagged degrees.
+`subset_lcms` zips the columns top * `packed_ones` - deficit into exponent
+tuples, and `taylor.lcm_degree_table` sums the deficits into tagged shortfalls.
 
 Everything here is an immutable value; operations return fresh objects.
 """
@@ -42,6 +42,7 @@ __all__ = [
     "lcm_all",
     "gcd_all",
     "lcm_columns",
+    "packed_ones",
     "unpack_fields",
     "subset_lcms",
     "minimalize",
@@ -217,56 +218,52 @@ def gcd_all(monomials: Iterable[Monomial]) -> Monomial:
 _FIELD_FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
 
-def lcm_columns(gens: Sequence[Monomial], tagged: bool = False) -> tuple[int, Iterator[int]]:
-    """Per variable of the table, its exponent in the lcm of every subset of `gens`, packed.
+def lcm_columns(gens: Sequence[Monomial], tagged: bool = False) -> tuple[int, list, Iterator]:
+    """Per variable, how far its exponent in each subset lcm of `gens` falls short of its top.
 
-    `gens` is nonempty.  Returns the field width and an iterator over the
-    packed columns, one per variable in table order (0 for a variable no
-    generator uses).  Field `mask` of a column (bits `mask * width` up to
-    `(mask + 1) * width`) holds the exponent for that generator bitmask.  The
-    width is the narrowest of 8, 16, 32 and 64 bits that holds deg lcm(all),
-    so a field also holds any sum of the columns (a face's degree); with
-    `tagged`, one that holds 2 * deg lcm(all) + 1, so a field also holds twice
-    a face's degree plus a spare low bit.  Exponents are at most
-    `MAX_EXPONENT`, so 64 suffice.
+    `gens` is nonempty.  Returns the field width, each variable's top (its
+    largest exponent, 0 if no generator uses it) and an iterator over the
+    packed deficit columns in table order.  Field `mask` of a column (bits
+    `mask * width` up to `(mask + 1) * width`) holds top less the exponent in
+    the lcm of `mask`: top for the empty face, 0 for the full one.  A caller
+    rebuilds an exponent column as `top * packed_ones(width, q) - deficit`; a
+    sum of deficits is each face's shortfall from deg lcm(all).  The width is
+    the narrowest of 8, 16, 32 and 64 bits that holds deg lcm(all), or with
+    `tagged` 2 * deg lcm(all) + 1, so a field also holds twice a shortfall plus
+    a spare low bit.  Exponents are at most `MAX_EXPONENT`, so 64 suffice.
     """
     exponents = list(zip(*[g.vec for g in gens]))
     tops = list(map(max, exponents))
     bound = 2 * sum(tops) + 1 if tagged else sum(tops)
-    width = 8
-    while bound >> width:
-        width <<= 1
-    return width, _packed_columns(exponents, tops, width, len(gens))
+    width = next(w for w in _FIELD_FORMATS if not bound >> w)  # ascending widths
+    return width, tops, _deficit_columns(exponents, tops, [width << k for k in range(len(gens))])
 
 
-def _packed_columns(
-    exponents: list[tuple[int, ...]], tops: list[int], width: int, q: int
-) -> Iterator[int]:
-    """The columns of `lcm_columns`, one per exponent tuple, built level by level.
+def _deficit_columns(exponents: list, tops: list[int], shifts: list[int]) -> Iterator[int]:
+    """The deficit columns of `lcm_columns`, one per exponent tuple, built level by level.
 
-    A column is a sum of levels, one per distinct nonzero exponent a: (a - prev)
-    in every field whose face has a member of exponent >= a, prev being the
-    next lower exponent (or 0).  The faces without such a member are the
-    subsets of the generators below a; their indicator z grows by one
-    doubling `z |= z << (width << k)` per generator k, taken in exponent
-    order, and the level is `(a - prev) * (ones - z)`.  Each step is one
-    big-integer operation: no Python code runs per face.
+    At each distinct nonzero exponent a, ascending, a column gains a - prev
+    (prev the next lower exponent, or 0) in each face of the generators below
+    a.  Their indicator z grows by one doubling `z |= z << shifts[k]` per
+    generator k, taken in exponent order, so a level is one big-integer add
+    (the first is z itself), with a multiply only when a - prev > 1.
     """
-    ones = ((1 << (width << q)) - 1) // ((1 << width) - 1)
-    shifts = [width << k for k in range(q)]
     for exps, top in zip(exponents, tops):
-        if not top:  # a variable none of `gens` uses
-            yield 0
-            continue
-        col, z, prev = 0, 1, 0
+        deficit, z, prev = 0, 1, 0  # stays 0 for a variable none of `gens` uses: top is 0
         for e, shift in sorted(zip(exps, shifts)):
             if e > prev:
-                col += (e - prev) * (ones - z)
+                step = z if e - prev == 1 else (e - prev) * z
+                deficit = deficit + step if prev else step
                 prev = e
             if e == top:
                 break  # every level is in: z is not needed again
             z |= z << shift
-        yield col
+        yield deficit
+
+
+def packed_ones(width: int, q: int) -> int:
+    """The packed column with 1 in each of its 2^q `width`-bit fields."""
+    return ((1 << (width << q)) - 1) // ((1 << width) - 1)
 
 
 def unpack_fields(packed: int, width: int, q: int) -> memoryview:
@@ -281,10 +278,10 @@ def subset_lcms(table: VariableTable, gens: Sequence[Monomial]) -> list[tuple[in
     if not gens:
         return [(0,) * len(table)]
     q = len(gens)
-    width, columns = lcm_columns(gens)
-    zero = unpack_fields(0, width, q)  # shared by the variables no generator uses
-    fields = [unpack_fields(col, width, q) if col else zero for col in columns]
-    return list(zip(*fields))
+    width, tops, deficits = lcm_columns(gens)
+    ones, zero = packed_ones(width, q), unpack_fields(0, width, q)  # zero: unused variables
+    columns = (top * ones - deficit for top, deficit in zip(tops, deficits))
+    return list(zip(*[unpack_fields(col, width, q) if col else zero for col in columns]))
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,7 +2,7 @@
 
 For an ideal with q minimal generators the complex has one face per subset of
 generators.  A face is a bitmask into mask-indexed lists read off the packed
-subset-lcm columns (`core.lcm_columns`, one big integer per variable):
+subset-lcm deficit columns (`core.lcm_columns`, one big integer per variable):
 `degrees[mask]` is the total degree of the lcm of its members and
 `labels[mask]` that lcm rendered as text; its homological degree is
 `mask.bit_count()`.  Ranks are binomial: C(q, s) faces in degree s.
@@ -18,8 +18,9 @@ of S/I (Bayer-Stillman 1992, Bigatti 1997), and reads the power sums off it:
 
 P(k) vanishes for 1 <= k < c and equals (-1)^c c! e at k = c, where c is the
 codimension and e the multiplicity; all arithmetic is arbitrary-precision.
-K is counted in C from one degree table and cached on the ideal, so a sweep
-over k builds one table and no Python code runs per face.
+K is counted in C from one table of each face's shortfall from deg lcm(all),
+the summed deficits, and cached on the ideal: a sweep over k builds one table,
+no exponent column is formed and no Python code runs per face.
 
 Everything touching all 2^q faces is hard-capped at q <= 20.  Minimality and
 regularity touch none: both follow from the dominance witnesses.
@@ -37,6 +38,7 @@ from .core import (
     Monomial,
     MonomialIdeal,
     lcm_columns,
+    packed_ones,
     per_ideal,
     subset_lcms,
     unpack_fields,
@@ -80,14 +82,14 @@ def _require_dominant(ideal: MonomialIdeal) -> None:
 
 
 def lcm_degree_table(ideal: MonomialIdeal) -> memoryview:
-    """2 * deg(lcm of members) + (|members| mod 2) for every generator bitmask; index = mask.
+    """2 * (deg lcm(all) - deg lcm(members)) + (|members| mod 2) per bitmask; index = mask.
 
-    Twice the sum of the packed `core.lcm_columns` columns plus the odd faces'
-    indicator, unpacked once: O(q) big-integer operations per used variable.
+    Field 0, the empty face's, is 2 * deg lcm(all).  Twice the summed packed
+    `core.lcm_columns` deficits plus the odd faces' indicator, unpacked once.
     """
     _require_small(ideal)
-    width, columns = lcm_columns(ideal.gens, tagged=True)
-    return unpack_fields(2 * sum(columns) + _odd_faces(ideal.q, width), width, ideal.q)
+    width, _, deficits = lcm_columns(ideal.gens, tagged=True)
+    return unpack_fields(2 * sum(deficits) + _odd_faces(ideal.q, width), width, ideal.q)
 
 
 @lru_cache(maxsize=None)  # one entry per q <= Q_MAX and field width in use
@@ -105,16 +107,16 @@ def _odd_faces(q: int, width: int) -> int:
 def taylor_numerator(ideal: MonomialIdeal) -> tuple[tuple[int, int], ...]:
     """K(t) as (d, K_d) pairs by degree, K_d != 0: the sum of (-1)^|F| over faces F of degree d."""
     table = lcm_degree_table(ideal)
-    # 0 is the empty face; the others run from generator 0's degree (the least) to the full face's
-    values = range(table[1] - 1, (table[-1] | 1) + 1)
+    # field 0 is the empty face's; the others run from the full face's to generator 0's (the most)
+    values = range(table[1] + 1)
     # on CPython 3.11 `bytes.count` scans about 1 ns a byte, `Counter` about 60 ns a face
     if table.itemsize == 1 and len(values) <= 64 < len(table) // len(values):
-        counts = {0: 1, **{v: table.obj.count(v) for v in values}}
+        counts = {table[0]: 1, **{v: table.obj.count(v) for v in values}}
     else:
         counts = Counter(table)
-    get = counts.get  # K_d: the even faces of degree d less the odd ones
-    degrees = sorted({field >> 1 for field in counts})
-    return tuple((d, n) for d in degrees if (n := get(2 * d, 0) - get(2 * d + 1, 0)))
+    get, top = counts.get, table[0] >> 1  # K_d at d = top - t: the even faces less the odd ones
+    shortfalls = sorted({field >> 1 for field in counts}, reverse=True)
+    return tuple((top - t, n) for t in shortfalls if (n := get(2 * t, 0) - get(2 * t + 1, 0)))
 
 
 def ps_power_sum(ideal: MonomialIdeal, k: int) -> int:
@@ -189,9 +191,9 @@ def taylor_resolution(ideal: MonomialIdeal) -> TaylorResolution:
     """
     _require_small(ideal)
     q, gens, names = ideal.q, ideal.gens, ideal.ring.names
-    width, columns = lcm_columns(gens)
-    total, tokens = 0, []
-    for v, col in enumerate(columns):
+    width, tops, deficits = lcm_columns(gens)
+    ones, total, tokens = packed_ones(width, q), 0, []
+    for v, col in enumerate(top * ones - deficit for top, deficit in zip(tops, deficits)):
         if not col:
             continue  # a variable no generator uses
         total += col

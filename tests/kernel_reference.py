@@ -1,8 +1,10 @@
 """Face-by-face reference for the packed subset-lcm kernel.
 
 `check(ideal)` compares everything read off the packed columns with a left
-fold of `lcm` over each face's members: `lcm_degree_table` (twice each
-face's degree plus its parity), `taylor_numerator` against a signed degree
+fold of `lcm` over each face's members: the `lcm_columns` deficits (each
+variable's top exponent less its exponent in the face's lcm),
+`lcm_degree_table` (twice each face's shortfall from deg lcm(all) plus its
+parity), `taylor_numerator` against a signed degree
 histogram counted face by face, `subset_lcms`, the `taylor_resolution`
 degrees and labels, `ps_power_sum(ideal, k)` for k <= 3, and for dominant
 ideals the `betti_table` entries, one per face.  Two walks over the faces'
@@ -12,7 +14,9 @@ alone: whether any face has the degree of one of its facets
 (`regularity_dominant`).  `BOUNDARY` pairs ideals whose lcm degree d sits on
 either side of each field-width limit with the width of the subset-lcm
 columns, and `TAGGED_BOUNDARY` ideals whose 2d + 1 does with the width of the
-degree table.
+degree table.  `REFERENCE` holds ideals that take each branch of the deficit
+build: a variable whose exponent levels step by 1 and by more, and a
+variable no generator uses.
 `witnesses_by_pairs` is the pairwise definition of the dominance witnesses.
 `tests/test_lcm_kernel.py` runs the check on those ideals, on seeded random
 ones and on Hypothesis-drawn ones.
@@ -39,7 +43,7 @@ from multmon import (
     taylor_numerator,
     taylor_resolution,
 )
-from multmon.core import lcm_columns, subset_lcms
+from multmon.core import lcm_columns, subset_lcms, unpack_fields
 
 # (ideal, field width) for the subset-lcm columns: the lcm of all generators
 # has degree 255 / 256, 65535 / 65536 and 2^32 - 1 / 2^32, and then three
@@ -66,12 +70,18 @@ TAGGED_BOUNDARY = [
     (f"x^{MAX_EXPONENT}*y, y^{MAX_EXPONENT - 1}*z, x*z", 64),
 ]
 
+# x has the levels 1, 2, 4, 5 (steps of 1 and 2); v is in no generator.
+REFERENCE = [
+    ("x^5*y, x^4*z, x^2*w, x*y*z*w", None),
+    ("x^3*y, y^2*z^4, x*z", ("v", "z", "y", "x")),
+]
+
 # Exponents beside every field-width limit, old and new, at the cap, and small ones.
 EXPONENTS = (1, 2, 3, 5, 127, 128, 255, 256, 32767, 32768, 65535, 65536, 2**31 - 1, MAX_EXPONENT)
 
 
 def field_width(ideal: MonomialIdeal, tagged: bool = False) -> int:
-    width, _ = lcm_columns(ideal.gens, tagged)
+    width, _, _ = lcm_columns(ideal.gens, tagged)
     return width
 
 
@@ -82,7 +92,13 @@ def check(ideal: MonomialIdeal) -> None:
         for mask in range(1 << ideal.q)
     ]
     degrees = [m.degree for m in folds]
-    tagged = [2 * d + (mask.bit_count() & 1) for mask, d in enumerate(degrees)]
+    width, tops, deficits = lcm_columns(ideal.gens)
+    assert tops == list(folds[-1].vec), str(ideal)
+    for v, deficit in enumerate(deficits):
+        fields = unpack_fields(deficit, width, ideal.q).tolist()
+        assert fields == [tops[v] - m.vec[v] for m in folds], (str(ideal), v)
+    top = degrees[-1]
+    tagged = [2 * (top - d) + (mask.bit_count() & 1) for mask, d in enumerate(degrees)]
     assert lcm_degree_table(ideal).tolist() == tagged, str(ideal)
     histogram: dict[int, int] = {}
     for mask, d in enumerate(degrees):

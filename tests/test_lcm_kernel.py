@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from kernel_reference import (
     BOUNDARY,
     EXPONENTS,
+    REFERENCE,
     TAGGED_BOUNDARY,
     check,
     field_width,
@@ -23,7 +24,9 @@ from multmon import (
     ResourceCapError,
     codim,
     dominance_witnesses,
+    ideal_from_maps,
     is_dominant,
+    lcm_degree_table,
     minimalize,
     multiplicity_associativity,
     multiplicity_ps,
@@ -48,6 +51,30 @@ def ideals(draw):
 @given(ideals())
 def test_packed_columns_match_a_folded_lcm(ideal):
     check(ideal)
+
+
+@st.composite
+def reorderings(draw):
+    # one ideal from generator maps as drawn, shuffled, and over a permuted variable order
+    names = make_table(draw(st.integers(1, 5))).names
+    exponent = st.one_of(st.integers(0, 6), st.sampled_from(EXPONENTS))
+    vectors = st.tuples(*[exponent] * len(names)).filter(any)
+    raw = draw(st.lists(vectors, min_size=1, max_size=10))
+    maps = [{name: e for name, e in zip(names, vec) if e} for vec in raw]
+    shuffled = ideal_from_maps(draw(st.permutations(maps)), names)
+    renamed = ideal_from_maps(maps, draw(st.permutations(names)))
+    return ideal_from_maps(maps, names), shuffled, renamed
+
+
+@settings(max_examples=200, deadline=None)
+@given(reorderings())
+def test_numerator_and_degree_table_ignore_generator_and_variable_order(ideals):
+    # the deficit build sorts each variable's generators by (exponent, shift)
+    ideal, *others = ideals
+    for other in others:
+        assert taylor_numerator(other) == taylor_numerator(ideal), str(other)
+        assert multiplicity_ps(other) == multiplicity_ps(ideal), str(other)
+        assert sorted(lcm_degree_table(other)) == sorted(lcm_degree_table(ideal)), str(other)
 
 
 @settings(max_examples=300, deadline=None)
@@ -88,6 +115,19 @@ def test_every_tagged_field_width_matches_a_folded_lcm(text, width):
     ideal = parse_ideal(text)
     assert field_width(ideal, tagged=True) == width
     check(ideal)
+
+
+@pytest.mark.parametrize("text, names", REFERENCE)
+def test_every_deficit_branch_matches_a_folded_lcm(text, names):
+    check(parse_ideal(text, var_names=names))
+
+
+def test_reference_ideals_take_every_deficit_branch():
+    stepped, unused = (parse_ideal(text, var_names=names) for text, names in REFERENCE)
+    x = stepped.ring.index("x")
+    levels = sorted({g.vec[x] for g in stepped.gens})
+    assert len(levels) >= 3 and {b - a for a, b in zip(levels, levels[1:])} >= {1, 2}
+    assert len(unused.used_variables()) < len(unused.ring)
 
 
 def test_seeded_random_ideals_match_a_folded_lcm():

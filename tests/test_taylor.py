@@ -74,12 +74,14 @@ def test_subset_lcms_and_degree_table_match_a_folded_lcm():
         lcms = subset_lcms(ideal.ring, ideal.gens)
         table = lcm_degree_table(ideal)
         unit = Monomial.unit(ideal.ring)
+        top = reduce(lcm, ideal.gens, unit).degree
         assert len(lcms) == len(table) == 1 << ideal.q
         for mask in range(1 << ideal.q):
             members = [g for i, g in enumerate(ideal.gens) if mask >> i & 1]
             expected = reduce(lcm, members, unit)
             assert lcms[mask] == expected.vec, (str(ideal), mask)
-            assert table[mask] == 2 * expected.degree + len(members) % 2, (str(ideal), mask)
+            shortfall = top - expected.degree
+            assert table[mask] == 2 * shortfall + len(members) % 2, (str(ideal), mask)
 
 
 def test_resolution_labels_and_degrees_match_the_monomials():
@@ -90,7 +92,8 @@ def test_resolution_labels_and_degrees_match_the_monomials():
     for ideal in ideals:
         resolution = taylor_resolution(ideal)
         assert "mdegs" not in vars(resolution)
-        assert resolution.degrees == [f >> 1 for f in lcm_degree_table(ideal)], str(ideal)
+        table = lcm_degree_table(ideal)
+        assert resolution.degrees == [(table[0] >> 1) - (f >> 1) for f in table], str(ideal)
         monomials = [Monomial(ideal.ring, vec) for vec in resolution.mdegs]
         assert resolution.labels == [str(m) for m in monomials], str(ideal)
         assert resolution.mdegs == subset_lcms(ideal.ring, ideal.gens)
