@@ -59,9 +59,7 @@ from .invariants import (
     is_dominant,
 )
 from .oracle import (
-    CoverContribution,
     colength,
-    cover_contributions,
     minimal_covers,
     multiplicity_associativity,
 )

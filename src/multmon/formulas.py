@@ -79,8 +79,7 @@ def detect_stem(ideal: MonomialIdeal) -> StemStructure | None:
     the "shares a variable" graph on generators has a nonunit overall gcd; the
     components are then the unique valid blocks.
     """
-    dominant, _ = is_dominant(ideal)
-    if not dominant:
+    if not is_dominant(ideal):
         return None
     blocks = sorted(support_components(ideal), key=lambda block: (-len(block), block[0]))
     stems = []
@@ -123,7 +122,7 @@ class QuadraticDominantData:
 
 def is_quadratic_dominant(ideal: MonomialIdeal) -> bool:
     """Whether the ideal is dominant and every generator has total degree 2."""
-    return all(g.degree == 2 for g in ideal.gens) and is_dominant(ideal)[0]
+    return all(g.degree == 2 for g in ideal.gens) and is_dominant(ideal)
 
 
 def quadratic_dominant_data(ideal: MonomialIdeal) -> QuadraticDominantData:
@@ -193,8 +192,7 @@ def validate_split(ideal: MonomialIdeal, split: CISplit) -> None:
     claimed = sorted(split.free + split.ci)
     if claimed != list(range(ideal.q)):
         raise HypothesisError("split must partition the generator indices")
-    dominant, _ = is_dominant(ideal)
-    if not dominant:
+    if not is_dominant(ideal):
         raise HypothesisError("the structural formula requires a dominant ideal")
     if not pairwise_coprime(ideal.supports[i] for i in split.ci):
         raise HypothesisError("the designated CI part is not pairwise coprime")
@@ -210,7 +208,7 @@ def e_structural(ideal: MonomialIdeal, split: CISplit | None = None) -> int:
     first one `find_ci_split` finds is used, searched only for a dominant ideal.
     """
     if split is None:
-        if not is_dominant(ideal)[0]:  # cached and cheap; the split search is not
+        if not is_dominant(ideal):  # cached and cheap; the split search is not
             raise HypothesisError("the structural formula requires a dominant ideal")
         split = find_ci_split(ideal)
         if split is None:
@@ -260,15 +258,13 @@ def aci_dominant_witness(ideal: MonomialIdeal) -> int:
     witness = is_almost_complete_intersection(ideal)
     if witness is None:
         raise HypothesisError("not an almost complete intersection")
-    dominant, _ = is_dominant(ideal)
-    if dominant:
+    if is_dominant(ideal):
         raise HypothesisError("the ideal is already dominant")
     for i in range(ideal.q):
         if i == witness:
             continue
         reduced = ideal.without(i)
-        reduced_dominant, _ = is_dominant(reduced)
-        if reduced_dominant and codim(reduced) == ideal.q - 2:
+        if is_dominant(reduced) and codim(reduced) == ideal.q - 2:
             return i
     raise InternalConsistencyError(
         "no dominant reduction found for a non-dominant almost complete intersection"

@@ -124,22 +124,35 @@ def dominance_witnesses(ideal: MonomialIdeal) -> tuple[int | None, ...]:
     """Per generator, the least variable whose exponent strictly beats all others.
 
     `None` marks a generator with no such variable (a non-dominant generator).
-    A variable can witness only the generator that alone reaches its top exponent.
+    A variable can witness only the generator that alone reaches its top
+    exponent; only the variables in each generator's support are read.
     """
+    top: dict[int, int] = {}
+    holder: dict[int, int | None] = {}  # the generator alone at the top, if one is
+    for i, (g, s) in enumerate(zip(ideal.gens, ideal.supports)):
+        vec = g.vec
+        while s:
+            low = s & -s
+            v = low.bit_length() - 1
+            s ^= low
+            e = vec[v]
+            t = top.get(v, 0)
+            if e > t:
+                top[v] = e
+                holder[v] = i
+            elif e == t:
+                holder[v] = None
     witnesses: list[int | None] = [None] * ideal.q
-    for v, column in enumerate(zip(*(g.vec for g in ideal.gens))):
-        top = max(column)
-        if top and column.count(top) == 1:
-            i = column.index(top)
-            if witnesses[i] is None:
-                witnesses[i] = v
+    for v in sorted(holder):
+        i = holder[v]
+        if i is not None and witnesses[i] is None:
+            witnesses[i] = v
     return tuple(witnesses)
 
 
-def is_dominant(ideal: MonomialIdeal) -> tuple[bool, tuple[int | None, ...]]:
-    """Whether every generator has a strictly private exponent, with witnesses."""
-    witnesses = dominance_witnesses(ideal)
-    return all(w is not None for w in witnesses), witnesses
+def is_dominant(ideal: MonomialIdeal) -> bool:
+    """Whether every generator has a strictly private exponent (see `dominance_witnesses`)."""
+    return None not in dominance_witnesses(ideal)
 
 
 @per_ideal
@@ -170,28 +183,27 @@ class ClassificationReport:
     """Summary of the hypothesis-relevant shape of an ideal."""
 
     codim: int
-    is_dominant: bool
     dominant_witness: tuple[int | None, ...]
     is_ci: bool
     aci_witness: int | None
-    is_codim1: bool
 
-    def __post_init__(self):
-        if self.is_codim1 != (self.codim == 1):
-            raise ValueError("codim-1 flag inconsistent with codimension")
+    @property
+    def is_codim1(self) -> bool:
+        return self.codim == 1
+
+    @property
+    def is_dominant(self) -> bool:
+        return None not in self.dominant_witness
 
 
 def classify(ideal: MonomialIdeal) -> ClassificationReport:
     c = codim(ideal)
-    dominant, witnesses = is_dominant(ideal)
     ci = is_complete_intersection(ideal)
     if ci != (c == ideal.q):
         raise InternalConsistencyError("coprimality test disagrees with codimension")
     return ClassificationReport(
         codim=c,
-        is_dominant=dominant,
-        dominant_witness=witnesses,
+        dominant_witness=dominance_witnesses(ideal),
         is_ci=ci,
         aci_witness=is_almost_complete_intersection(ideal),
-        is_codim1=c == 1,
     )

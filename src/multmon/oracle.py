@@ -13,7 +13,6 @@ the cap rather than approximating.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
 
 from .core import MonomialIdeal
@@ -22,20 +21,12 @@ from .invariants import codim, covers
 
 __all__ = [
     "COLENGTH_GRID_CAP",
-    "CoverContribution",
     "minimal_covers",
     "colength",
-    "cover_contributions",
     "multiplicity_associativity",
 ]
 
 COLENGTH_GRID_CAP = 10**7
-
-
-@dataclass(frozen=True)
-class CoverContribution:
-    cover: frozenset[int]
-    colength: int
 
 
 def minimal_covers(ideal: MonomialIdeal) -> list[frozenset[int]]:
@@ -113,10 +104,6 @@ def colength(ideal: MonomialIdeal, cover: frozenset[int]) -> int:
             f"colength grid of {grid} points exceeds the {COLENGTH_GRID_CAP} cap"
         )
     return _staircase(restricted, bounds)
-
-
-def cover_contributions(ideal: MonomialIdeal) -> list[CoverContribution]:
-    return [CoverContribution(cov, colength(ideal, cov)) for cov in minimal_covers(ideal)]
 
 
 def multiplicity_associativity(ideal: MonomialIdeal) -> int:

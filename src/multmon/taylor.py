@@ -75,7 +75,7 @@ def _require_small(ideal: MonomialIdeal) -> None:
 
 
 def _require_dominant(ideal: MonomialIdeal) -> None:
-    if not is_dominant(ideal)[0]:
+    if not is_dominant(ideal):
         raise UnsupportedError(
             "Betti numbers need a dominant ideal; no algorithm in scope for others"
         )
@@ -246,7 +246,7 @@ def is_taylor_minimal(ideal: MonomialIdeal) -> bool:
     witness is matched in every variable by the others, so the full face and
     the facet without that generator share an lcm.
     """
-    return is_dominant(ideal)[0]
+    return is_dominant(ideal)
 
 
 @dataclass
@@ -285,7 +285,6 @@ def regularity_dominant(ideal: MonomialIdeal) -> int:
     its witness exponent, so deg - hdeg never falls as a face grows and the
     full face attains the maximum.
     """
-    dominant, _ = is_dominant(ideal)
-    if not dominant:
+    if not is_dominant(ideal):
         raise UnsupportedError("regularity via the Taylor complex needs a dominant ideal")
     return sum(map(max, zip(*(g.vec for g in ideal.gens)))) - ideal.q

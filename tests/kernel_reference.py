@@ -120,7 +120,7 @@ def check(ideal: MonomialIdeal) -> None:
         if mask >> i & 1
     )
     assert is_taylor_minimal(ideal) == minimal, str(ideal)
-    if is_dominant(ideal)[0]:
+    if is_dominant(ideal):
         expected = max(d - mask.bit_count() for mask, d in enumerate(degrees))
         assert regularity_dominant(ideal) == expected, str(ideal)
         faces = {(mask.bit_count(), m.vec): 1 for mask, m in enumerate(folds)}

@@ -18,6 +18,7 @@ from multmon import (
     codim,
     detect_stem,
     differential_coefficient,
+    dominance_witnesses,
     e_aci,
     e_codim1,
     e_complete_intersection,
@@ -43,17 +44,17 @@ from multmon import (
     taylor_resolution,
 )
 from multmon.core import Monomial
-from multmon.generate import (
-    make_table,
+from multmon.generate import make_table, random_ideal
+from multmon.taylor import member_indices
+
+from generators import (
     random_aci,
     random_codim1_ideal,
     random_complete_intersection,
     random_dominant_with_split,
-    random_ideal,
     random_quadratic_dominant,
     random_stem_ideal,
 )
-from multmon.taylor import member_indices
 
 EXAMPLE_5_5 = "a^3*c, a*b*e^3, a^2*b^2, c^2, d^2*e^2"
 EXAMPLE_4_3 = "a^2*b*c, b^3*c, c^4, d^2*e^2, d*e*f, d*g^2"
@@ -122,14 +123,12 @@ def test_c02_example_4_3_golden():
 
 def test_c03_example_2_2_golden():
     m1 = parse_ideal("a^2, b^3, a*b")
-    flag1, _ = is_dominant(m1)
-    assert flag1 is False
+    assert is_dominant(m1) is False
     assert is_taylor_minimal(m1) is False
 
     m2 = parse_ideal("a^2*b, a*b^3*c, b*c^2")
-    flag2, witnesses = is_dominant(m2)
-    assert flag2 is True
-    assert {m2.ring.names[w] for w in witnesses} == {"a", "b", "c"}
+    assert is_dominant(m2) is True
+    assert {m2.ring.names[w] for w in dominance_witnesses(m2)} == {"a", "b", "c"}
     assert is_taylor_minimal(m2) is True
     _report(3, "dominance classification and Taylor minimality on both examples")
 
@@ -203,13 +202,13 @@ def test_c10_aci_formula_and_witness():
         ideal = random_aci(rng, dominant=want_dominant)
         assert is_almost_complete_intersection(ideal) is not None, str(ideal)
         assert e_aci(ideal) == multiplicity_ps(ideal), str(ideal)
-        if not is_dominant(ideal)[0]:
+        if not is_dominant(ideal):
             nondominant += 1
             from multmon import aci_dominant_witness
 
             w = aci_dominant_witness(ideal)
             reduced = ideal.without(w)
-            assert is_dominant(reduced)[0], str(ideal)
+            assert is_dominant(reduced), str(ideal)
             assert codim(reduced) == ideal.q - 2, str(ideal)
     assert nondominant >= 50
     _report(10, f"ACI difference formula on 300 ideals ({nondominant} non-dominant)")

@@ -22,9 +22,10 @@ from multmon import (
     third_decomposition,
 )
 from multmon.decomposition import recurrence_pivot
-from multmon.generate import random_dominant_with_split, random_ideal
+from multmon.generate import random_ideal
 
 from conftest import gen_index
+from generators import random_dominant_with_split
 
 
 def test_third_decomposition_examples():

@@ -33,15 +33,16 @@ from multmon import (
     reg_quadratic_dominant,
     regularity_dominant,
 )
-from multmon.generate import (
-    make_table,
+from multmon.generate import make_table
+from multmon.invariants import pairwise_coprime
+
+from generators import (
     random_codim1_ideal,
     random_complete_intersection,
     random_dominant_with_split,
     random_quadratic_dominant,
     random_stem_ideal,
 )
-from multmon.invariants import pairwise_coprime
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +235,7 @@ def test_e_structural_pure_ci_split():
 def test_e_structural_rejects_non_dominant():
     # the formula's value would be right here, but the hypothesis gate is firm
     ideal = parse_ideal("x^2*y, x^3, y^3")
-    assert not is_dominant(ideal)[0]
+    assert not is_dominant(ideal)
     split = find_ci_split(ideal)
     with pytest.raises(HypothesisError):
         e_structural(ideal, split)
@@ -290,23 +291,23 @@ def test_aci_dominant_witness_on_nondominant_examples():
     # analogous shape to a classical non-dominant triple: x*y is beaten in
     # both variables, so the ideal is non-dominant and a witness must exist
     ideal = parse_ideal("x^2, y^3, x*y")
-    assert not is_dominant(ideal)[0]
+    assert not is_dominant(ideal)
     w = aci_dominant_witness(ideal)
     reduced = ideal.without(w)
-    assert is_dominant(reduced)[0]
+    assert is_dominant(reduced)
     assert codim(reduced) == ideal.q - 2
 
     ideal = parse_ideal("x^2*y^2, z^2, x*y*z")
-    assert not is_dominant(ideal)[0]
+    assert not is_dominant(ideal)
     w = aci_dominant_witness(ideal)
     assert str(ideal.gens[w]) == "z^2"  # smallest valid index in canonical order
     reduced = ideal.without(w)
-    assert is_dominant(reduced)[0]
+    assert is_dominant(reduced)
 
 
 def test_aci_dominant_witness_rejects_dominant_input():
     ideal = parse_ideal("x^2, y^2, x*y*z")
-    assert is_dominant(ideal)[0]
+    assert is_dominant(ideal)
     with pytest.raises(HypothesisError):
         aci_dominant_witness(ideal)
 

@@ -14,23 +14,20 @@ from hypothesis import strategies as st
 from multmon import (
     classify,
     codim,
+    dominance_witnesses,
     is_almost_complete_intersection,
     is_complete_intersection,
     is_dominant,
     parse_ideal,
 )
 from multmon.invariants import covers, support_components
-from multmon.generate import (
-    make_table,
-    random_aci,
-    random_complete_intersection,
-    random_ideal,
-)
+from multmon.generate import make_table, random_ideal
 from multmon.core import Monomial, MonomialIdeal, minimalize
 import multmon.cli as cli
 import multmon.invariants as invariants
 
 from conftest import gen_index
+from generators import random_aci, random_complete_intersection
 
 
 def test_codim_examples():
@@ -102,22 +99,20 @@ def test_support_components_partition_into_connected_blocks(maps):
 
 
 def test_dominance_examples():
-    flag, _ = is_dominant(parse_ideal("a^2, b^3, a*b"))
-    assert flag is False
+    assert is_dominant(parse_ideal("a^2, b^3, a*b")) is False
 
     m2 = parse_ideal("a^2*b, a*b^3*c, b*c^2")
-    flag, witnesses = is_dominant(m2)
-    assert flag is True
-    names = {m2.ring.names[w] for w in witnesses}
+    assert is_dominant(m2) is True
+    names = {m2.ring.names[w] for w in dominance_witnesses(m2)}
     assert names == {"a", "b", "c"}
 
-    flag, witnesses = is_dominant(parse_ideal("x^5"))
-    assert flag is True and witnesses == (0,)
+    x5 = parse_ideal("x^5")
+    assert is_dominant(x5) is True and dominance_witnesses(x5) == (0,)
 
 
 def test_dominance_witness_is_per_generator():
     m2 = parse_ideal("a^2*b, a*b^3*c, b*c^2")
-    _, witnesses = is_dominant(m2)
+    witnesses = dominance_witnesses(m2)
     expected = {"a^2*b": "a", "a*b^3*c": "b", "b*c^2": "c"}
     for g, w in zip(m2.gens, witnesses):
         assert m2.ring.names[w] == expected[str(g)]
@@ -233,18 +228,9 @@ def test_classification_report_consistency():
     report = classify(parse_ideal("x^2, y^3"))
     assert report.is_ci and report.codim == 2 and not report.is_codim1
     report = classify(parse_ideal("x^2*y, x*y^2"))
-    assert report.is_codim1 and report.codim == 1
-    with pytest.raises(ValueError):
-        from multmon import ClassificationReport
-
-        ClassificationReport(
-            codim=2,
-            is_dominant=True,
-            dominant_witness=(0,),
-            is_ci=False,
-            aci_witness=None,
-            is_codim1=True,
-        )
+    assert report.is_codim1 and report.codim == 1 and report.is_dominant
+    report = classify(parse_ideal("a^2, b^3, a*b"))
+    assert not report.is_dominant and None in report.dominant_witness
 
 
 @pytest.fixture

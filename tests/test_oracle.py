@@ -22,10 +22,10 @@ from multmon import (
     VariableTable,
     codim,
     colength,
-    cover_contributions,
     minimal_covers,
     minimalize,
     multiplicity_associativity,
+    multiplicity_ps,
     parse_ideal,
 )
 from multmon.generate import random_ideal
@@ -86,9 +86,9 @@ def test_multiplicity_examples():
 
 def test_cover_contributions_sum_to_multiplicity():
     ideal = parse_ideal("a*b, a*c, d*e")
-    contributions = cover_contributions(ideal)
-    assert sum(c.colength for c in contributions) == multiplicity_associativity(ideal)
-    assert all(c.colength >= 1 for c in contributions)
+    colengths = [colength(ideal, cov) for cov in minimal_covers(ideal)]
+    assert all(c >= 1 for c in colengths)
+    assert sum(colengths) == multiplicity_ps(ideal)
 
 
 def test_colength_unchanged_by_redundant_generators():

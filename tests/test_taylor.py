@@ -33,13 +33,10 @@ from multmon import (
 )
 from multmon import cli, core, taylor
 from multmon.core import subset_lcms
-from multmon.generate import (
-    make_table,
-    random_dominant_with_split,
-    random_ideal,
-    random_stem_ideal,
-)
+from multmon.generate import make_table, random_ideal
 from multmon.taylor import face_order, member_indices
+
+from generators import random_dominant_with_split, random_stem_ideal
 
 
 def test_resolution_single_generator():
