@@ -2,18 +2,16 @@
 
 The multiplicity of S/M equals the sum, over all size-c variable covers of the
 generators' supports (c = codim), of the number of standard monomials of the
-ideal restricted to the cover's variables.  This path shares nothing with the
-power-sum engine beyond monomial arithmetic, and both halves are
-output-sensitive: covers come from the pruned search `invariants.covers`,
-the same one that finds c, and colengths from a staircase count that cuts
-each variable's range at the generators' distinct exponents (the slice idea of
-Roune, JSC 44 (2009)).  The counting box is still capped, erroring out past
-the cap rather than approximating.
+ideal restricted to the cover's variables; nothing but monomial arithmetic is
+shared with the power-sum engine.  Covers come from `invariants.covers`, and
+each colength from one pass over the generators and a staircase count whose
+slices wait on a stack (Roune, JSC 44 (2009)), in a capped box.
 """
 
 from __future__ import annotations
 
 from math import prod
+from operator import itemgetter, lt
 
 from .core import MonomialIdeal
 from .errors import ResourceCapError
@@ -42,68 +40,69 @@ def minimal_covers(ideal: MonomialIdeal) -> list[frozenset[int]]:
     return [frozenset(cover) for cover in sorted(found)]
 
 
-def _restricted_vectors(ideal: MonomialIdeal, cov: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Generators restricted to the cover variables, as inclusion-minimal vectors."""
-    vectors = sorted(
-        {tuple(g.exponent(v) for v in cov) for g in ideal.gens},
-        key=sum,
-    )
-    kept: list[tuple[int, ...]] = []
-    for vec in vectors:
-        if not any(all(w <= x for w, x in zip(prev, vec)) for prev in kept):
-            kept.append(vec)
-    return kept
-
-
 def _staircase(vectors: list[tuple[int, ...]], bounds: list[int]) -> int:
     """Points of the box [0, b) per bound that dominate none of the vectors.
 
-    Recurses on the last variable: its range is cut at the vectors' distinct
-    last exponents, and on each interval the count is the interval's length
-    times the count of the one-variable-shorter slice of the vectors active
-    there (those whose last exponent is at most the interval's start).
+    A slice (vectors, n, c, weight) adds weight times the count of the first n
+    vectors over the first c coordinates.  Cut at their distinct exponents in
+    coordinate c - 1, its range falls into intervals, and the vectors active
+    on each are a prefix of them sorted on that coordinate: one new slice.
     """
-    if not vectors:
-        return prod(bounds)
-    *rest, b = bounds
-    if not rest:
-        return min(b, min(vec[0] for vec in vectors))
-    ordered = sorted(vectors, key=lambda vec: vec[-1])
-    active: list[tuple[int, ...]] = []
-    count = start = i = 0
-    while start < b:
-        while i < len(ordered) and ordered[i][-1] <= start:
-            active.append(ordered[i][:-1])
-            i += 1
-        end = min(ordered[i][-1], b) if i < len(ordered) else b
-        count += (end - start) * _staircase(active, rest)
-        start = end
+    count = 0
+    stack = [(vectors, len(vectors), len(bounds), 1)]
+    while stack:
+        vectors, n, c, weight = stack.pop()
+        if not n:
+            count += weight * prod(bounds[:c])
+        elif c == 1:
+            count += weight * min(vec[0] for vec in vectors[:n])
+        else:
+            cut = c - 1
+            ordered = sorted(vectors[:n], key=itemgetter(cut))
+            start = 0
+            for i, vec in enumerate(ordered):
+                if vec[cut] > start:
+                    stack.append((ordered, i, cut, weight * (vec[cut] - start)))
+                    start = vec[cut]
+            stack.append((ordered, n, cut, weight * (bounds[cut] - start)))
     return count
+
+
+def _not_a_cover(ideal: MonomialIdeal, cov: list[int]) -> ValueError:
+    return ValueError(f"{{{', '.join(ideal.ring.names[v] for v in cov)}}} is not a minimal cover")
 
 
 def colength(ideal: MonomialIdeal, cover: frozenset[int]) -> int:
     """Standard monomials of the ideal restricted to the cover variables.
 
-    Restricting sets every non-cover variable to 1; minimality of the cover
-    guarantees some restricted generator is a pure power of each cover
-    variable, so the count is finite and each exponent is bounded by the
-    largest exponent of its variable among restricted generators.  The box
-    those bounds span is capped, but it is not walked: the staircase count
-    costs at most min(box, (q+1)^c) slices, which grows with the number of
-    distinct exponents rather than with the box.
+    Restricting sets every non-cover variable to 1.  One pass over the
+    generators suffices, by two facts about a minimum cover:
+
+    - Each bound comes from one generator.  Every cover variable v has a
+      generator meeting the cover in v alone, or the cover minus v would be a
+      smaller cover.  The least exponent b_v of v among those bounds v: any
+      other restricted vector reaching b_v in v dominates that pure power.
+    - A vector that reaches a bound can be dropped: no point of the box
+      dominates it.  The pure powers go too.
     """
-    cov = tuple(sorted(cover))
+    cov = sorted(cover)
     mask = sum(1 << v for v in cov)
-    if len(cov) != codim(ideal) or not all(mask & s for s in ideal.supports):
-        raise ValueError(f"{{{', '.join(ideal.ring.names[v] for v in cov)}}} is not a minimal cover")
-    restricted = _restricted_vectors(ideal, cov)
-    bounds = [max(vec[p] for vec in restricted) for p in range(len(cov))]
-    grid = prod(bounds)
-    if grid > COLENGTH_GRID_CAP:
-        raise ResourceCapError(
-            f"colength grid of {grid} points exceeds the {COLENGTH_GRID_CAP} cap"
-        )
-    return _staircase(restricted, bounds)
+    if len(cov) != codim(ideal):
+        raise _not_a_cover(ideal, cov)
+    least: dict[int, int] = {}
+    for g, s in zip(ideal.gens, ideal.supports):
+        met = s & mask
+        if not met:
+            raise _not_a_cover(ideal, cov)
+        if met.bit_count() == 1:
+            v = met.bit_length() - 1
+            least[v] = min(g.vec[v], least.get(v, g.vec[v]))
+    bounds = [least[v] for v in cov]
+    if (grid := prod(bounds)) > COLENGTH_GRID_CAP:
+        raise ResourceCapError(f"colength grid of {grid} points exceeds the {COLENGTH_GRID_CAP} cap")
+    mixed = [g for g, s in zip(ideal.gens, ideal.supports) if (s & mask).bit_count() > 1]
+    vectors = {tuple(g.vec[v] for v in cov) for g in mixed}
+    return _staircase([vec for vec in vectors if all(map(lt, vec, bounds))], bounds)
 
 
 def multiplicity_associativity(ideal: MonomialIdeal) -> int:

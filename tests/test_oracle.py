@@ -84,7 +84,7 @@ def test_multiplicity_examples():
     assert multiplicity_associativity(parse_ideal("x^2, y^3")) == 6
 
 
-def test_cover_contributions_sum_to_multiplicity():
+def test_colengths_over_minimal_covers_sum_to_multiplicity():
     ideal = parse_ideal("a*b, a*c, d*e")
     colengths = [colength(ideal, cov) for cov in minimal_covers(ideal)]
     assert all(c >= 1 for c in colengths)
@@ -106,6 +106,30 @@ def test_grid_cap():
     ideal = parse_ideal("x^4000000, y^4000000")
     with pytest.raises(ResourceCapError):
         colength(ideal, frozenset({0, 1}))
+
+
+def test_cap_box_comes_from_each_variables_pure_power():
+    # x^9999*z restricts to a vector past x's pure power on both covers; the box is
+    # 3162 * 3162 * 1 because each side is its variable's least pure power, not
+    # the 9999 an all-vector maximum would give (a 31.6M box, over the cap)
+    ideal = parse_ideal("x^3162, y^3162, x^9999*z, z*w")
+    assert [colength(ideal, cover) for cover in minimal_covers(ideal)] == [9998244, 9998244]
+    assert multiplicity_associativity(ideal) == 19996488
+    ideal = parse_ideal("x^3163, y^3163, x^9999*z, z*w")
+    with pytest.raises(ResourceCapError):
+        multiplicity_associativity(ideal)
+
+
+def test_thousand_variable_cover():
+    # one cover of 1001 variables; with x0*x1 kept, the count passes through
+    # 1000 nested slices, which wait on a stack rather than in recursion
+    ideal = parse_ideal(", ".join(f"x{i}" for i in range(1001)))
+    (cover,) = minimal_covers(ideal)
+    assert len(cover) == 1001
+    assert colength(ideal, cover) == 1
+    assert multiplicity_associativity(ideal) == 1
+    ideal = parse_ideal(", ".join(["x0^2", "x1^2", "x0*x1"] + [f"x{i}" for i in range(2, 1001)]))
+    assert multiplicity_associativity(ideal) == 3  # 1, x0, x1
 
 
 def cycle_ideal(q):
