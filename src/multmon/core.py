@@ -7,13 +7,13 @@ monomial ideal stores its unique minimal generating set in a canonical order
 exponent vectors) so that equal ideals compare equal regardless of how their
 generators were supplied.
 
-Every subset lcm comes from one recurrence, `lcm_columns`: per variable, how
-far its exponent in each face's lcm falls short of its largest, packed into
-one integer with a fixed-width field per generator bitmask, so the 2^q faces
-cost a few big-integer operations per generator, not a Python loop per face.
-`unpack_fields` reads a packed column as a memoryview of its fields;
-`subset_lcms` zips the columns top * `packed_ones` - deficit into exponent
-tuples, and `taylor.lcm_degree_table` sums the deficits into tagged shortfalls.
+Every subset lcm comes from one recurrence, `lcm_levels`: per variable and
+exponent level, the faces whose lcm lies below it, as one integer with a
+fixed-width field per generator bitmask, so the 2^q faces cost a few
+big-integer operations per generator, not a Python loop per face.
+`lcm_columns` sums the levels into packed deficit columns, which
+`subset_lcms` unpacks into exponent tuples; `taylor.lcm_degree_table` adds
+them at width 1 into the bit planes of each face's shortfall.
 
 Everything here is an immutable value; operations return fresh objects.
 """
@@ -42,6 +42,7 @@ __all__ = [
     "lcm_all",
     "gcd_all",
     "lcm_columns",
+    "lcm_levels",
     "packed_ones",
     "unpack_fields",
     "subset_lcms",
@@ -218,47 +219,40 @@ def gcd_all(monomials: Iterable[Monomial]) -> Monomial:
 _FIELD_FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
 
-def lcm_columns(gens: Sequence[Monomial], tagged: bool = False) -> tuple[int, list, Iterator]:
+def lcm_columns(gens: Sequence[Monomial]) -> tuple[int, list[int], Iterator[int]]:
     """Per variable, how far its exponent in each subset lcm of `gens` falls short of its top.
 
-    `gens` is nonempty.  Returns the field width, each variable's top (its
-    largest exponent, 0 if no generator uses it) and an iterator over the
-    packed deficit columns in table order.  Field `mask` of a column (bits
+    `gens` is nonempty.  Returns the field width, each variable's top (0 if
+    no generator uses it) and an iterator over the packed deficit columns in
+    table order, each its `lcm_levels` summed as step * z: field `mask` (bits
     `mask * width` up to `(mask + 1) * width`) holds top less the exponent in
-    the lcm of `mask`: top for the empty face, 0 for the full one.  A caller
-    rebuilds an exponent column as `top * packed_ones(width, q) - deficit`; a
-    sum of deficits is each face's shortfall from deg lcm(all).  The width is
-    the narrowest of 8, 16, 32 and 64 bits that holds deg lcm(all), or with
-    `tagged` 2 * deg lcm(all) + 1, so a field also holds twice a shortfall plus
-    a spare low bit.  Exponents are at most `MAX_EXPONENT`, so 64 suffice.
+    the lcm of `mask`, and `top * packed_ones(width, q) - deficit` is the
+    exponent column.  The width is the narrowest of 8, 16, 32 and 64 bits
+    holding deg lcm(all); exponents are at most `MAX_EXPONENT`.
     """
     exponents = list(zip(*[g.vec for g in gens]))
     tops = list(map(max, exponents))
-    bound = 2 * sum(tops) + 1 if tagged else sum(tops)
-    width = next(w for w in _FIELD_FORMATS if not bound >> w)  # ascending widths
-    return width, tops, _deficit_columns(exponents, tops, [width << k for k in range(len(gens))])
+    width = next(w for w in _FIELD_FORMATS if not sum(tops) >> w)  # ascending widths
+    shifts = [width << k for k in range(len(gens))]
+    terms = ((z if s == 1 else s * z for s, z in lcm_levels(exps, shifts)) for exps in exponents)
+    return width, tops, (sum(column, next(column, 0)) for column in terms)  # 0 + z would copy z
 
 
-def _deficit_columns(exponents: list, tops: list[int], shifts: list[int]) -> Iterator[int]:
-    """The deficit columns of `lcm_columns`, one per exponent tuple, built level by level.
+def lcm_levels(exps: Sequence[int], shifts: list[int]) -> Iterator[tuple[int, int]]:
+    """One variable's exponent levels as `(step, z)`; `exps[k]` is generator k's exponent.
 
-    At each distinct nonzero exponent a, ascending, a column gains a - prev
-    (prev the next lower exponent, or 0) in each face of the generators below
-    a.  Their indicator z grows by one doubling `z |= z << shifts[k]` per
-    generator k, taken in exponent order, so a level is one big-integer add
-    (the first is z itself), with a multiply only when a - prev > 1.
+    At each distinct nonzero exponent a, ascending, z marks the faces whose members
+    all lie below a and step is a less the next lower one (or 0), so the step * z
+    sum to the deficit column; z grows by `z |= z << shifts[k]` per generator k.
     """
-    for exps, top in zip(exponents, tops):
-        deficit, z, prev = 0, 1, 0  # stays 0 for a variable none of `gens` uses: top is 0
-        for e, shift in sorted(zip(exps, shifts)):
-            if e > prev:
-                step = z if e - prev == 1 else (e - prev) * z
-                deficit = deficit + step if prev else step
-                prev = e
-            if e == top:
-                break  # every level is in: z is not needed again
-            z |= z << shift
-        yield deficit
+    z, prev, top = 1, 0, max(exps)
+    for e, shift in sorted(zip(exps, shifts)):
+        if e > prev:
+            yield e - prev, z
+            prev = e
+        if e == top:
+            return  # every level is out: z is not needed again
+        z |= z << shift
 
 
 def packed_ones(width: int, q: int) -> int:

@@ -18,18 +18,18 @@ of S/I (Bayer-Stillman 1992, Bigatti 1997), and reads the power sums off it:
 
 P(k) vanishes for 1 <= k < c and equals (-1)^c c! e at k = c, where c is the
 codimension and e the multiplicity; all arithmetic is arbitrary-precision.
-K is counted in C from one table of each face's shortfall from deg lcm(all),
-the summed deficits, and cached on the ideal: a sweep over k builds one table,
-no exponent column is formed and no Python code runs per face.
-
-Everything touching all 2^q faces is hard-capped at q <= 20.  Minimality and
-regularity touch none: both follow from the dominance witnesses.
+K is counted from bit planes (bit slicing, Biham 1997): plane p holds bit p
+of each face's shortfall from deg lcm(all), face F at bit F.  A depth-first
+walk splits the faces on each plane, 2^13 faces at a time, down to one degree
+per leaf, where K_d is two bit counts: Python code runs per leaf, not per face.
+`betti` and `taylor` walk all 2^q faces at q <= 20; the ps engine at q <= 20,
+or q <= 24 when deg lcm(all) < 2^(33 - q), so never longer than at q = 20.
+Minimality and regularity walk none: both follow from the dominance witnesses.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import sub
@@ -38,6 +38,7 @@ from .core import (
     Monomial,
     MonomialIdeal,
     lcm_columns,
+    lcm_levels,
     packed_ones,
     per_ideal,
     subset_lcms,
@@ -48,6 +49,7 @@ from .invariants import codim, is_dominant
 
 __all__ = [
     "Q_MAX",
+    "PS_Q_MAX",
     "TaylorResolution",
     "BettiTable",
     "face_order",
@@ -65,12 +67,14 @@ __all__ = [
 ]
 
 Q_MAX = 20
+PS_Q_MAX = 24
+_BLOCK = 13  # the power-sum walk takes 2^13 faces at a time
 
 
-def _require_small(ideal: MonomialIdeal) -> None:
-    if ideal.q > Q_MAX:
+def _require_small(ideal: MonomialIdeal, cap: int) -> None:
+    if ideal.q > cap:
         raise ResourceCapError(
-            f"Taylor complex too large: {ideal.q} generators exceeds the q <= {Q_MAX} cap"
+            f"Taylor complex too large: {ideal.q} generators exceeds the q <= {cap} cap"
         )
 
 
@@ -81,42 +85,59 @@ def _require_dominant(ideal: MonomialIdeal) -> None:
         )
 
 
-def lcm_degree_table(ideal: MonomialIdeal) -> memoryview:
-    """2 * (deg lcm(all) - deg lcm(members)) + (|members| mod 2) per bitmask; index = mask.
+def lcm_degree_table(ideal: MonomialIdeal) -> tuple[int, list[int]]:
+    """deg lcm(all) and the planes: bit F of `planes[p]` is bit p of deg lcm(all) - deg lcm(F).
 
-    Field 0, the empty face's, is 2 * deg lcm(all).  Twice the summed packed
-    `core.lcm_columns` deficits plus the odd faces' indicator, unpacked once.
+    Each `core.lcm_levels` level, at 1-bit fields, is ripple-carried in at each bit of its step.
     """
-    _require_small(ideal)
-    width, _, deficits = lcm_columns(ideal.gens, tagged=True)
-    return unpack_fields(2 * sum(deficits) + _odd_faces(ideal.q, width), width, ideal.q)
+    _require_small(ideal, PS_Q_MAX)
+    exponents, shifts = list(zip(*[g.vec for g in ideal.gens])), [1 << k for k in range(ideal.q)]
+    top = sum(map(max, exponents))
+    if ideal.q > Q_MAX and top >> Q_MAX + _BLOCK - ideal.q:
+        raise ResourceCapError(
+            f"ps engine past q = {Q_MAX}: lcm degree {top} is not below 2^({Q_MAX + _BLOCK} - q)"
+        )
+    planes = [0] * top.bit_length()  # no face falls short by more than top
+    for exps in exponents:
+        for step, z in lcm_levels(exps, shifts):
+            for bit in range(step.bit_length()):
+                p, carry = bit, z if step >> bit & 1 else 0
+                while carry:
+                    planes[p], carry = planes[p] ^ carry, planes[p] & carry
+                    p += 1
+    return top, planes
 
 
-@lru_cache(maxsize=None)  # one entry per q <= Q_MAX and field width in use
-def _odd_faces(q: int, width: int) -> int:
-    """The odd-face indicator in `width`-bit fields: field mask holds |mask| mod 2."""
-    odd, ones = 0, 1
-    for k in range(q):
-        shift = width << k
-        odd |= (ones - odd) << shift
-        ones |= ones << shift
+@lru_cache(maxsize=None)  # one entry per q <= PS_Q_MAX in use
+def _odd_faces(q: int) -> int:  # bit F holds |F| mod 2
+    odd = 0
+    for k in range(q):  # a face with generator k is odd where the face without it is even
+        odd |= ((1 << (1 << k)) - 1 - odd) << (1 << k)
     return odd
 
 
 @per_ideal
 def taylor_numerator(ideal: MonomialIdeal) -> tuple[tuple[int, int], ...]:
     """K(t) as (d, K_d) pairs by degree, K_d != 0: the sum of (-1)^|F| over faces F of degree d."""
-    table = lcm_degree_table(ideal)
-    # field 0 is the empty face's; the others run from the full face's to generator 0's (the most)
-    values = range(table[1] + 1)
-    # on CPython 3.11 `bytes.count` scans about 1 ns a byte, `Counter` about 60 ns a face
-    if table.itemsize == 1 and len(values) <= 64 < len(table) // len(values):
-        counts = {table[0]: 1, **{v: table.obj.count(v) for v in values}}
-    else:
-        counts = Counter(table)
-    get, top = counts.get, table[0] >> 1  # K_d at d = top - t: the even faces less the odd ones
-    shortfalls = sorted({field >> 1 for field in counts}, reverse=True)
-    return tuple((top - t, n) for t in shortfalls if (n := get(2 * t, 0) - get(2 * t + 1, 0)))
+    top, planes = lcm_degree_table(ideal)
+    q, b, counts, blocks = ideal.q, min(ideal.q, _BLOCK), {}, [[*planes, _odd_faces(ideal.q)]]
+    if q > b:  # 1 KiB slices: no split costs more, so one face per degree is linear work
+        data, size = [row.to_bytes(1 << q - 3, "little") for row in blocks[0]], 1 << b - 3
+        cuts = range(0, len(data[0]), size)
+        blocks = ([int.from_bytes(d[i : i + size], "little") for d in data] for i in cuts)
+    for block in blocks:  # its planes, then its odd faces
+        odd, stack = block[-1], [(len(block) - 1, top, (1 << (1 << b)) - 1)]
+        while stack:  # (planes left, degree, faces)
+            p, d, faces = stack.pop()
+            while p:
+                p -= 1
+                high = faces & block[p]
+                if high:
+                    if low := faces ^ high:  # not faces & ~block[p], a negative big integer
+                        stack.append((p, d, low))
+                    faces, d = high, d - (1 << p)
+            counts[d] = counts.get(d, 0) + faces.bit_count() - 2 * (faces & odd).bit_count()
+    return tuple(item for item in sorted(counts.items()) if item[1])
 
 
 def ps_power_sum(ideal: MonomialIdeal, k: int) -> int:
@@ -189,7 +210,7 @@ def taylor_resolution(ideal: MonomialIdeal) -> TaylorResolution:
     Each exponent of a variable is rendered once, as a `*`-prefixed token; a
     face's label joins its tokens in variable order.
     """
-    _require_small(ideal)
+    _require_small(ideal, Q_MAX)
     q, gens, names = ideal.q, ideal.gens, ideal.ring.names
     width, tops, deficits = lcm_columns(gens)
     ones, total, tokens = packed_ones(width, q), 0, []
@@ -273,7 +294,7 @@ class BettiTable:
 def betti_table(ideal: MonomialIdeal) -> BettiTable:
     """Betti numbers of a dominant ideal, one per Taylor face, read off `subset_lcms`."""
     _require_dominant(ideal)
-    _require_small(ideal)
+    _require_small(ideal, Q_MAX)
     mdegs = subset_lcms(ideal.ring, ideal.gens)
     return BettiTable({(mask.bit_count(), vec): 1 for mask, vec in enumerate(mdegs)})
 

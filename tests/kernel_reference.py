@@ -3,8 +3,8 @@
 `check(ideal)` compares everything read off the packed columns with a left
 fold of `lcm` over each face's members: the `lcm_columns` deficits (each
 variable's top exponent less its exponent in the face's lcm),
-`lcm_degree_table` (twice each face's shortfall from deg lcm(all) plus its
-parity), `taylor_numerator` against a signed degree
+`lcm_degree_table` (deg lcm(all) and each face's shortfall from it, read off
+the bit planes face by face), `taylor_numerator` against a signed degree
 histogram counted face by face, `subset_lcms`, the `taylor_resolution`
 degrees and labels, `ps_power_sum(ideal, k)` for k <= 3, and for dominant
 ideals the `betti_table` entries, one per face.  Two walks over the faces'
@@ -13,10 +13,10 @@ alone: whether any face has the degree of one of its facets
 (`is_taylor_minimal`), and for dominant ideals max(deg - hdeg)
 (`regularity_dominant`).  `BOUNDARY` pairs ideals whose lcm degree d sits on
 either side of each field-width limit with the width of the subset-lcm
-columns, and `TAGGED_BOUNDARY` ideals whose 2d + 1 does with the width of the
-degree table.  `REFERENCE` holds ideals that take each branch of the deficit
-build: a variable whose exponent levels step by 1 and by more, and a
-variable no generator uses.
+columns, and `PLANE_BOUNDARY` ideals whose d sits on either side of a power
+of two with the number of shortfall planes.  `REFERENCE` holds ideals that
+take each branch of the deficit build: a variable whose exponent levels step
+by 1 and by more, and a variable no generator uses.
 `witnesses_by_pairs` is the pairwise definition of the dominance witnesses.
 `tests/test_lcm_kernel.py` runs the check on those ideals, on seeded random
 ones and on Hypothesis-drawn ones.
@@ -58,16 +58,16 @@ BOUNDARY = [
     (f"x^{MAX_EXPONENT}, y^{MAX_EXPONENT}, x*y*z^{MAX_EXPONENT}, w^7*z", 64),
 ]
 
-# (ideal, field width) for the degree table, whose fields hold 2d + 1: d has
-# 2d + 1 = 255 / 257, 65535 / 65537 and 2^32 - 1 / 2^32 + 1, then the cap.
-TAGGED_BOUNDARY = [
-    ("x^100*y^5, y^20*z^7, x^50*z^2", 8),
-    ("x^100*y^5, y^20*z^8, x^50*z^2", 16),
-    ("x^30000*y^5, y^2000*z^767, x^50*z^2", 16),
-    ("x^30000*y^5, y^2000*z^768, x^50*z^2", 32),
-    (f"x^{2**30}*y, y^{2**30 - 2}*z, x*z", 32),
-    (f"x^{2**30}*y, y^{2**30 - 1}*z, x*z", 64),
-    (f"x^{MAX_EXPONENT}*y, y^{MAX_EXPONENT - 1}*z, x*z", 64),
+# (ideal, plane count) for the degree table, whose planes hold the bits of
+# d = 127 / 128, 32767 / 32768 and 2^31 - 1 / 2^31, then 2^32 at the cap.
+PLANE_BOUNDARY = [
+    ("x^100*y^5, y^20*z^7, x^50*z^2", 7),
+    ("x^100*y^5, y^20*z^8, x^50*z^2", 8),
+    ("x^30000*y^5, y^2000*z^767, x^50*z^2", 15),
+    ("x^30000*y^5, y^2000*z^768, x^50*z^2", 16),
+    (f"x^{2**30}*y, y^{2**30 - 2}*z, x*z", 31),
+    (f"x^{2**30}*y, y^{2**30 - 1}*z, x*z", 32),
+    (f"x^{MAX_EXPONENT}*y, y^{MAX_EXPONENT - 1}*z, x*z", 33),
 ]
 
 # x has the levels 1, 2, 4, 5 (steps of 1 and 2); v is in no generator.
@@ -80,9 +80,16 @@ REFERENCE = [
 EXPONENTS = (1, 2, 3, 5, 127, 128, 255, 256, 32767, 32768, 65535, 65536, 2**31 - 1, MAX_EXPONENT)
 
 
-def field_width(ideal: MonomialIdeal, tagged: bool = False) -> int:
-    width, _, _ = lcm_columns(ideal.gens, tagged)
+def field_width(ideal: MonomialIdeal) -> int:
+    width, _, _ = lcm_columns(ideal.gens)
     return width
+
+
+def shortfalls(planes: list[int], q: int) -> list[int]:
+    """Each face's shortfall, sum over p of (bit F of plane p) << p; index = face F."""
+    assert all(plane >> (1 << q) == 0 for plane in planes), "a bit beyond the last face"
+    bits = list(enumerate(planes))
+    return [sum((plane >> face & 1) << p for p, plane in bits) for face in range(1 << q)]
 
 
 def check(ideal: MonomialIdeal) -> None:
@@ -97,9 +104,9 @@ def check(ideal: MonomialIdeal) -> None:
     for v, deficit in enumerate(deficits):
         fields = unpack_fields(deficit, width, ideal.q).tolist()
         assert fields == [tops[v] - m.vec[v] for m in folds], (str(ideal), v)
-    top = degrees[-1]
-    tagged = [2 * (top - d) + (mask.bit_count() & 1) for mask, d in enumerate(degrees)]
-    assert lcm_degree_table(ideal).tolist() == tagged, str(ideal)
+    top, planes = lcm_degree_table(ideal)
+    assert top == degrees[-1] and len(planes) == top.bit_length(), str(ideal)
+    assert shortfalls(planes, ideal.q) == [top - d for d in degrees], str(ideal)
     histogram: dict[int, int] = {}
     for mask, d in enumerate(degrees):
         histogram[d] = histogram.get(d, 0) + (-1) ** mask.bit_count()

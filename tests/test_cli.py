@@ -244,7 +244,7 @@ def test_many_support_components_answer_fast(capsys):
     code = cli.main(["multiplicity", "--ideal", text])
     captured = capsys.readouterr()
     assert code == 4 and captured.out == ""
-    assert "39 generators exceeds the q <= 20 cap" in captured.err
+    assert "39 generators exceeds the q <= 24 cap" in captured.err
     assert time.perf_counter() - started < 2
 
 

@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 from kernel_reference import (
     BOUNDARY,
     EXPONENTS,
+    PLANE_BOUNDARY,
     REFERENCE,
-    TAGGED_BOUNDARY,
     check,
     field_width,
+    shortfalls,
     witnesses_by_pairs,
 )
 
@@ -74,7 +75,10 @@ def test_numerator_and_degree_table_ignore_generator_and_variable_order(ideals):
     for other in others:
         assert taylor_numerator(other) == taylor_numerator(ideal), str(other)
         assert multiplicity_ps(other) == multiplicity_ps(ideal), str(other)
-        assert sorted(lcm_degree_table(other)) == sorted(lcm_degree_table(ideal)), str(other)
+        (top, planes), (other_top, other_planes) = lcm_degree_table(ideal), lcm_degree_table(other)
+        assert other_top == top, str(other)
+        faces = sorted(shortfalls(planes, ideal.q))
+        assert sorted(shortfalls(other_planes, other.q)) == faces, str(other)
 
 
 @settings(max_examples=300, deadline=None)
@@ -110,10 +114,10 @@ def test_every_field_width_matches_a_folded_lcm(text, width):
     check(ideal)
 
 
-@pytest.mark.parametrize("text, width", TAGGED_BOUNDARY)
-def test_every_tagged_field_width_matches_a_folded_lcm(text, width):
+@pytest.mark.parametrize("text, count", PLANE_BOUNDARY)
+def test_every_plane_count_matches_a_folded_lcm(text, count):
     ideal = parse_ideal(text)
-    assert field_width(ideal, tagged=True) == width
+    assert len(lcm_degree_table(ideal)[1]) == count
     check(ideal)
 
 
@@ -142,14 +146,22 @@ def cycle(q: int) -> str:
     return ", ".join(f"x{i}^2*x{(i + 1) % q}" for i in range(q))
 
 
-@pytest.mark.parametrize("text", [cycle(12), ", ".join(f"x{i}*x{i + 1}" for i in range(13))])
-def test_long_byte_tables_are_counted_value_by_value(text, monkeypatch):
-    # 2^12 and 2^13 one-byte faces over 44 and 26 values: no `Counter` pass
-    def no_counter(table):
-        raise AssertionError("counted face by face")
-
-    monkeypatch.setattr(taylor, "Counter", no_counter)
+@pytest.mark.parametrize(
+    "text", [cycle(12), ", ".join(f"x{i}*x{i + 1}" for i in range(13)), cycle(14)]
+)
+def test_long_tables_match_a_folded_lcm(text):
+    # 2^12, 2^13 and 2^14 faces, split down 5, 4 and 6 shortfall planes; the last in two slices
     check(parse_ideal(text))
+
+
+def test_one_face_per_degree_is_walked_in_linear_time():
+    # K = prod (1 - t^(2^i)) has 2^18 terms; walking whole planes per degree took about 6 s
+    q = 18
+    ideal = parse_ideal(", ".join(f"x{i}^{1 << i}" for i in range(q)))
+    start = perf_counter()
+    numerator = taylor_numerator(ideal)
+    assert perf_counter() - start < 2.0
+    assert numerator == tuple((d, (-1) ** d.bit_count()) for d in range(1 << q))
 
 
 def test_editing_the_numerator_cannot_change_later_power_sums():
@@ -187,5 +199,29 @@ def test_power_sum_on_cycle_20_takes_under_a_second():
     start = perf_counter()
     assert multiplicity_ps(ideal) == 2
     assert perf_counter() - start < 1.0
-    with pytest.raises(ResourceCapError, match="q <= 20"):
-        multiplicity_ps(parse_ideal(cycle(21)))
+    with pytest.raises(ResourceCapError, match="q <= 24"):
+        multiplicity_ps(parse_ideal(cycle(25)))
+
+
+@pytest.mark.parametrize("q, exponent", [(21, 195), (24, 21)])
+def test_past_q_20_the_lcm_degree_stays_below_2_to_the_33_minus_q(q, exponent):
+    # deg lcm(all) = q * exponent is 4095 and 504, then 4116 and 528 past the bound
+    def powers(e: int) -> str:
+        return ", ".join(f"x{i}^{e}" for i in range(q))
+
+    assert multiplicity_ps(parse_ideal(powers(exponent))) == exponent**q
+    with pytest.raises(ResourceCapError, match=r"2\^\(33 - q\)"):
+        multiplicity_ps(parse_ideal(powers(exponent + 1)))
+
+
+@pytest.mark.parametrize(
+    "q, squarefree, square", [(21, 21, 42), (22, 2, 2), (23, 23, 46), (24, 2, 2)]
+)
+def test_power_sum_answers_cycles_up_to_the_cap(q, squarefree, square):
+    # an odd cycle x_i*x_{i+1} has e = q, and x_i^2*x_{i+1} doubles it; an even one has e = 2
+    edges = ", ".join(f"x{i}*x{(i + 1) % q}" for i in range(q))
+    for text, e in ((edges, squarefree), (cycle(q), square)):
+        ideal = parse_ideal(text)
+        start = perf_counter()
+        assert multiplicity_ps(ideal) == e, text
+        assert perf_counter() - start < 1.0, text
