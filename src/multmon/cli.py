@@ -152,9 +152,13 @@ def _classification_payload(ideal: MonomialIdeal, report) -> dict:
     }
 
 
+class _Raw(str):
+    """A result already rendered as JSON text, written out as it is."""
+
+
 def _result_for(
     ideal: MonomialIdeal, args
-) -> tuple[dict, str | None, list[dict], bool | None]:
+) -> tuple[dict | _Raw, str | None, list[dict], bool | None]:
     """Result payload, chosen method, cross-checks, agreement flag."""
     command = args.command
 
@@ -186,34 +190,33 @@ def _result_for(
         }
         return result, "classification", [], None
 
+    # Labels go into JSON text unescaped: names match `parsing._VAR`, exponents are digits.
     if command == "betti":
         resolution = minimal_resolution(ideal)
         hdegs = map(int.bit_count, range(1 << ideal.q))
         faces = sorted(zip(hdegs, resolution.degrees, resolution.labels))
-        entries = [{"hdeg": i, "mdeg": m, "degree": d, "count": 1} for i, d, m in faces]
-        graded = [
+        graded = json.dumps([
             {"hdeg": i, "degree": d, "count": c}
             for (i, d), c in sorted(Counter((i, d) for i, d, _ in faces).items())
-        ]
-        result = {"entries": entries, "graded": graded, "ranks": list(resolution.ranks())}
-        return result, "taylor", [], None
+        ])
+        ranks = json.dumps(list(resolution.ranks()))
+        rows = (f'{{"hdeg": {i}, "mdeg": "{m}", "degree": {d}, "count": 1}}' for i, d, m in faces)
+        result = f'{{"entries": [{", ".join(rows)}], "graded": {graded}, "ranks": {ranks}}}'
+        return _Raw(result), "taylor", [], None
 
     if command == "taylor":
         resolution = taylor_resolution(ideal)
         degrees, labels = resolution.degrees, resolution.labels
-        members = [[]]
+        members = [""]
         for i in range(ideal.q):
-            members += [m + [i] for m in members]
-        faces = [
-            {
-                "members": members[mask],
-                "hdeg": len(members[mask]),
-                "mdeg": labels[mask],
-                "degree": degrees[mask],
-            }
+            members += [f"{m}, {i}" if m else f"{i}" for m in members]
+        faces = (
+            f'{{"members": [{members[mask]}], "hdeg": {mask.bit_count()}, '
+            f'"mdeg": "{labels[mask]}", "degree": {degrees[mask]}}}'
             for mask in face_order(ideal.q)
-        ]
-        return {"ranks": list(resolution.ranks()), "faces": faces}, "taylor", [], None
+        )
+        ranks = json.dumps(list(resolution.ranks()))
+        return _Raw(f'{{"ranks": {ranks}, "faces": [{", ".join(faces)}]}}'), "taylor", [], None
 
     if command == "diagram":
         names = ideal.ring.names
@@ -298,8 +301,15 @@ def _emit(document: dict, args, stream=None) -> None:
     stream = stream or sys.stdout
     if getattr(args, "pretty", False):
         stream.write(_render_pretty(document) + "\n")
+    elif isinstance(document.get("result"), _Raw):
+        # key by key: joining a multi-MB result text to the rest would copy it
+        stream.write("{")
+        for n, (key, value) in enumerate(document.items()):
+            stream.write(f"{', ' if n else ''}{json.dumps(key)}: ")
+            stream.write(value if isinstance(value, _Raw) else json.dumps(value))
+        stream.write("}\n")
     else:
-        stream.write(json.dumps(document, separators=(", ", ": ")) + "\n")
+        stream.write(json.dumps(document) + "\n")
 
 
 def _render_pretty(document: dict) -> str:
@@ -324,6 +334,8 @@ def _render_pretty(document: dict) -> str:
         "classification: codim={codim} dominant={dominant} ci={complete_intersection}".format(**cls)
     )
     result = document["result"]
+    if isinstance(result, _Raw):
+        result = json.loads(result)
     if command == "multiplicity":
         lines.append(f"multiplicity = {result['multiplicity']}  (method: {document['method']})")
     elif command == "codim":

@@ -7,6 +7,7 @@ import io
 import json
 import random
 import re
+import string
 import time
 from functools import reduce
 from pathlib import Path
@@ -201,29 +202,47 @@ def _reference_documents(ideal) -> tuple[dict, dict]:
 
 
 def test_betti_and_taylor_documents_match_a_per_face_reference(capsys):
-    # Dominant by private exponents 9-14 (x^10 sorts before x^9 as text); the
-    # explicit order is shuffled and names one variable no generator uses.
+    # Byte for byte: stdout is `json.dumps` of the document with the reference result.
+    # Dominant by a private variable v_1 .. v_10 with exponent 1, 2 or 9-14 (x^10
+    # sorts before x^9 as text); the explicit order is shuffled and names one
+    # variable no generator uses.  At q = 1 the empty face's label is "1".
     rng = random.Random(4242)
-    for q in range(1, 10):
+    for q in range(1, 11):
         for _ in range(3):
             shared = [f"s{i}" for i in range(rng.randint(1, 4))]
             gens = []
             for i in range(q):
-                factors = [f"p{i}^{rng.randint(9, 14)}"]
+                factors = [f"v_{i + 1}^{rng.choice((1, 2, 9, 10, 11, 14))}"]
                 k = rng.randint(0, min(2, len(shared)))
                 factors += [f"{v}^{rng.randint(1, 12)}" for v in rng.sample(shared, k)]
                 rng.shuffle(factors)
                 gens.append("*".join(factors))
-            names = shared + [f"p{i}" for i in range(q)] + ["unused"]
+            names = shared + [f"v_{i + 1}" for i in range(q)] + ["unused"]
             rng.shuffle(names)
             text = ", ".join(gens)
             ideal = parse_ideal(text, names)
             assert is_dominant(ideal) and ideal.q == q
             betti, taylor = _reference_documents(ideal)
             for command, expected in (("betti", betti), ("taylor", taylor)):
-                code, (doc,) = run_cli(capsys, command, "--ideal", text, "--vars", ",".join(names))
+                code = cli.main([command, "--ideal", text, "--vars", ",".join(names)])
+                out = capsys.readouterr().out
+                document = json.loads(out)
+                document["result"] = expected
                 assert code == 0, (command, text, names)
-                assert json.dumps(doc["result"]) == json.dumps(expected), (command, text, names)
+                assert out == json.dumps(document) + "\n", (command, text, names)
+
+
+def test_labels_need_no_json_escaping(capsys):
+    # `betti` and `taylor` write each label into the JSON text as it is: a name
+    # is built from these characters only, and an exponent from ASCII digits
+    alphabet = string.ascii_letters + string.digits + "_"
+    assert json.dumps(alphabet + "*^") == f'"{alphabet}*^"'
+    others = (chr(c) for c in range(0x10000) if chr(c) not in alphabet)
+    assert not any(cli.is_valid_variable_name("a" + c) for c in others)
+    for name in ('a"b', "a\\b", "\u00e9"):
+        assert cli.main(["betti", "--ideal", f"{name}^2"]) == 1
+        assert cli.main(["betti", "--ideal", "x^2", "--vars", f"x,{name}"]) == 1
+    assert capsys.readouterr().out == ""
 
 
 def test_taylor_cap_exit(capsys):
@@ -404,6 +423,61 @@ def test_batch_mode_survives_an_unexpected_exception(tmp_path, capsys, monkeypat
     assert docs[1]["error"] == {"code": "ZeroDivisionError", "message": "injected", "exit_code": 5}
     assert docs[1]["input"] == {"text": "x^2*y, x*y^2"}
     assert docs[2]["result"]["multiplicity"] == 2
+
+
+def test_betti_and_taylor_batches_write_one_document_per_line(tmp_path, capsys):
+    # dominant, non-dominant, unparsable; only `betti` refuses the non-dominant line
+    batch = tmp_path / "ideals.txt"
+    batch.write_text("a^2*b, b^2*c_1, c_1^10*a\na^2, b^3, a*b\na*\n")
+    for command, key, status in (("betti", "entries", 3), ("taylor", "faces", 1)):
+        code = cli.main([command, "--file", str(batch)])
+        lines = capsys.readouterr().out.split("\n")
+        assert code == status  # the first line to fail decides
+        assert lines[3:] == [""]
+        first, second, third = map(json.loads, lines[:3])
+        assert len(first["result"][key]) == 8 and first["result"]["ranks"] == [1, 3, 3, 1]
+        if command == "betti":
+            assert second["error"]["exit_code"] == 3
+        else:
+            assert [f["mdeg"] for f in second["result"]["faces"]][-1] == "a^2*b^3"
+        assert third["error"]["exit_code"] == 1
+
+
+PRETTY_Q3 = {
+    "betti": """ideal: a^2*b, b^2*c_1, a*c_1^10
+classification: codim=2 dominant=True ci=False
+betti entries (hdeg, mdeg, count):
+    0  1                        1
+    1  a^2*b                    1
+    1  b^2*c_1                  1
+    1  a*c_1^10                 1
+    2  a^2*b^2*c_1              1
+    2  a*b^2*c_1^10             1
+    2  a^2*b*c_1^10             1
+    3  a^2*b^2*c_1^10           1
+ranks: [1, 3, 3, 1]
+""",
+    "taylor": """ideal: a^2*b, b^2*c_1, a*c_1^10
+classification: codim=2 dominant=True ci=False
+ranks: [1, 3, 3, 1]
+faces (members, hdeg, mdeg):
+  []                 0  1
+  [0]                1  a^2*b
+  [1]                1  b^2*c_1
+  [2]                1  a*c_1^10
+  [0, 1]             2  a^2*b^2*c_1
+  [0, 2]             2  a^2*b*c_1^10
+  [1, 2]             2  a*b^2*c_1^10
+  [0, 1, 2]          3  a^2*b^2*c_1^10
+""",
+}
+
+
+def test_betti_and_taylor_pretty_rendering(capsys):
+    for command, expected in PRETTY_Q3.items():
+        assert cli.main([command, "--ideal", "a^2*b, b^2*c_1, c_1^10*a", "--pretty"]) == 0
+        out = capsys.readouterr().out
+        assert re.fullmatch(re.escape(expected) + r"time: [0-9.]+ ms\n", out), out
 
 
 def test_pretty_rendering(capsys):

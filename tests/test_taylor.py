@@ -291,19 +291,33 @@ def test_resolution_footprint_stays_small():
     assert peak < 10 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
-def test_betti_document_builds_no_monomial_per_face():
-    # 2^16 faces rendered from the lcm columns; per-face Monomials peaked at 45.8 MiB
+def _cycle16_document(command: str) -> tuple[dict, int]:
+    """The result of one CLI call on the 2^16-face cycle and the call's tracemalloc peak."""
     text = ", ".join(f"x{i}^2*x{(i + 1) % 16}" for i in range(16))
     out = io.StringIO()
     tracemalloc.start()
     try:
         with contextlib.redirect_stdout(out):
-            code = cli.main(["betti", "--ideal", text])
+            code = cli.main([command, "--ideal", text])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert len(json.loads(out.getvalue())["result"]["entries"]) == 1 << 16
+    return json.loads(out.getvalue())["result"], peak
+
+
+def test_betti_document_builds_no_monomial_per_face():
+    # 2^16 faces rendered from the lcm columns; per-face Monomials peaked at 45.8 MiB
+    result, peak = _cycle16_document("betti")
+    assert len(result["entries"]) == 1 << 16
+    assert peak < 38 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_taylor_document_is_written_as_text():
+    # one f-string per face; a dict per face, encoded by `json.dumps`, peaked at 43.1 MiB
+    result, peak = _cycle16_document("taylor")
+    assert len(result["faces"]) == 1 << 16
+    assert result["ranks"] == [math.comb(16, i) for i in range(17)]
     assert peak < 38 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
