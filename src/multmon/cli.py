@@ -18,7 +18,8 @@ import json
 import random
 import sys
 import time
-from collections import Counter
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from . import __version__
@@ -196,8 +197,8 @@ def _result_for(
         hdegs = map(int.bit_count, range(1 << ideal.q))
         faces = sorted(zip(hdegs, resolution.degrees, resolution.labels))
         graded = json.dumps([
-            {"hdeg": i, "degree": d, "count": c}
-            for (i, d), c in sorted(Counter((i, d) for i, d, _ in faces).items())
+            {"hdeg": i, "degree": d, "count": len(list(group))}
+            for (i, d), group in groupby(faces, itemgetter(0, 1))
         ])
         ranks = json.dumps(list(resolution.ranks()))
         rows = (f'{{"hdeg": {i}, "mdeg": "{m}", "degree": {d}, "count": 1}}' for i, d, m in faces)

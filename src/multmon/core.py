@@ -11,7 +11,7 @@ Every subset lcm comes from one recurrence, `lcm_levels`: per variable and
 exponent level, the faces whose lcm lies below it, as one integer with a
 fixed-width field per generator bitmask, so the 2^q faces cost a few
 big-integer operations per generator, not a Python loop per face.
-`lcm_columns` sums the levels into packed deficit columns, which
+`lcm_columns` turns the levels into packed exponent columns, which
 `subset_lcms` unpacks into exponent tuples; `taylor.lcm_degree_table` adds
 them at width 1 into the bit planes of each face's shortfall.
 
@@ -43,7 +43,6 @@ __all__ = [
     "gcd_all",
     "lcm_columns",
     "lcm_levels",
-    "packed_ones",
     "unpack_fields",
     "subset_lcms",
     "minimalize",
@@ -219,31 +218,38 @@ def gcd_all(monomials: Iterable[Monomial]) -> Monomial:
 _FIELD_FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
 
-def lcm_columns(gens: Sequence[Monomial]) -> tuple[int, list[int], Iterator[int]]:
-    """Per variable, how far its exponent in each subset lcm of `gens` falls short of its top.
+def lcm_columns(gens: Sequence[Monomial]) -> tuple[int, Iterator[int]]:
+    """Per variable, its exponent in each subset lcm of `gens`, as one packed column.
 
-    `gens` is nonempty.  Returns the field width, each variable's top (0 if
-    no generator uses it) and an iterator over the packed deficit columns in
-    table order, each its `lcm_levels` summed as step * z: field `mask` (bits
-    `mask * width` up to `(mask + 1) * width`) holds top less the exponent in
-    the lcm of `mask`, and `top * packed_ones(width, q) - deficit` is the
-    exponent column.  The width is the narrowest of 8, 16, 32 and 64 bits
-    holding deg lcm(all); exponents are at most `MAX_EXPONENT`.
+    `gens` is nonempty.  Returns the field width and an iterator over the
+    columns in table order, built one at a time: field `mask` (bits
+    `mask * width` up to `(mask + 1) * width`) holds the exponent in the lcm
+    of `mask`, and a variable no generator uses has the column 0.  The width
+    is the narrowest of 8, 16, 32 and 64 bits holding deg lcm(all);
+    exponents are at most `MAX_EXPONENT`.
     """
-    exponents = list(zip(*[g.vec for g in gens]))
-    tops = list(map(max, exponents))
-    width = next(w for w in _FIELD_FORMATS if not sum(tops) >> w)  # ascending widths
-    shifts = [width << k for k in range(len(gens))]
-    terms = ((z if s == 1 else s * z for s, z in lcm_levels(exps, shifts)) for exps in exponents)
-    return width, tops, (sum(column, next(column, 0)) for column in terms)  # 0 + z would copy z
+    exponents, q = list(zip(*[g.vec for g in gens])), len(gens)
+    top = sum(map(max, exponents))
+    width = next(w for w in _FIELD_FORMATS if not top >> w)  # ascending widths
+    ones = ((1 << (width << q)) - 1) // ((1 << width) - 1)  # 1 in each of the 2^q fields
+    return width, _columns(exponents, [width << k for k in range(q)], ones)
+
+
+def _columns(exponents: list[tuple[int, ...]], shifts: list[int], ones: int) -> Iterator[int]:
+    """Each variable's top in every field, less the `lcm_levels` step * z below it."""
+    for exps in exponents:
+        column = max(exps) * ones
+        for step, z in lcm_levels(exps, shifts):
+            column -= z if step == 1 else step * z
+        yield column
 
 
 def lcm_levels(exps: Sequence[int], shifts: list[int]) -> Iterator[tuple[int, int]]:
     """One variable's exponent levels as `(step, z)`; `exps[k]` is generator k's exponent.
 
     At each distinct nonzero exponent a, ascending, z marks the faces whose members
-    all lie below a and step is a less the next lower one (or 0), so the step * z
-    sum to the deficit column; z grows by `z |= z << shifts[k]` per generator k.
+    all lie below a and step is a less the next lower one (or 0), so the top less the
+    marked steps is a face's exponent; z grows by `z |= z << shifts[k]` per generator k.
     """
     z, prev, top = 1, 0, max(exps)
     for e, shift in sorted(zip(exps, shifts)):
@@ -253,11 +259,6 @@ def lcm_levels(exps: Sequence[int], shifts: list[int]) -> Iterator[tuple[int, in
         if e == top:
             return  # every level is out: z is not needed again
         z |= z << shift
-
-
-def packed_ones(width: int, q: int) -> int:
-    """The packed column with 1 in each of its 2^q `width`-bit fields."""
-    return ((1 << (width << q)) - 1) // ((1 << width) - 1)
 
 
 def unpack_fields(packed: int, width: int, q: int) -> memoryview:
@@ -272,9 +273,8 @@ def subset_lcms(table: VariableTable, gens: Sequence[Monomial]) -> list[tuple[in
     if not gens:
         return [(0,) * len(table)]
     q = len(gens)
-    width, tops, deficits = lcm_columns(gens)
-    ones, zero = packed_ones(width, q), unpack_fields(0, width, q)  # zero: unused variables
-    columns = (top * ones - deficit for top, deficit in zip(tops, deficits))
+    width, columns = lcm_columns(gens)
+    zero = unpack_fields(0, width, q)  # shared by the variables no generator uses
     return list(zip(*[unpack_fields(col, width, q) if col else zero for col in columns]))
 
 

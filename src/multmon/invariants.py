@@ -53,10 +53,8 @@ def covers(supports: list[int], size: int) -> Iterator[int]:
     stack = [(supports, size, 0, min(supports, key=int.bit_count), 0)]
     while stack:
         supports, size, chosen, pivot, ban = stack.pop()
-        if ban:
+        if ban:  # a sibling bans fewer variables than its pivot, the least support, has: none empties
             supports = [s & ~ban for s in supports]
-            if not all(supports):
-                continue
         bit = pivot & -pivot
         if pivot ^ bit:  # the next sibling: popped once this branch is done
             stack.append((supports, size, chosen, pivot ^ bit, bit))

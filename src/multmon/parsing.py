@@ -125,31 +125,25 @@ def _build(
 ) -> tuple[MonomialIdeal, tuple[str, ...]]:
     if var_names is not None:
         _check_names(var_names)
-        table = VariableTable(tuple(var_names))
-        known = set(var_names)
-        for factors in factor_maps:
-            for name in factors:
-                if name not in known:
-                    raise ParseError(
-                        "unknown-variable", f"variable {name!r} is not in the declared list"
-                    )
     else:
-        order: list[str] = []
-        for factors in factor_maps:
-            for name in factors:
-                if name not in order:
-                    order.append(name)
-        table = VariableTable(tuple(order))
-    raw = [
-        Monomial.from_map(table, {table.index(name): e for name, e in factors.items()})
-        for factors in factor_maps
-    ]
+        var_names = dict.fromkeys(name for factors in factor_maps for name in factors)
+    table = VariableTable(tuple(var_names))
+    raw = []
+    for factors in factor_maps:
+        vec = [0] * len(table)
+        for name, e in factors.items():
+            try:
+                vec[table.index(name)] = e
+            except KeyError:
+                message = f"variable {name!r} is not in the declared list"
+                raise ParseError("unknown-variable", message) from None
+        raw.append(Monomial(table, tuple(vec)))
     ideal = minimalize(table, raw)
-    kept = list(ideal.gens)
+    kept = {g.vec for g in ideal.gens}
     notices = []
     for m in raw:
-        if m in kept:
-            kept.remove(m)
+        if m.vec in kept:
+            kept.remove(m.vec)  # a later equal generator is the redundant one
         else:
             notices.append(f"minimalized: dropped redundant generator {m}")
     return ideal, tuple(notices)

@@ -2,7 +2,7 @@
 
 For an ideal with q minimal generators the complex has one face per subset of
 generators.  A face is a bitmask into mask-indexed lists read off the packed
-subset-lcm deficit columns (`core.lcm_columns`, one big integer per variable):
+subset-lcm exponent columns (`core.lcm_columns`, one big integer per variable):
 `degrees[mask]` is the total degree of the lcm of its members and
 `labels[mask]` that lcm rendered as text; its homological degree is
 `mask.bit_count()`.  Ranks are binomial: C(q, s) faces in degree s.
@@ -39,7 +39,6 @@ from .core import (
     MonomialIdeal,
     lcm_columns,
     lcm_levels,
-    packed_ones,
     per_ideal,
     subset_lcms,
     unpack_fields,
@@ -212,9 +211,9 @@ def taylor_resolution(ideal: MonomialIdeal) -> TaylorResolution:
     """
     _require_small(ideal, Q_MAX)
     q, gens, names = ideal.q, ideal.gens, ideal.ring.names
-    width, tops, deficits = lcm_columns(gens)
-    ones, total, tokens = packed_ones(width, q), 0, []
-    for v, col in enumerate(top * ones - deficit for top, deficit in zip(tops, deficits)):
+    width, columns = lcm_columns(gens)
+    total, tokens = 0, []
+    for v, col in enumerate(columns):
         if not col:
             continue  # a variable no generator uses
         total += col

@@ -1,8 +1,8 @@
 """Face-by-face reference for the packed subset-lcm kernel.
 
 `check(ideal)` compares everything read off the packed columns with a left
-fold of `lcm` over each face's members: the `lcm_columns` deficits (each
-variable's top exponent less its exponent in the face's lcm),
+fold of `lcm` over each face's members: the `lcm_columns` exponent columns
+(each variable's exponent in the face's lcm, one column per ring variable),
 `lcm_degree_table` (deg lcm(all) and each face's shortfall from it, read off
 the bit planes face by face), `taylor_numerator` against a signed degree
 histogram counted face by face, `subset_lcms`, the `taylor_resolution`
@@ -15,7 +15,7 @@ alone: whether any face has the degree of one of its facets
 either side of each field-width limit with the width of the subset-lcm
 columns, and `PLANE_BOUNDARY` ideals whose d sits on either side of a power
 of two with the number of shortfall planes.  `REFERENCE` holds ideals that
-take each branch of the deficit build: a variable whose exponent levels step
+take each branch of the column build: a variable whose exponent levels step
 by 1 and by more, and a variable no generator uses.
 `witnesses_by_pairs` is the pairwise definition of the dominance witnesses.
 `tests/test_lcm_kernel.py` runs the check on those ideals, on seeded random
@@ -81,7 +81,7 @@ EXPONENTS = (1, 2, 3, 5, 127, 128, 255, 256, 32767, 32768, 65535, 65536, 2**31 -
 
 
 def field_width(ideal: MonomialIdeal) -> int:
-    width, _, _ = lcm_columns(ideal.gens)
+    width, _ = lcm_columns(ideal.gens)
     return width
 
 
@@ -99,11 +99,12 @@ def check(ideal: MonomialIdeal) -> None:
         for mask in range(1 << ideal.q)
     ]
     degrees = [m.degree for m in folds]
-    width, tops, deficits = lcm_columns(ideal.gens)
-    assert tops == list(folds[-1].vec), str(ideal)
-    for v, deficit in enumerate(deficits):
-        fields = unpack_fields(deficit, width, ideal.q).tolist()
-        assert fields == [tops[v] - m.vec[v] for m in folds], (str(ideal), v)
+    width, columns = lcm_columns(ideal.gens)
+    columns = list(columns)
+    assert len(columns) == len(ideal.ring), str(ideal)
+    for v, column in enumerate(columns):
+        fields = unpack_fields(column, width, ideal.q).tolist()
+        assert fields == [m.vec[v] for m in folds], (str(ideal), v)
     top, planes = lcm_degree_table(ideal)
     assert top == degrees[-1] and len(planes) == top.bit_length(), str(ideal)
     assert shortfalls(planes, ideal.q) == [top - d for d in degrees], str(ideal)

@@ -70,7 +70,7 @@ def reorderings(draw):
 @settings(max_examples=200, deadline=None)
 @given(reorderings())
 def test_numerator_and_degree_table_ignore_generator_and_variable_order(ideals):
-    # the deficit build sorts each variable's generators by (exponent, shift)
+    # `core.lcm_levels` sorts each variable's generators by (exponent, shift)
     ideal, *others = ideals
     for other in others:
         assert taylor_numerator(other) == taylor_numerator(ideal), str(other)
