@@ -18,8 +18,8 @@ import json
 import random
 import sys
 import time
-from itertools import groupby
-from operator import itemgetter
+from itertools import groupby, islice, repeat
+from operator import add
 from typing import Iterable, Iterator, Sequence
 
 from . import __version__
@@ -153,8 +153,8 @@ def _classification_payload(ideal: MonomialIdeal, report) -> dict:
     }
 
 
-class _Raw(str):
-    """A result already rendered as JSON text, written out as it is."""
+class _Raw(tuple):
+    """A result already rendered as JSON text: its string parts, written out in turn."""
 
 
 def _result_for(
@@ -194,30 +194,35 @@ def _result_for(
     # Labels go into JSON text unescaped: names match `parsing._VAR`, exponents are digits.
     if command == "betti":
         resolution = minimal_resolution(ideal)
-        hdegs = map(int.bit_count, range(1 << ideal.q))
-        faces = sorted(zip(hdegs, resolution.degrees, resolution.labels))
-        graded = json.dumps([
-            {"hdeg": i, "degree": d, "count": len(list(group))}
-            for (i, d), group in groupby(faces, itemgetter(0, 1))
-        ])
-        ranks = json.dumps(list(resolution.ranks()))
-        rows = (f'{{"hdeg": {i}, "mdeg": "{m}", "degree": {d}, "count": 1}}' for i, d, m in faces)
-        result = f'{{"entries": [{", ".join(rows)}], "graded": {graded}, "ranks": {ranks}}}'
-        return _Raw(result), "taylor", [], None
+        degrees, labels = resolution.degrees, resolution.labels
+        ranks, order = resolution.ranks(), iter(face_order(ideal.q))
+        parts, graded = ['{"entries": ['], []
+        for hdeg, count in enumerate(ranks):
+            faces = sorted(islice(order, count), key=labels.__getitem__)
+            faces.sort(key=degrees.__getitem__)  # stable: by degree, then label
+            for d, run in groupby(faces, degrees.__getitem__):  # one text per (hdeg, degree)
+                head, tail = f'{{"hdeg": {hdeg}, "mdeg": "', f'", "degree": {d}, "count": 1}}'
+                run = list(map(labels.__getitem__, run))
+                parts += [", " if graded else "", head, f"{tail}, {head}".join(run), tail]
+                graded.append({"hdeg": hdeg, "degree": d, "count": len(run)})
+        parts.append(f'], "graded": {json.dumps(graded)}, "ranks": {json.dumps(list(ranks))}}}')
+        return _Raw(parts), "taylor", [], None
 
     if command == "taylor":
         resolution = taylor_resolution(ideal)
         degrees, labels = resolution.degrees, resolution.labels
         members = [""]
-        for i in range(ideal.q):
-            members += [f"{m}, {i}" if m else f"{i}" for m in members]
-        faces = (
-            f'{{"members": [{members[mask]}], "hdeg": {mask.bit_count()}, '
-            f'"mdeg": "{labels[mask]}", "degree": {degrees[mask]}}}'
-            for mask in face_order(ideal.q)
-        )
-        ranks = json.dumps(list(resolution.ranks()))
-        return _Raw(f'{{"ranks": {ranks}, "faces": [{", ".join(faces)}]}}'), "taylor", [], None
+        for i in range(ideal.q):  # the faces with generator i follow all faces without it
+            members += [f"{i}", *map(add, members[1:], repeat(f", {i}"))]
+        ranks, order = resolution.ranks(), iter(face_order(ideal.q))
+        parts = [f'{{"ranks": {json.dumps(list(ranks))}, "faces": [']
+        for hdeg, count in enumerate(ranks):  # one text per hdeg: no list of every face's text
+            parts += [", " if hdeg else "", ", ".join(
+                f'{{"members": [{members[mask]}], "hdeg": {hdeg}, '
+                f'"mdeg": "{labels[mask]}", "degree": {degrees[mask]}}}'
+                for mask in islice(order, count)
+            )]
+        return _Raw([*parts, "]}"]), "taylor", [], None
 
     if command == "diagram":
         names = ideal.ring.names
@@ -303,11 +308,11 @@ def _emit(document: dict, args, stream=None) -> None:
     if getattr(args, "pretty", False):
         stream.write(_render_pretty(document) + "\n")
     elif isinstance(document.get("result"), _Raw):
-        # key by key: joining a multi-MB result text to the rest would copy it
+        # key by key and part by part: joining a multi-MB result text would copy it
         stream.write("{")
         for n, (key, value) in enumerate(document.items()):
             stream.write(f"{', ' if n else ''}{json.dumps(key)}: ")
-            stream.write(value if isinstance(value, _Raw) else json.dumps(value))
+            stream.writelines(value if isinstance(value, _Raw) else [json.dumps(value)])
         stream.write("}\n")
     else:
         stream.write(json.dumps(document) + "\n")
@@ -336,7 +341,7 @@ def _render_pretty(document: dict) -> str:
     )
     result = document["result"]
     if isinstance(result, _Raw):
-        result = json.loads(result)
+        result = json.loads("".join(result))
     if command == "multiplicity":
         lines.append(f"multiplicity = {result['multiplicity']}  (method: {document['method']})")
     elif command == "codim":

@@ -4,10 +4,10 @@ For an ideal with q minimal generators the complex has one face per subset of
 generators.  A face is a bitmask into mask-indexed lists read off the packed
 subset-lcm exponent columns (`core.lcm_columns`, one big integer per variable):
 `degrees[mask]` is the total degree of the lcm of its members and
-`labels[mask]` that lcm rendered as text; its homological degree is
-`mask.bit_count()`.  Ranks are binomial: C(q, s) faces in degree s.
-The lcms themselves (`mdegs`) are exponent tuples, built only when asked for.
-For a dominant ideal the complex is the minimal free resolution
+`labels[mask]` that lcm as text (a table lookup per group of variables); its
+homological degree is `mask.bit_count()`.  Ranks are binomial: C(q, s) faces in
+degree s.  The lcms themselves (`mdegs`) are exponent tuples, built only when
+asked for.  For a dominant ideal the complex is the minimal free resolution
 (`minimal_resolution`), so each face is one multigraded Betti number.
 
 The engine counts one signed degree histogram, the Hilbert-series numerator
@@ -32,7 +32,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import sub
+from itertools import chain, repeat
+from operator import itemgetter, or_, sub
 
 from .core import (
     Monomial,
@@ -68,6 +69,7 @@ __all__ = [
 Q_MAX = 20
 PS_Q_MAX = 24
 _BLOCK = 13  # the power-sum walk takes 2^13 faces at a time
+_UNSTARRED = itemgetter(slice(1, None))  # a label less its leading "*"
 
 
 def _require_small(ideal: MonomialIdeal, cap: int) -> None:
@@ -171,7 +173,11 @@ def multiplicity_ps(ideal: MonomialIdeal) -> int:
 
 def face_order(q: int) -> list[int]:
     """Face masks of a q-generator complex by homological degree, then bitmask."""
-    return sorted(range(1 << q), key=int.bit_count)  # stable: ties stay in mask order
+    levels = [[0]] + [[] for _ in range(q)]  # the masks of each homological degree
+    for i in range(q):  # the masks with bit i lie above all older ones: no sort
+        for s in range(i, -1, -1):  # downwards, so no level reads the masks just added
+            levels[s + 1] += map(or_, levels[s], repeat(1 << i))
+    return list(chain.from_iterable(levels))
 
 
 def member_indices(mask: int) -> tuple[int, ...]:
@@ -206,22 +212,31 @@ class TaylorResolution:
 def taylor_resolution(ideal: MonomialIdeal) -> TaylorResolution:
     """Every face's degree and rendered multidegree, read off the packed lcm columns.
 
-    Each exponent of a variable is rendered once, as a `*`-prefixed token; a
-    face's label joins its tokens in variable order.
+    Each exponent of a variable is rendered once, as a `*`-prefixed token.  Consecutive
+    used variables share a packed key column, sum col_v * radix_v (radix_v: the product of
+    top + 1 over the group's earlier variables), and a table of their joined tokens until a
+    key would overflow a field or the table pass 256; a label joins its groups' texts.
     """
     _require_small(ideal, Q_MAX)
     q, gens, names = ideal.q, ideal.gens, ideal.ring.names
     width, columns = lcm_columns(gens)
-    total, tokens = 0, []
+    total, groups, key, radix, table = 0, [], 0, 1, {0: ""}
     for v, col in enumerate(columns):
         if not col:
             continue  # a variable no generator uses
         total += col
-        name = names[v]
-        token = {e: f"*{name}^{e}" for e in {g.vec[v] for g in gens}}
-        token.update({0: "", 1: f"*{name}"})
-        tokens.append(map(token.__getitem__, unpack_fields(col, width, q)))
-    labels = [label[1:] or "1" for label in map("".join, zip(*tokens))]
+        token = {e: f"*{names[v]}^{e}" for e in {g.vec[v] for g in gens}}
+        token.update({0: "", 1: f"*{names[v]}"})
+        top = max(token)
+        if radix * (top + 1) - 1 >> width or len(table) * len(token) > 256:
+            groups.append(map(table.__getitem__, unpack_fields(key, width, q)))
+            key, radix, table = 0, 1, {0: ""}
+        key += col * radix
+        table = {k + e * radix: t + s for k, t in table.items() for e, s in token.items()}
+        radix *= top + 1
+    groups.append(map(table.__getitem__, unpack_fields(key, width, q)))
+    labels = list(map(_UNSTARRED, map("".join, zip(*groups))))
+    labels[0] = "1"  # the empty face; every other face has a variable
     return TaylorResolution(ideal, unpack_fields(total, width, q).tolist(), labels)
 
 

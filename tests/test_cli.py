@@ -10,6 +10,7 @@ import re
 import string
 import time
 from functools import reduce
+from itertools import groupby
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -204,20 +205,35 @@ def _reference_documents(ideal) -> tuple[dict, dict]:
     return betti, {"ranks": ranks, "faces": faces}
 
 
+def _text_order_differs(entries) -> int:
+    """How many (hdeg, degree) runs list their labels in another order than by exponent."""
+
+    def by_exponent(label):
+        return [(name, int(e or 1)) for name, _, e in (t.partition("^") for t in label.split("*"))]
+
+    runs = groupby(entries, key=lambda e: (e["hdeg"], e["degree"]))
+    labels = ([e["mdeg"] for e in run] for _, run in runs)
+    return sum(run != sorted(run, key=by_exponent) for run in labels)
+
+
 def test_betti_and_taylor_documents_match_a_per_face_reference(capsys):
     # Byte for byte: stdout is `json.dumps` of the document with the reference result.
-    # Dominant by a private variable v_1 .. v_10 with exponent 1, 2 or 9-14 (x^10
-    # sorts before x^9 as text); the explicit order is shuffled and names one
-    # variable no generator uses.  At q = 1 the empty face's label is "1".
+    # Dominant by a private variable v_1 .. v_12 with exponent 1, 2, 9-14 or past 2^16
+    # (32-bit fields); shared exponents 9 and 10 are common, so faces of one (hdeg,
+    # degree) run differ in them and x^10 sorts before x^9 as text.  The explicit
+    # order is shuffled and names one variable no generator uses.  At q = 1 the
+    # empty face's label is "1".
     rng = random.Random(4242)
-    for q in range(1, 11):
+    inverted = 0
+    for q in range(1, 13):
         for _ in range(3):
             shared = [f"s{i}" for i in range(rng.randint(1, 4))]
             gens = []
             for i in range(q):
-                factors = [f"v_{i + 1}^{rng.choice((1, 2, 9, 10, 11, 14))}"]
+                factors = [f"v_{i + 1}^{rng.choice((1, 2, 9, 10, 11, 14, 65536, 65545))}"]
                 k = rng.randint(0, min(2, len(shared)))
-                factors += [f"{v}^{rng.randint(1, 12)}" for v in rng.sample(shared, k)]
+                exponents = (rng.randint(1, 12), 9, 10, 70000)
+                factors += [f"{v}^{rng.choice(exponents)}" for v in rng.sample(shared, k)]
                 rng.shuffle(factors)
                 gens.append("*".join(factors))
             names = shared + [f"v_{i + 1}" for i in range(q)] + ["unused"]
@@ -226,6 +242,7 @@ def test_betti_and_taylor_documents_match_a_per_face_reference(capsys):
             ideal = parse_ideal(text, names)
             assert is_dominant(ideal) and ideal.q == q
             betti, taylor = _reference_documents(ideal)
+            inverted += _text_order_differs(betti["entries"])
             for command, expected in (("betti", betti), ("taylor", taylor)):
                 code = cli.main([command, "--ideal", text, "--vars", ",".join(names)])
                 out = capsys.readouterr().out
@@ -233,6 +250,7 @@ def test_betti_and_taylor_documents_match_a_per_face_reference(capsys):
                 document["result"] = expected
                 assert code == 0, (command, text, names)
                 assert out == json.dumps(document) + "\n", (command, text, names)
+    assert inverted  # some runs put x^10 before x^9
 
 
 def test_labels_need_no_json_escaping(capsys):

@@ -7,7 +7,7 @@ import random
 from time import perf_counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from kernel_reference import (
     BOUNDARY,
@@ -21,6 +21,7 @@ from kernel_reference import (
 )
 
 from multmon import (
+    MAX_EXPONENT,
     Monomial,
     ResourceCapError,
     codim,
@@ -34,8 +35,10 @@ from multmon import (
     parse_ideal,
     ps_power_sum,
     taylor_numerator,
+    taylor_resolution,
 )
 from multmon import taylor
+from multmon.core import subset_lcms
 from multmon.generate import make_table, random_ideal
 
 
@@ -52,6 +55,51 @@ def ideals(draw):
 @given(ideals())
 def test_packed_columns_match_a_folded_lcm(ideal):
     check(ideal)
+
+
+# Per field width, the strategies for the generators' large private exponents:
+# none, one in [2^8, 60000], one in [2^16, 2^31], or three near 2^31.
+LARGE = {
+    8: (),
+    16: (st.integers(256, 60000),),
+    32: (st.integers(1 << 16, MAX_EXPONENT),),
+    64: (st.integers(MAX_EXPONENT - (1 << 16), MAX_EXPONENT),) * 3,
+}
+
+
+@st.composite
+def grouped_ideals(draw):
+    # A private variable per generator keeps every generator; up to six shared
+    # variables of up to six values each close label groups on both bounds (a key
+    # past the field, a table past 256 texts); unused variables sit anywhere.
+    width = draw(st.sampled_from(sorted(LARGE)))
+    large, small = LARGE[width], st.sampled_from((1, 2, 3, 9, 10))
+    q = draw(st.integers(max(1, len(large)), 6))
+    shared = [f"s{k}" for k in range(draw(st.integers(0, 6)))]
+    maps = []
+    for i in range(q):
+        powers = {f"p{i}": draw(large[i] if i < len(large) else small)}
+        for name in draw(st.lists(st.sampled_from(shared), unique=True)) if shared else ():
+            powers[name] = draw(small)
+        maps.append(powers)
+    unused = [f"u{k}" for k in range(draw(st.integers(1, 2)))]
+    names = draw(st.permutations([f"p{i}" for i in range(q)] + shared + unused))
+    return width, ideal_from_maps(maps, names)
+
+
+@settings(max_examples=200, deadline=None)
+@given(grouped_ideals())
+# 12 binary variables close a group after 8; in 8-bit fields x^100, y^2 and z^100 take
+# a group each
+@example((8, parse_ideal("a*b*c*d*e*f, g*h*i*j*k*l", var_names=[*"abcdefuvghijkl"])))
+@example((8, parse_ideal("x^100*y, y^2*z^100", var_names=["u", "x", "y", "z"])))
+def test_labels_and_degrees_match_the_lcms_at_every_width(case):
+    width, ideal = case
+    assert field_width(ideal) == width and len(ideal.used_variables()) < len(ideal.ring)
+    resolution = taylor_resolution(ideal)
+    mdegs = subset_lcms(ideal.ring, ideal.gens)
+    assert resolution.labels == [str(Monomial(ideal.ring, vec)) for vec in mdegs], str(ideal)
+    assert resolution.degrees == [sum(vec) for vec in mdegs], str(ideal)
 
 
 @st.composite
