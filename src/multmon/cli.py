@@ -48,6 +48,7 @@ from .invariants import classify, codim
 from .oracle import multiplicity_associativity
 from .parsing import is_valid_variable_name, parse_ideal_detailed
 from .taylor import (
+    TaylorResolution,
     face_order,
     is_taylor_minimal,
     minimal_resolution,
@@ -157,10 +158,26 @@ class _Raw(tuple):
     """A result already rendered as JSON text: its string parts, written out in turn."""
 
 
+def _levels(resolution: TaylorResolution) -> Iterator[tuple[int, Iterator[int]]]:
+    """Each homological degree with its face masks, in `face_order`; read each before the next."""
+    order = iter(face_order(resolution.ideal.q))
+    return ((hdeg, islice(order, count)) for hdeg, count in enumerate(resolution.ranks()))
+
+
+def _betti_runs(resolution: TaylorResolution) -> Iterator[tuple[int, int, list[str]]]:
+    """(hdeg, degree, labels) of the faces of each hdeg and degree, in entry order."""
+    degrees, labels = resolution.degrees, resolution.labels
+    for hdeg, masks in _levels(resolution):
+        faces = sorted(masks, key=labels.__getitem__)
+        faces.sort(key=degrees.__getitem__)  # stable: by degree, then label
+        for d, run in groupby(faces, degrees.__getitem__):
+            yield hdeg, d, list(map(labels.__getitem__, run))
+
+
 def _result_for(
     ideal: MonomialIdeal, args
-) -> tuple[dict | _Raw, str | None, list[dict], bool | None]:
-    """Result payload, chosen method, cross-checks, agreement flag."""
+) -> tuple[dict | _Raw | list[str], str | None, list[dict], bool | None]:
+    """Result payload (lines to print for `betti`/`taylor --pretty`), method, checks, agreement."""
     command = args.command
 
     if command == "multiplicity":
@@ -194,18 +211,16 @@ def _result_for(
     # Labels go into JSON text unescaped: names match `parsing._VAR`, exponents are digits.
     if command == "betti":
         resolution = minimal_resolution(ideal)
-        degrees, labels = resolution.degrees, resolution.labels
-        ranks, order = resolution.ranks(), iter(face_order(ideal.q))
+        ranks = list(resolution.ranks())
+        if args.pretty:
+            entries = (f"  {h:>3}  {m:<24} 1" for h, _, run in _betti_runs(resolution) for m in run)
+            return ["betti entries (hdeg, mdeg, count):", *entries, f"ranks: {ranks}"], "taylor", [], None
         parts, graded = ['{"entries": ['], []
-        for hdeg, count in enumerate(ranks):
-            faces = sorted(islice(order, count), key=labels.__getitem__)
-            faces.sort(key=degrees.__getitem__)  # stable: by degree, then label
-            for d, run in groupby(faces, degrees.__getitem__):  # one text per (hdeg, degree)
-                head, tail = f'{{"hdeg": {hdeg}, "mdeg": "', f'", "degree": {d}, "count": 1}}'
-                run = list(map(labels.__getitem__, run))
-                parts += [", " if graded else "", head, f"{tail}, {head}".join(run), tail]
-                graded.append({"hdeg": hdeg, "degree": d, "count": len(run)})
-        parts.append(f'], "graded": {json.dumps(graded)}, "ranks": {json.dumps(list(ranks))}}}')
+        for hdeg, d, run in _betti_runs(resolution):  # one text per (hdeg, degree)
+            head, tail = f'{{"hdeg": {hdeg}, "mdeg": "', f'", "degree": {d}, "count": 1}}'
+            parts += [", " if graded else "", head, f"{tail}, {head}".join(run), tail]
+            graded.append({"hdeg": hdeg, "degree": d, "count": len(run)})
+        parts.append(f'], "graded": {json.dumps(graded)}, "ranks": {json.dumps(ranks)}}}')
         return _Raw(parts), "taylor", [], None
 
     if command == "taylor":
@@ -214,13 +229,16 @@ def _result_for(
         members = [""]
         for i in range(ideal.q):  # the faces with generator i follow all faces without it
             members += [f"{i}", *map(add, members[1:], repeat(f", {i}"))]
-        ranks, order = resolution.ranks(), iter(face_order(ideal.q))
-        parts = [f'{{"ranks": {json.dumps(list(ranks))}, "faces": [']
-        for hdeg, count in enumerate(ranks):  # one text per hdeg: no list of every face's text
+        ranks, levels = list(resolution.ranks()), _levels(resolution)
+        if args.pretty:
+            faces = (f"  {f'[{members[m]}]':<16} {h:>3}  {labels[m]}" for h, ms in levels for m in ms)
+            return [f"ranks: {ranks}", "faces (members, hdeg, mdeg):", *faces], "taylor", [], None
+        parts = [f'{{"ranks": {json.dumps(ranks)}, "faces": [']
+        for hdeg, masks in levels:  # one text per hdeg: no list of every face's text
             parts += [", " if hdeg else "", ", ".join(
                 f'{{"members": [{members[mask]}], "hdeg": {hdeg}, '
                 f'"mdeg": "{labels[mask]}", "degree": {degrees[mask]}}}'
-                for mask in islice(order, count)
+                for mask in masks
             )]
         return _Raw([*parts, "]}"]), "taylor", [], None
 
@@ -340,9 +358,9 @@ def _render_pretty(document: dict) -> str:
         "classification: codim={codim} dominant={dominant} ci={complete_intersection}".format(**cls)
     )
     result = document["result"]
-    if isinstance(result, _Raw):
-        result = json.loads("".join(result))
-    if command == "multiplicity":
+    if isinstance(result, list):  # betti and taylor render their own lines for --pretty
+        lines += result
+    elif command == "multiplicity":
         lines.append(f"multiplicity = {result['multiplicity']}  (method: {document['method']})")
     elif command == "codim":
         lines.append(f"codim = {result['codim']}")
@@ -353,16 +371,6 @@ def _render_pretty(document: dict) -> str:
         lines.append(f"stem ideal: {'no' if stem is None else 'yes, stems ' + ', '.join(stem['stems'])}")
         lines.append(f"quadratic dominant: {result['quadratic_dominant']}")
         lines.append(f"taylor resolution minimal: {result['taylor_minimal']}")
-    elif command == "betti":
-        lines.append("betti entries (hdeg, mdeg, count):")
-        for e in result["entries"]:
-            lines.append(f"  {e['hdeg']:>3}  {e['mdeg']:<24} {e['count']}")
-        lines.append(f"ranks: {result['ranks']}")
-    elif command == "taylor":
-        lines.append(f"ranks: {result['ranks']}")
-        lines.append("faces (members, hdeg, mdeg):")
-        for f in result["faces"]:
-            lines.append(f"  {f['members']!s:<16} {f['hdeg']:>3}  {f['mdeg']}")
     elif command == "diagram":
         for entry in result["sets"]:
             labels = ", ".join(f"{l['var']}_{l['slot']}" for l in entry["labels"])

@@ -21,7 +21,7 @@ Everything here is an immutable value; operations return fresh objects.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import reduce, wraps
 from itertools import compress
 from operator import add, le, neg, or_, sub
@@ -36,6 +36,7 @@ __all__ = [
     "Monomial",
     "MonomialIdeal",
     "per_ideal",
+    "record",
     "lcm",
     "gcd",
     "quotient",
@@ -283,7 +284,7 @@ class MonomialIdeal:
     """A monomial ideal held by its canonical minimal generating set.
 
     The constructor rejects generating sets that are not minimal (a duplicate
-    or a generator dividing another); use `minimalize` to normalize raw lists.
+    or a generator dividing another); with `drop_redundant` (`minimalize`) it drops them.
     Equality and hashing are table-independent: two ideals are equal when
     their generators agree as named monomials.  `supports` holds each
     generator's variables as a bitmask (bit v for variable v); facts derived
@@ -294,25 +295,31 @@ class MonomialIdeal:
     gens: tuple[Monomial, ...]
     supports: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _facts: dict = field(init=False, repr=False, compare=False)
+    drop_redundant: InitVar[bool] = False
 
-    def __post_init__(self):
-        gens = tuple(self.gens)
-        if not gens:
+    def __post_init__(self, drop_redundant: bool):
+        raw = tuple(self.gens)
+        if not raw:
             raise ValueError("a monomial ideal needs at least one generator")
-        for g in gens:
+        for g in raw:
             if g.table != self.ring:
                 raise ValueError("generator does not live in the ideal's ring")
             if g.is_unit:
                 raise ValueError("the unit monomial cannot be a generator")
-        gens = tuple(sorted(gens, key=Monomial.sort_key))
-        supports = tuple(map(_support_mask, gens))
-        # in this order a divisor, or the first of two equal generators, comes first
-        for j, (h, t) in enumerate(zip(gens, supports)):
-            for g in _inside(gens, supports[:j], t):
-                if g.divides(h):
-                    raise ValueError(f"not a minimal generating set: {g} divides {h}")
-        object.__setattr__(self, "gens", gens)
-        object.__setattr__(self, "supports", supports)
+        # in canonical order a divisor, or the first of two equal generators, comes first
+        gens: list[Monomial] = []
+        supports: list[int] = []
+        bits = [1 << v for v in range(len(self.ring))]  # `compress` picks a support's bits
+        for h in sorted(raw, key=Monomial.sort_key):
+            t = sum(compress(bits, h.vec))
+            g = next((g for g in _inside(gens, supports, t) if g.divides(h)), None)
+            if g is None:
+                gens.append(h)
+                supports.append(t)
+            elif not drop_redundant:
+                raise ValueError(f"not a minimal generating set: {g} divides {h}")
+        object.__setattr__(self, "gens", tuple(gens))
+        object.__setattr__(self, "supports", tuple(supports))
         object.__setattr__(self, "_facts", {})
 
     @property
@@ -351,11 +358,6 @@ class MonomialIdeal:
         return f"MonomialIdeal({self})"
 
 
-def _support_mask(m: Monomial) -> int:
-    """The variables of `m` as a bitmask: bit v for variable v."""
-    return sum(1 << v for v, e in enumerate(m.vec) if e)
-
-
 def _inside(monomials: Iterable[Monomial], supports: Iterable[int], t: int) -> Iterator[Monomial]:
     """The monomials whose support lies inside `t`: the only ones that can divide its monomial."""
     return compress(monomials, map(t.__eq__, map(t.__or__, supports)))
@@ -377,24 +379,20 @@ def per_ideal(fn: Callable) -> Callable:
             facts[key] = fn(ideal)
         return facts[key]
 
+    cached.fact_key = key
     return cached
 
 
-def minimalize(ring: VariableTable, raw: Iterable[Monomial]) -> MonomialIdeal:
-    """Drop duplicates and generators divisible by another; sort canonically.
+def record(fact: Callable, ideal: MonomialIdeal, value) -> None:
+    """Cache `value`, found another way, as the `per_ideal` fact `fact(ideal)`."""
+    while not hasattr(fact, "fact_key"):  # under wrappers that set `__wrapped__`
+        fact = fact.__wrapped__
+    ideal._facts.setdefault(fact.fact_key, value)
 
-    In canonical order a divisor or duplicate comes first, so one pass keeps each
-    monomial no kept one divides (a divisor's support lies inside the other's);
-    `MonomialIdeal` rejects empty, unit, foreign.
-    """
-    kept: list[Monomial] = []
-    supports: list[int] = []
-    for m in sorted(raw, key=Monomial.sort_key):
-        t = _support_mask(m)
-        if not any(k.divides(m) for k in _inside(kept, supports, t)):
-            kept.append(m)
-            supports.append(t)
-    return MonomialIdeal(ring, tuple(kept))
+
+def minimalize(ring: VariableTable, raw: Iterable[Monomial]) -> MonomialIdeal:
+    """Drop duplicates and generators divisible by another, sort canonically; unit or foreign raise."""
+    return MonomialIdeal(ring, tuple(raw), drop_redundant=True)
 
 
 def polar_set(m: Monomial) -> frozenset[tuple[int, int]]:

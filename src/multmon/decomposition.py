@@ -13,12 +13,12 @@ shifted Betti tables of one small complete intersection per free-part subset.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
+from operator import add, sub
 
-from .core import Monomial, MonomialIdeal, lcm, minimalize, per_ideal, quotient, subset_lcms
+from .core import Monomial, MonomialIdeal, lcm, minimalize, per_ideal, quotient, record, subset_lcms
 from .errors import HypothesisError, InternalConsistencyError
 from .formulas import CISplit, validate_split
-from .invariants import codim, dominance_witnesses
+from .invariants import codim, dominance_witnesses, least_cover
 from .taylor import BettiTable, betti_table, face_order, multiplicity_ps
 
 __all__ = [
@@ -53,20 +53,24 @@ def third_decomposition(ideal: MonomialIdeal, pivot: int) -> ThirdDecomposition:
         raise ValueError(f"pivot index {pivot} out of range")
     if dominance_witnesses(ideal)[pivot] is None:
         raise HypothesisError("the pivot generator must be dominant")
-    m = ideal.gens[pivot]
+    ring, m = ideal.ring, ideal.gens[pivot].vec
     m1 = ideal.without(pivot)
-    quotients = [quotient(lcm(m, g), m) for g in m1.gens]
-    return ThirdDecomposition(pivot=pivot, m1=m1, mm1=minimalize(ideal.ring, quotients))
+    quotients = [Monomial(ring, tuple(map(sub, map(max, m, g.vec), m))) for g in m1.gens]
+    return ThirdDecomposition(pivot=pivot, m1=m1, mm1=minimalize(ring, quotients))
 
 
 @per_ideal
 def recurrence_pivot(ideal: MonomialIdeal) -> int | None:
-    """Smallest dominant pivot that keeps the codimension, if any."""
+    """Smallest dominant pivot that keeps the codimension, if any.
+
+    Candidates are tested on support lists; only the winner's M1 is built, handed its codim.
+    """
     if ideal.q < 2:
         return None
-    c = codim(ideal)
+    c, supports = codim(ideal), ideal.supports
     for i, w in enumerate(dominance_witnesses(ideal)):
-        if w is not None and codim(ideal.without(i)) == c:
+        if w is not None and least_cover(supports[:i] + supports[i + 1 :]) == c:
+            record(codim, ideal.without(i), c)
             return i
     return None
 

@@ -10,7 +10,7 @@ the same search.  Each fact here is computed once per ideal (`core.per_ideal`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .core import MonomialIdeal, per_ideal
 from .errors import InternalConsistencyError
@@ -18,6 +18,7 @@ from .errors import InternalConsistencyError
 __all__ = [
     "covers",
     "support_components",
+    "least_cover",
     "codim",
     "pairwise_coprime",
     "dominance_witnesses",
@@ -65,11 +66,10 @@ def covers(supports: list[int], size: int) -> Iterator[int]:
             stack.append((rest, size - 1, chosen | bit, min(rest, key=int.bit_count), 0))
 
 
-@per_ideal
-def support_components(ideal: MonomialIdeal) -> tuple[tuple[int, ...], ...]:
-    """Sorted generator indices of each component of the shares-a-variable graph, by first index."""
+def _components(supports: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Sorted indices of each component of the shares-a-variable graph, by first index."""
     groups: list[tuple[int, list[int]]] = []
-    for i, s in enumerate(ideal.supports):
+    for i, s in enumerate(supports):
         members = [i]
         kept = []
         for variables, block in groups:
@@ -83,28 +83,40 @@ def support_components(ideal: MonomialIdeal) -> tuple[tuple[int, ...], ...]:
 
 
 @per_ideal
-def codim(ideal: MonomialIdeal) -> int:
-    """Minimum number of variables meeting every generator's support.
+def support_components(ideal: MonomialIdeal) -> tuple[tuple[int, ...], ...]:
+    """`_components` of the generators' supports."""
+    return _components(ideal.supports)
 
-    Least covers of components add up; a packing that takes every support is least.
-    Each component's supports are ordered as a walk (next, the first one meeting
-    the last one taken): a packing in that order follows the shape of the
-    support graph, not the variable names that fix the generator order.
+
+def least_cover(supports: Sequence[int], blocks: Sequence[Sequence[int]] = ()) -> int:
+    """Minimum number of variables meeting every support bitmask: the codim of their ideal.
+
+    Least covers of components add up, so each is searched apart; `blocks` gives their
+    `_components` when known.  A packing that takes every support is least.  Each
+    component's supports are ordered as a walk (next, the first one meeting the last
+    one taken): a packing in that order follows the shape of the support graph, not
+    the variable names that fix the generator order.
     """
     total = 0
-    for block in support_components(ideal):
-        supports = list(dict.fromkeys(ideal.supports[i] for i in block))
-        for j in range(1, len(supports) - 1):
-            last = supports[j - 1]
-            for k in range(j, len(supports)):
-                if supports[k] & last:
-                    supports.insert(j, supports.pop(k))
+    for block in blocks or _components(supports):
+        walk = list(dict.fromkeys(supports[i] for i in block))
+        for j in range(1, len(walk) - 1):
+            last = walk[j - 1]
+            for k in range(j, len(walk)):
+                if walk[k] & last:
+                    walk.insert(j, walk.pop(k))
                     break
-        size = _packing(supports)
-        while size < len(supports) and not next(covers(supports, size), 0):
+        size = _packing(walk)
+        while size < len(walk) and not next(covers(walk, size), 0):
             size += 1
         total += size
     return total
+
+
+@per_ideal
+def codim(ideal: MonomialIdeal) -> int:
+    """Minimum number of variables meeting every generator's support (`least_cover`)."""
+    return least_cover(ideal.supports, support_components(ideal))
 
 
 def pairwise_coprime(supports: Iterable[int]) -> bool:

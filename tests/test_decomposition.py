@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multmon import (
     HypothesisError,
@@ -15,9 +17,12 @@ from multmon import (
     dominance_witnesses,
     find_ci_split,
     gcd,
+    lcm,
+    minimalize,
     multiplicity_ps,
     multiplicity_recurrence,
     parse_ideal,
+    quotient,
     structural_terms,
     third_decomposition,
 )
@@ -94,6 +99,25 @@ def test_recurrence_finds_its_own_pivot():
     # both pivots of a complete intersection lower the codimension when removed
     with pytest.raises(HypothesisError, match="^no dominant pivot preserves the codimension$"):
         multiplicity_recurrence(parse_ideal("x^2, y^3"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False).map(random_ideal))
+def test_pivot_search_and_quotients_match_their_definitions(ideal):
+    # the search runs first, on support lists alone; the reference then builds every M1
+    pivot = recurrence_pivot(ideal)
+    if pivot is not None:
+        assert multiplicity_recurrence(ideal) == multiplicity_ps(ideal), str(ideal)
+    c = codim(ideal)
+    dominant = [i for i, w in enumerate(dominance_witnesses(ideal)) if w is not None]
+    if ideal.q < 2:
+        dominant = []
+    keeping = [i for i in dominant if codim(ideal.without(i)) == c]
+    assert pivot == next(iter(keeping), None), str(ideal)
+    for i in dominant:
+        m, rest = ideal.gens[i], ideal.without(i).gens
+        expected = minimalize(ideal.ring, [quotient(lcm(m, g), m) for g in rest])
+        assert third_decomposition(ideal, i).mm1 == expected, str(ideal)
 
 
 def test_recurrence_matches_engine_when_applicable():

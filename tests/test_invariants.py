@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import pickle
 import random
 import time
@@ -22,8 +23,9 @@ from multmon import (
 )
 from multmon.invariants import covers, support_components
 from multmon.generate import make_table, random_ideal
-from multmon.core import Monomial, MonomialIdeal, minimalize
+from multmon.core import Monomial, MonomialIdeal, minimalize, record
 import multmon.cli as cli
+import multmon.decomposition as decomposition
 import multmon.invariants as invariants
 
 from conftest import gen_index
@@ -235,15 +237,16 @@ def test_classification_report_consistency():
 
 @pytest.fixture
 def searches(monkeypatch):
-    """Counts real codim searches (each starts by splitting the supports)."""
+    """Counts real codim searches: calls of the support-list cover search, from either caller."""
     count = [0]
-    original = invariants.support_components
+    original = invariants.least_cover
 
-    def counting(ideal):
+    def counting(*args):
         count[0] += 1
-        return original(ideal)
+        return original(*args)
 
-    monkeypatch.setattr(invariants, "support_components", counting)
+    monkeypatch.setattr(invariants, "least_cover", counting)
+    monkeypatch.setattr(decomposition, "least_cover", counting)
     return count
 
 
@@ -259,6 +262,13 @@ def test_facts_are_computed_once_per_ideal_object(searches):
     assert codim(ideal) == 3 and searches[0] == 2
 
 
+def test_a_recorded_fact_is_not_searched_again(searches):
+    ideal = parse_ideal("a*b, b*c")
+    traced = functools.wraps(codim)(lambda i: codim(i))  # a wrapper that sets `__wrapped__`
+    record(traced, ideal, 1)
+    assert codim(ideal) == 1 and searches[0] == 0
+
+
 def test_an_analysed_ideal_pickles():
     ideal = parse_ideal("a^2*b, b^3, c")
     report = classify(ideal)
@@ -269,6 +279,15 @@ def test_an_analysed_ideal_pickles():
 def test_one_verify_runs_few_codim_searches(searches, capsys):
     assert cli.main(["verify", "--ideal", "a^3*c, a*b*e^3, a^2*b^2, c^2, d^2*e^2"]) == 0
     capsys.readouterr()
-    # classify, two pivot candidates (the second is the recurrence's m1, the
-    # same object), and the recurrence's quotient ideal
+    # classify, two pivot candidates (the second keeps the codim, which is
+    # handed to the recurrence's m1), and the recurrence's quotient ideal
     assert searches[0] == 4
+
+
+def test_failing_pivot_candidates_build_no_sub_ideal(searches):
+    # removing any of the three pure powers leaves an ideal of codim 2, not 3
+    ideal = parse_ideal("x^5, y^7, z^3, x^2*y^3")
+    answers = dict(cli._answers(ideal, cli.METHODS))  # the routes `verify` runs
+    assert "recurrence" not in answers and answers["ps"] == 69
+    assert searches[0] == 4  # the ideal's own codim and the three dominant candidates
+    assert not [key for key in ideal._facts if key.startswith("without.")]
