@@ -31,21 +31,14 @@ from .errors import ResourceCapError
 
 __all__ = [
     "MAX_EXPONENT",
-    "POLAR_LABEL_CAP",
     "VariableTable",
     "Monomial",
     "MonomialIdeal",
-    "per_ideal",
-    "record",
     "lcm",
     "gcd",
     "quotient",
     "lcm_all",
     "gcd_all",
-    "lcm_columns",
-    "lcm_levels",
-    "unpack_fields",
-    "subset_lcms",
     "minimalize",
     "polar_set",
     "polar_sets",
@@ -55,6 +48,8 @@ __all__ = [
 MAX_EXPONENT = 2**31
 # Most slot labels `polar_sets` builds for one ideal: the sum of generator degrees.
 POLAR_LABEL_CAP = 10**5
+# Most generators whose 2^q subset lcms are listed or counted (`subset_lcms`, the ps engine).
+PS_Q_MAX = 24
 
 
 @dataclass(frozen=True)
@@ -271,9 +266,11 @@ def unpack_fields(packed: int, width: int, q: int) -> memoryview:
 
 def subset_lcms(table: VariableTable, gens: Sequence[Monomial]) -> list[tuple[int, ...]]:
     """The lcm exponent tuple of every subset of `gens`, by bitmask; entry 0 is all zeros."""
+    q = len(gens)
+    if q > PS_Q_MAX:
+        raise ResourceCapError(f"subset lcms of {q} generators exceed the q <= {PS_Q_MAX} cap")
     if not gens:
         return [(0,) * len(table)]
-    q = len(gens)
     width, columns = lcm_columns(gens)
     zero = unpack_fields(0, width, q)  # shared by the variables no generator uses
     return list(zip(*[unpack_fields(col, width, q) if col else zero for col in columns]))

@@ -25,7 +25,6 @@ __all__ = [
     "ThirdDecomposition",
     "DecompositionTerm",
     "third_decomposition",
-    "recurrence_pivot",
     "multiplicity_recurrence",
     "structural_terms",
     "betti_decomposition",

@@ -29,11 +29,10 @@ class UsageError(MultmonError):
 
 
 class ParseError(MultmonError):
-    """Ideal text (or structured input) violates the input grammar.
+    """Ideal text violates the input grammar.
 
     `code` is a stable machine-readable discriminator: one of "syntax",
-    "zero-exponent", "exponent-too-large", "empty-ideal", "unit-generator",
-    "unknown-variable".
+    "zero-exponent", "exponent-too-large", "empty-ideal", "unknown-variable".
     """
 
     exit_code = 1

@@ -30,7 +30,6 @@ __all__ = [
     "e_complete_intersection",
     "detect_stem",
     "e_stem",
-    "is_quadratic_dominant",
     "quadratic_dominant_data",
     "e_quadratic_dominant",
     "reg_quadratic_dominant",

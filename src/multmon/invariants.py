@@ -16,11 +16,7 @@ from .core import MonomialIdeal, per_ideal
 from .errors import InternalConsistencyError
 
 __all__ = [
-    "covers",
-    "support_components",
-    "least_cover",
     "codim",
-    "pairwise_coprime",
     "dominance_witnesses",
     "is_dominant",
     "is_complete_intersection",

@@ -18,7 +18,6 @@ from .errors import ResourceCapError
 from .invariants import codim, covers
 
 __all__ = [
-    "COLENGTH_GRID_CAP",
     "minimal_covers",
     "colength",
     "multiplicity_associativity",

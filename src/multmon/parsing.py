@@ -1,4 +1,4 @@
-"""Text and structured input for monomial ideals.
+"""Text input for monomial ideals.
 
 Grammar (whitespace may separate factors in place of '*'):
 
@@ -15,15 +15,15 @@ notices.
 
 Scanning alternates a filler pattern (whitespace, comments) and a factor
 pattern (`var`, then '^' and ASCII digits); line and column are computed from
-the offset of an error only when one is raised.  Structured input and
-explicit name lists must use the same `var` token.
+the offset of an error only when one is raised.  An explicit name list must
+use the same `var` token.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 from .core import MAX_EXPONENT, Monomial, MonomialIdeal, VariableTable, minimalize
 from .errors import ParseError
@@ -32,8 +32,6 @@ __all__ = [
     "ParsedIdeal",
     "parse_ideal",
     "parse_ideal_detailed",
-    "ideal_from_maps",
-    "is_valid_variable_name",
 ]
 
 _VAR = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
@@ -110,23 +108,19 @@ def _scan_ideal(text: str) -> list[dict[str, int]]:
             raise _error(text, pos, "syntax", "expected a monomial after the separator")
 
 
-def _check_names(names: Iterable[str]) -> None:
-    seen: set[str] = set()
-    for name in names:
-        if not is_valid_variable_name(name):
-            raise ParseError("syntax", f"{name!r} is not a valid variable name")
-        if name in seen:
-            raise ParseError("syntax", f"duplicate variable name {name!r}")
-        seen.add(name)
-
-
-def _build(
-    factor_maps: list[dict[str, int]], var_names: Sequence[str] | None
-) -> tuple[MonomialIdeal, tuple[str, ...]]:
-    if var_names is not None:
-        _check_names(var_names)
-    else:
+def parse_ideal_detailed(text: str, var_names: Sequence[str] | None = None) -> ParsedIdeal:
+    """Parse ideal text, keeping minimalization notices alongside the result."""
+    factor_maps = _scan_ideal(text)
+    if var_names is None:
         var_names = dict.fromkeys(name for factors in factor_maps for name in factors)
+    else:
+        seen: set[str] = set()
+        for name in var_names:
+            if not is_valid_variable_name(name):
+                raise ParseError("syntax", f"{name!r} is not a valid variable name")
+            if name in seen:
+                raise ParseError("syntax", f"duplicate variable name {name!r}")
+            seen.add(name)
     table = VariableTable(tuple(var_names))
     raw = []
     for factors in factor_maps:
@@ -146,44 +140,9 @@ def _build(
             kept.remove(m.vec)  # a later equal generator is the redundant one
         else:
             notices.append(f"minimalized: dropped redundant generator {m}")
-    return ideal, tuple(notices)
-
-
-def parse_ideal_detailed(text: str, var_names: Sequence[str] | None = None) -> ParsedIdeal:
-    """Parse ideal text, keeping minimalization notices alongside the result."""
-    ideal, notices = _build(_scan_ideal(text), var_names)
-    return ParsedIdeal(ideal, notices)
+    return ParsedIdeal(ideal, tuple(notices))
 
 
 def parse_ideal(text: str, var_names: Sequence[str] | None = None) -> MonomialIdeal:
     """Parse ideal text into its canonical minimal form."""
     return parse_ideal_detailed(text, var_names).ideal
-
-
-def ideal_from_maps(
-    maps: Iterable[Mapping[str, int]], var_names: Sequence[str] | None = None
-) -> MonomialIdeal:
-    """Structured input: one name -> exponent mapping per generator."""
-    factor_maps = []
-    for mapping in maps:
-        _check_names(mapping)
-        factors: dict[str, int] = {}
-        for name, e in mapping.items():
-            if not isinstance(e, int) or isinstance(e, bool):
-                raise ParseError("syntax", f"exponent of {name!r} must be an integer")
-            if e == 0:
-                raise ParseError("zero-exponent", f"exponent of {name!r} must be positive")
-            if e < 0:
-                raise ParseError("syntax", f"exponent of {name!r} must be positive")
-            if e > MAX_EXPONENT:
-                raise ParseError(
-                    "exponent-too-large", f"exponent {e} exceeds the {MAX_EXPONENT} cap"
-                )
-            factors[name] = factors.get(name, 0) + e
-        if not factors:
-            raise ParseError("unit-generator", "a generator must involve at least one variable")
-        factor_maps.append(factors)
-    if not factor_maps:
-        raise ParseError("empty-ideal", "no generators found")
-    ideal, _ = _build(factor_maps, var_names)
-    return ideal

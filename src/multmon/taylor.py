@@ -36,6 +36,7 @@ from itertools import chain, repeat
 from operator import itemgetter, or_, sub
 
 from .core import (
+    PS_Q_MAX,
     Monomial,
     MonomialIdeal,
     lcm_columns,
@@ -49,11 +50,8 @@ from .invariants import codim, is_dominant
 
 __all__ = [
     "Q_MAX",
-    "PS_Q_MAX",
     "TaylorResolution",
     "BettiTable",
-    "face_order",
-    "member_indices",
     "taylor_resolution",
     "minimal_resolution",
     "differential_coefficient",
@@ -67,7 +65,6 @@ __all__ = [
 ]
 
 Q_MAX = 20
-PS_Q_MAX = 24
 _BLOCK = 13  # the power-sum walk takes 2^13 faces at a time
 _UNSTARRED = itemgetter(slice(1, None))  # a label less its leading "*"
 

@@ -8,6 +8,8 @@ import json
 import random
 import re
 import string
+import subprocess
+import sys
 import time
 from functools import reduce
 from itertools import groupby
@@ -264,6 +266,24 @@ def test_labels_need_no_json_escaping(capsys):
         assert cli.main(["betti", "--ideal", f"{name}^2"]) == 1
         assert cli.main(["betti", "--ideal", "x^2", "--vars", f"x,{name}"]) == 1
     assert capsys.readouterr().out == ""
+
+
+def test_structural_sum_is_capped_under_a_small_address_space():
+    # cycle 60 leaves 30 free generators, whose 2^30 subset lcms ended in a MemoryError
+    # traceback (exit 1) under this 1 GiB cap and in a SIGKILL without it
+    child = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        f"sys.path.insert(0, {str(Path(cli.__file__).parents[1])!r})\n"
+        "from multmon.cli import run\n"
+        "run()\n"
+    )
+    argv = [sys.executable, "-c", child, "multiplicity", "--ideal", cycle(60)]
+    started = time.perf_counter()
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - started < 5
+    assert done.returncode == 4 and done.stdout == "", done.stderr
+    assert "subset lcms of 30 generators exceed the q <= 24 cap" in done.stderr
 
 
 def test_taylor_cap_exit(capsys):

@@ -24,9 +24,9 @@ from multmon import (
     MAX_EXPONENT,
     Monomial,
     ResourceCapError,
+    VariableTable,
     codim,
     dominance_witnesses,
-    ideal_from_maps,
     is_dominant,
     lcm_degree_table,
     minimalize,
@@ -40,6 +40,13 @@ from multmon import (
 from multmon import taylor
 from multmon.core import subset_lcms
 from multmon.generate import make_table, random_ideal
+
+
+def from_maps(maps, names):
+    """The ideal of one name -> exponent map per generator, over the table `names`."""
+    table = VariableTable(tuple(names))
+    raw = [Monomial.from_map(table, {table.index(v): e for v, e in m.items()}) for m in maps]
+    return minimalize(table, raw)
 
 
 @st.composite
@@ -84,7 +91,7 @@ def grouped_ideals(draw):
         maps.append(powers)
     unused = [f"u{k}" for k in range(draw(st.integers(1, 2)))]
     names = draw(st.permutations([f"p{i}" for i in range(q)] + shared + unused))
-    return width, ideal_from_maps(maps, names)
+    return width, from_maps(maps, names)
 
 
 @settings(max_examples=200, deadline=None)
@@ -110,9 +117,9 @@ def reorderings(draw):
     vectors = st.tuples(*[exponent] * len(names)).filter(any)
     raw = draw(st.lists(vectors, min_size=1, max_size=10))
     maps = [{name: e for name, e in zip(names, vec) if e} for vec in raw]
-    shuffled = ideal_from_maps(draw(st.permutations(maps)), names)
-    renamed = ideal_from_maps(maps, draw(st.permutations(names)))
-    return ideal_from_maps(maps, names), shuffled, renamed
+    shuffled = from_maps(draw(st.permutations(maps)), names)
+    renamed = from_maps(maps, draw(st.permutations(names)))
+    return from_maps(maps, names), shuffled, renamed
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,4 +1,4 @@
-"""Grammar, error codes with positions, structured input, and round-trips."""
+"""Grammar, error codes with positions, and round-trips."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from multmon import (
     MAX_EXPONENT,
     ParseError,
-    ideal_from_maps,
     parse_ideal,
     parse_ideal_detailed,
 )
@@ -136,33 +135,6 @@ def test_explicit_variable_order():
     with pytest.raises(ParseError) as info:
         parse_ideal("c", var_names=("a", "b"))
     assert info.value.code == "unknown-variable"
-
-
-def test_structured_input():
-    ideal = ideal_from_maps([{"x": 2}, {"y": 3}])
-    assert ideal == parse_ideal("x^2, y^3")
-    with pytest.raises(ParseError) as info:
-        ideal_from_maps([{}])
-    assert info.value.code == "unit-generator"
-    with pytest.raises(ParseError) as info:
-        ideal_from_maps([{"x": 0}])
-    assert info.value.code == "zero-exponent"
-    with pytest.raises(ParseError) as info:
-        ideal_from_maps([])
-    assert info.value.code == "empty-ideal"
-    for bad in (1.5, "2", True, 2.0, None):
-        with pytest.raises(ParseError) as info:
-            ideal_from_maps([{"y": 1}, {"x": bad}])
-        assert info.value.code == "syntax", repr(bad)
-    # each of these would render text that parses differently or not at all
-    for name in ("x y", "2x", "", "x^2", "x*y", "\u00e9"):
-        with pytest.raises(ParseError) as info:
-            ideal_from_maps([{"y": 1}, {name: 1}])
-        assert info.value.code == "syntax", repr(name)
-    for names in (("x", "y z"), ["x", "x"]):
-        with pytest.raises(ParseError) as info:
-            ideal_from_maps([{"x": 1}], var_names=names)
-        assert info.value.code == "syntax", names
 
 
 def test_round_trip_examples():
