@@ -23,7 +23,7 @@ from operator import add
 from typing import Iterable, Iterator, Sequence
 
 from . import __version__
-from .core import MonomialIdeal, polar_sets
+from .core import MonomialIdeal, VariableTable, polar_sets
 from .decomposition import multiplicity_recurrence
 from .errors import (
     HypothesisError,
@@ -46,7 +46,7 @@ from .formulas import (
 from .generate import random_ideal
 from .invariants import classify, codim
 from .oracle import multiplicity_associativity
-from .parsing import is_valid_variable_name, parse_ideal_detailed
+from .parsing import parse_ideal_detailed
 from .taylor import (
     TaylorResolution,
     face_order,
@@ -124,7 +124,7 @@ METHODS = {
     "recurrence": lambda i: multiplicity_recurrence(i),
 }
 
-# What `auto` tries, cheapest first; the ps engine holds for every ideal.
+# What `auto` tries, cheapest first; the ps engine answers every ideal within its caps.
 AUTO_METHODS = ("codim1", "ci", "stem", "aci", "structural", "ps")
 
 
@@ -208,7 +208,8 @@ def _result_for(
         }
         return result, "classification", [], None
 
-    # Labels go into JSON text unescaped: names match `parsing._VAR`, exponents are digits.
+    # Labels go into JSON text unescaped: a `VariableTable` holds only `core.VAR_NAME` tokens,
+    # and exponents are digits.
     if command == "betti":
         resolution = minimal_resolution(ideal)
         ranks = list(resolution.ranks())
@@ -253,17 +254,11 @@ def _result_for(
         return {"sets": sets}, "polarization", [], None
 
     if command == "regularity":
-        if is_quadratic_dominant(ideal):
-            value = reg_quadratic_dominant(ideal)
-            taylor_value = regularity_dominant(ideal)
-            if taylor_value != value:
-                raise InternalConsistencyError(
-                    f"regularity paths disagree: {value} vs {taylor_value}"
-                )
-            checks = [{"method": "taylor", "value": taylor_value}]
-            return {"regularity": value}, "quadratic", checks, True
-        value = regularity_dominant(ideal)
-        return {"regularity": value}, "taylor", [], None
+        if not is_quadratic_dominant(ideal):
+            return {"regularity": regularity_dominant(ideal)}, "taylor", [], None
+        value, taylor_value = reg_quadratic_dominant(ideal), regularity_dominant(ideal)
+        checks = [{"method": "taylor", "value": taylor_value}]
+        return {"regularity": value}, "quadratic", checks, taylor_value == value
 
     if command == "verify":
         values = dict(_answers(ideal, METHODS))
@@ -309,11 +304,11 @@ def _var_list(args) -> list[str] | None:
     if not args.vars:
         return None
     names = [name.strip() for name in args.vars.split(",")]
-    for name in names:
-        if not is_valid_variable_name(name):
-            raise UsageError(f"--vars entry {name!r} is not a valid variable name")
-    if len(set(names)) != len(names):
-        raise UsageError("--vars entries must be distinct")
+    try:
+        VariableTable(tuple(names))
+    except ValueError as exc:  # the table's first fault: a repeated name, or a non-token one
+        fault = "entries must be distinct" if str(exc).startswith("duplicate") else f"entry {exc}"
+        raise UsageError(f"--vars {fault}") from None
     return names
 
 
@@ -321,19 +316,18 @@ def _var_list(args) -> list[str] | None:
 # rendering
 
 
-def _emit(document: dict, args, stream=None) -> None:
-    stream = stream or sys.stdout
+def _emit(document: dict, args) -> None:
     if getattr(args, "pretty", False):
-        stream.write(_render_pretty(document) + "\n")
+        sys.stdout.write(_render_pretty(document) + "\n")
     elif isinstance(document.get("result"), _Raw):
         # key by key and part by part: joining a multi-MB result text would copy it
-        stream.write("{")
+        sys.stdout.write("{")
         for n, (key, value) in enumerate(document.items()):
-            stream.write(f"{', ' if n else ''}{json.dumps(key)}: ")
-            stream.writelines(value if isinstance(value, _Raw) else [json.dumps(value)])
-        stream.write("}\n")
+            sys.stdout.write(f"{', ' if n else ''}{json.dumps(key)}: ")
+            sys.stdout.writelines(value if isinstance(value, _Raw) else [json.dumps(value)])
+        sys.stdout.write("}\n")
     else:
-        stream.write(json.dumps(document) + "\n")
+        sys.stdout.write(json.dumps(document) + "\n")
 
 
 def _render_pretty(document: dict) -> str:
@@ -404,6 +398,16 @@ def _error_document(command: str, text: str | None, exc: Exception, exit_code: i
     return doc
 
 
+def _exit_code(exc: Exception) -> int:
+    """A multmon error's own exit code; any other exception is a bug: its traceback, then 5."""
+    if isinstance(exc, MultmonError):
+        return exc.exit_code
+    import traceback  # deferred: only this rare path needs it, and it slows start-up
+
+    traceback.print_exception(exc)
+    return InternalConsistencyError.exit_code
+
+
 def _run_batch(args, names: list[str] | None) -> int:
     try:
         with open(args.file, encoding="utf-8") as handle:
@@ -417,14 +421,8 @@ def _run_batch(args, names: list[str] | None) -> int:
             continue
         try:
             document, code = _execute(stripped, args, names)
-        except MultmonError as exc:
-            code = exc.exit_code
-            document = _error_document(args.command, stripped, exc, code)
-        except Exception as exc:  # an unexpected failure is a bug on this line only
-            import traceback  # deferred: only this rare path needs it, and it slows start-up
-
-            traceback.print_exc(file=sys.stderr)
-            code = InternalConsistencyError.exit_code
+        except Exception as exc:  # a failure, even a bug, ends this line only
+            code = _exit_code(exc)
             document = _error_document(args.command, stripped, exc, code)
         _emit(document, args)
         if status == 0 and code != 0:
@@ -474,9 +472,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _dispatch(args)
-    except MultmonError as exc:
-        print(f"multmon: error: {exc}", file=sys.stderr)
-        return exc.exit_code
+    except Exception as exc:
+        if isinstance(exc, MultmonError):
+            print(f"multmon: error: {exc}", file=sys.stderr)
+        return _exit_code(exc)
 
 
 def run() -> None:

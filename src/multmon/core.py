@@ -20,6 +20,7 @@ Everything here is an immutable value; operations return fresh objects.
 
 from __future__ import annotations
 
+import re
 import sys
 from dataclasses import InitVar, dataclass, field
 from functools import reduce, wraps
@@ -50,11 +51,13 @@ MAX_EXPONENT = 2**31
 POLAR_LABEL_CAP = 10**5
 # Most generators whose 2^q subset lcms are listed or counted (`subset_lcms`, the ps engine).
 PS_Q_MAX = 24
+# The input grammar's `var` token, and so the only names a `VariableTable` holds.
+VAR_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 
 @dataclass(frozen=True)
 class VariableTable:
-    """Ordered table of distinct variable names; index i <-> names[i]."""
+    """Ordered table of distinct variable names, each a `VAR_NAME` token; index i <-> names[i]."""
 
     names: tuple[str, ...]
     _lookup: dict = field(init=False, repr=False, compare=False)
@@ -65,8 +68,8 @@ class VariableTable:
             raise ValueError("a variable table needs at least one variable")
         lookup = {}
         for i, name in enumerate(names):
-            if not name:
-                raise ValueError("variable names must be nonempty")
+            if not (isinstance(name, str) and VAR_NAME.fullmatch(name)):
+                raise ValueError(f"{name!r} is not a valid variable name")
             if name in lookup:
                 raise ValueError(f"duplicate variable name {name!r}")
             lookup[name] = i

@@ -57,7 +57,8 @@ class UnsupportedError(MultmonError):
 
 
 class ResourceCapError(MultmonError):
-    """A hard size cap was exceeded (Taylor complex size, colength grid, polarization)."""
+    """A hard size cap was exceeded: the Taylor complex, the ps engine's q and lcm degree, the
+    structural formula's subset lcms, the colength grid, or the polarization labels."""
 
     exit_code = 4
 

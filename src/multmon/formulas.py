@@ -212,7 +212,8 @@ def e_structural(ideal: MonomialIdeal, split: CISplit | None = None) -> int:
         split = find_ci_split(ideal)
         if split is None:
             raise HypothesisError("no pairwise-coprime subset of size codim exists")
-    validate_split(ideal, split)
+    else:  # only a passed split is checked: a found one meets every condition by construction
+        validate_split(ideal, split)
     h = [ideal.gens[i].exps for i in split.ci]
     lcms = subset_lcms(ideal.ring, [ideal.gens[i] for i in split.free])
     total = 0

@@ -15,8 +15,8 @@ notices.
 
 Scanning alternates a filler pattern (whitespace, comments) and a factor
 pattern (`var`, then '^' and ASCII digits); line and column are computed from
-the offset of an error only when one is raised.  An explicit name list must
-use the same `var` token.
+the offset of an error only when one is raised.  `var` is `core.VAR_NAME`, the
+one name rule `VariableTable` enforces, so an explicit name list obeys it too.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import MAX_EXPONENT, Monomial, MonomialIdeal, VariableTable, minimalize
+from .core import MAX_EXPONENT, VAR_NAME, Monomial, MonomialIdeal, VariableTable, minimalize
 from .errors import ParseError
 
 __all__ = [
@@ -34,16 +34,10 @@ __all__ = [
     "parse_ideal_detailed",
 ]
 
-_VAR = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _FILLER = re.compile(r"(?:\s|#[^\n]*)*")
 # [0-9], not \d: only ASCII digits make an exponent ('١' is a \d)
-_FACTOR = re.compile(rf"({_VAR.pattern})(\^[0-9]*)?")
+_FACTOR = re.compile(rf"({VAR_NAME.pattern})(\^[0-9]*)?")
 _CAP_DIGITS = len(str(MAX_EXPONENT))
-
-
-def is_valid_variable_name(name: str) -> bool:
-    """Whether `name` matches the grammar's variable token."""
-    return isinstance(name, str) and _VAR.fullmatch(name) is not None
 
 
 @dataclass(frozen=True)
@@ -113,15 +107,10 @@ def parse_ideal_detailed(text: str, var_names: Sequence[str] | None = None) -> P
     factor_maps = _scan_ideal(text)
     if var_names is None:
         var_names = dict.fromkeys(name for factors in factor_maps for name in factors)
-    else:
-        seen: set[str] = set()
-        for name in var_names:
-            if not is_valid_variable_name(name):
-                raise ParseError("syntax", f"{name!r} is not a valid variable name")
-            if name in seen:
-                raise ParseError("syntax", f"duplicate variable name {name!r}")
-            seen.add(name)
-    table = VariableTable(tuple(var_names))
+    try:
+        table = VariableTable(tuple(var_names))
+    except ValueError as exc:  # an explicit name list: empty, or with a non-token or repeated name
+        raise ParseError("syntax", str(exc)) from None
     raw = []
     for factors in factor_maps:
         vec = [0] * len(table)

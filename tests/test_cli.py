@@ -261,7 +261,16 @@ def test_labels_need_no_json_escaping(capsys):
     alphabet = string.ascii_letters + string.digits + "_"
     assert json.dumps(alphabet + "*^") == f'"{alphabet}*^"'
     others = (chr(c) for c in range(0x10000) if chr(c) not in alphabet)
-    assert not any(cli.is_valid_variable_name("a" + c) for c in others)
+
+    def is_table_name(name):
+        try:
+            VariableTable((name,))
+        except ValueError:
+            return False
+        return True
+
+    assert is_table_name("a" + alphabet)
+    assert not any(is_table_name("a" + c) for c in others)
     for name in ('a"b', "a\\b", "\u00e9"):
         assert cli.main(["betti", "--ideal", f"{name}^2"]) == 1
         assert cli.main(["betti", "--ideal", "x^2", "--vars", f"x,{name}"]) == 1
@@ -409,7 +418,7 @@ def test_usage_errors(capsys):
     assert cli.main(["codim", "--ideal", "a", "--vars", "a,a"]) == 1
     capsys.readouterr()
     assert cli.main(["codim", "--ideal", "a", "--vars", "a,1b"]) == 1
-    capsys.readouterr()
+    assert capsys.readouterr().err == "multmon: error: --vars entry '1b' is not a valid variable name\n"
     assert cli.main(["verify", "--random", "--cases", "0"]) == 1
     capsys.readouterr()
     for command in cli.COMMANDS:  # only multiplicity reads --check
@@ -464,6 +473,18 @@ def test_batch_mode_survives_an_unexpected_exception(tmp_path, capsys, monkeypat
     assert docs[1]["error"] == {"code": "ZeroDivisionError", "message": "injected", "exit_code": 5}
     assert docs[1]["input"] == {"text": "x^2*y, x*y^2"}
     assert docs[2]["result"]["multiplicity"] == 2
+
+
+def test_single_ideal_mode_exits_five_on_an_unexpected_exception(capsys, monkeypatch):
+    def broken(ideal):
+        raise ZeroDivisionError("injected")
+
+    monkeypatch.setattr(cli, "e_codim1", broken)
+    code = cli.main(["multiplicity", "--ideal", "x^2, y^3"])
+    captured = capsys.readouterr()
+    assert code == 5 and captured.out == ""
+    assert captured.err.startswith("Traceback (most recent call last):\n")
+    assert captured.err.endswith("ZeroDivisionError: injected\n")
 
 
 def test_betti_and_taylor_batches_write_one_document_per_line(tmp_path, capsys):
@@ -536,6 +557,15 @@ def test_check_disagreement_exits_five(capsys, monkeypatch):
     code, (doc,) = run_cli(capsys, "multiplicity", "--ideal", "x^2, y^3", "--check")
     assert code == 5
     assert doc["agreement"] is False
+
+
+def test_regularity_disagreement_exits_five_with_its_document(capsys, monkeypatch):
+    original = cli.reg_quadratic_dominant
+    monkeypatch.setattr(cli, "reg_quadratic_dominant", lambda ideal: original(ideal) + 1)
+    code, (doc,) = run_cli(capsys, "regularity", "--ideal", "a*b, a*c, d*e")
+    assert code == 5
+    assert doc["result"]["regularity"] == 3 and doc["method"] == "quadratic"
+    assert doc["checks"] == [{"method": "taylor", "value": 2}] and doc["agreement"] is False
 
 
 def test_minimalization_notice_in_document(capsys):

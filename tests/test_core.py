@@ -69,6 +69,13 @@ def test_quotient_rejects_non_divisor():
         quotient(mono("a^2"), mono("b"))
 
 
+def test_variable_table_holds_only_distinct_grammar_tokens():
+    for names in (("",), ("1x",), ("a b",), ("\u00e9",), (1,), ("a", "b", "a"), ()):
+        with pytest.raises(ValueError):
+            VariableTable(names)
+    assert VariableTable(("x", "Y_1", "z9")).names == ("x", "Y_1", "z9")
+
+
 def test_mismatched_tables_rejected():
     other = Monomial.from_map(VariableTable(("x", "y")), {0: 1})
     for op in (lcm, gcd, quotient, Monomial.divides, Monomial.__mul__):

@@ -128,7 +128,7 @@ def test_error_positions_on_later_lines():
 def test_explicit_variable_order():
     ideal = parse_ideal("b*a", var_names=("a", "b"))
     assert ideal.ring.names == ("a", "b")
-    for names in (("a", "b c"), ("a", "2b"), ("a", ""), ("a", "b\u00b2"), ("a", "a", "b")):
+    for names in (("a", "b c"), ("a", "2b"), ("a", ""), ("a", "b\u00b2"), ("a", "a", "b"), ()):
         with pytest.raises(ParseError) as info:
             parse_ideal("a", var_names=names)
         assert info.value.code == "syntax", names
