@@ -44,13 +44,12 @@ from .formulas import (
     reg_quadratic_dominant,
 )
 from .generate import random_ideal
-from .invariants import classify, codim
+from .invariants import classify, codim, is_dominant
 from .oracle import multiplicity_associativity
 from .parsing import parse_ideal_detailed
 from .taylor import (
     TaylorResolution,
     face_order,
-    is_taylor_minimal,
     minimal_resolution,
     multiplicity_ps,
     regularity_dominant,
@@ -204,7 +203,8 @@ def _result_for(
                 "blocks": [[str(ideal.gens[i]) for i in block] for block in structure.blocks],
             },
             "quadratic_dominant": is_quadratic_dominant(ideal),
-            "taylor_minimal": is_taylor_minimal(ideal),
+            # minimal exactly when dominant: a witness enters a face's lcm only with its generator
+            "taylor_minimal": is_dominant(ideal),
         }
         return result, "classification", [], None
 
@@ -479,6 +479,10 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def run() -> None:
+    import signal  # here, not in `main`: an in-process caller keeps its own SIGPIPE handling
+
+    if hasattr(signal, "SIGPIPE"):  # a closed stdout then ends the process (141), no traceback
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

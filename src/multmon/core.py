@@ -328,12 +328,8 @@ class MonomialIdeal:
         return len(self.gens)
 
     def without(self, index: int) -> "MonomialIdeal":
-        """The ideal generated by all generators except `gens[index]`, built once."""
-        key = f"without.{index}"
-        if key not in self._facts:
-            rest = self.gens[:index] + self.gens[index + 1 :]
-            self._facts[key] = MonomialIdeal(self.ring, rest)
-        return self._facts[key]
+        """The ideal generated by all generators except `gens[index]`."""
+        return MonomialIdeal(self.ring, self.gens[:index] + self.gens[index + 1 :])
 
     def used_variables(self) -> tuple[int, ...]:
         used = reduce(or_, self.supports)

@@ -8,6 +8,10 @@ codimension compares.
 Independently, when the generators split into a free part and a pairwise
 coprime part of size codim, the Betti table of the whole ideal is the sum of
 shifted Betti tables of one small complete intersection per free-part subset.
+
+Each route takes only the ideal and finds its own witness: the recurrence
+uses the smallest dominant pivot that keeps the codimension (`recurrence_parts`,
+built once per ideal), the Betti identity the split `formulas.structural_split` finds.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from operator import add, sub
 
 from .core import Monomial, MonomialIdeal, lcm, minimalize, per_ideal, quotient, record, subset_lcms
 from .errors import HypothesisError, InternalConsistencyError
-from .formulas import CISplit, validate_split
+from .formulas import structural_split
 from .invariants import codim, dominance_witnesses, least_cover
 from .taylor import BettiTable, betti_table, face_order, multiplicity_ps
 
@@ -59,39 +63,33 @@ def third_decomposition(ideal: MonomialIdeal, pivot: int) -> ThirdDecomposition:
 
 
 @per_ideal
-def recurrence_pivot(ideal: MonomialIdeal) -> int | None:
-    """Smallest dominant pivot that keeps the codimension, if any.
+def recurrence_parts(ideal: MonomialIdeal) -> ThirdDecomposition | None:
+    """The decomposition at the smallest dominant pivot that keeps the codimension, if any.
 
-    Candidates are tested on support lists; only the winner's M1 is built, handed its codim.
+    Candidates are tested on support lists; only the winner's is built, its M1 handed its codim.
     """
     if ideal.q < 2:
         return None
     c, supports = codim(ideal), ideal.supports
     for i, w in enumerate(dominance_witnesses(ideal)):
         if w is not None and least_cover(supports[:i] + supports[i + 1 :]) == c:
-            record(codim, ideal.without(i), c)
-            return i
+            parts = third_decomposition(ideal, i)
+            record(codim, parts.m1, c)
+            return parts
     return None
 
 
-def multiplicity_recurrence(ideal: MonomialIdeal, pivot: int | None = None) -> int:
-    """Multiplicity via the pivot recurrence; needs codim(M) = codim(M1).
+def multiplicity_recurrence(ideal: MonomialIdeal) -> int:
+    """Multiplicity via the pivot recurrence at `recurrence_parts`' pivot: codim(M1) = codim(M).
 
     When the quotient ideal keeps the codimension the answer is the
     difference of the two sub-multiplicities; when its codimension grows the
-    quotient term drops out entirely.  Without a `pivot`, `recurrence_pivot`'s is used.
+    quotient term drops out entirely.
     """
-    if pivot is None:
-        pivot = recurrence_pivot(ideal)
-        if pivot is None:
-            raise HypothesisError("no dominant pivot preserves the codimension")
-    parts = third_decomposition(ideal, pivot)
-    c = codim(ideal)
-    if codim(parts.m1) != c:
-        raise HypothesisError(
-            "recurrence inapplicable: removing the pivot changes the codimension"
-        )
-    cm = codim(parts.mm1)
+    parts = recurrence_parts(ideal)
+    if parts is None:
+        raise HypothesisError("no dominant pivot preserves the codimension")
+    c, cm = codim(ideal), codim(parts.mm1)
     if cm == c:
         value = multiplicity_ps(parts.m1) - multiplicity_ps(parts.mm1)
     elif cm > c:
@@ -118,9 +116,9 @@ class DecompositionTerm:
     ideal: MonomialIdeal
 
 
-def structural_terms(ideal: MonomialIdeal, split: CISplit) -> list[DecompositionTerm]:
-    """One term per subset of the free part, ordered by size then bitmask."""
-    validate_split(ideal, split)
+def structural_terms(ideal: MonomialIdeal) -> list[DecompositionTerm]:
+    """One term per subset of the free part of `structural_split`'s split, by size then bitmask."""
+    split = structural_split(ideal)
     h = [ideal.gens[i] for i in split.ci]
     lcms = subset_lcms(ideal.ring, [ideal.gens[i] for i in split.free])
     terms = []
@@ -141,7 +139,7 @@ def structural_terms(ideal: MonomialIdeal, split: CISplit) -> list[Decomposition
     return terms
 
 
-def betti_decomposition(ideal: MonomialIdeal, split: CISplit) -> BettiTable:
+def betti_decomposition(ideal: MonomialIdeal) -> BettiTable:
     """Betti table assembled from the structural terms.
 
     Each term's table (a complete intersection's, hence computable from its
@@ -150,7 +148,7 @@ def betti_decomposition(ideal: MonomialIdeal, split: CISplit) -> BettiTable:
     are preserved.
     """
     entries: dict[tuple[int, tuple[int, ...]], int] = {}
-    for term in structural_terms(ideal, split):
+    for term in structural_terms(ideal):
         for (i, vec), count in betti_table(term.ideal).entries.items():
             key = (i + term.j, tuple(map(add, vec, term.mbar.vec)))
             entries[key] = entries.get(key, 0) + count

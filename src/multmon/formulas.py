@@ -18,7 +18,6 @@ from .invariants import (
     is_almost_complete_intersection,
     is_complete_intersection,
     is_dominant,
-    pairwise_coprime,
     support_components,
 )
 
@@ -34,7 +33,6 @@ __all__ = [
     "e_quadratic_dominant",
     "reg_quadratic_dominant",
     "find_ci_split",
-    "validate_split",
     "e_structural",
     "aci_product_difference",
     "e_aci",
@@ -186,34 +184,23 @@ def find_ci_split(ideal: MonomialIdeal) -> CISplit | None:
     return CISplit(tuple(i for i in range(q) if i not in chosen), tuple(chosen))
 
 
-def validate_split(ideal: MonomialIdeal, split: CISplit) -> None:
-    """Check the structural-formula hypotheses, raising `HypothesisError` on failure."""
-    claimed = sorted(split.free + split.ci)
-    if claimed != list(range(ideal.q)):
-        raise HypothesisError("split must partition the generator indices")
-    if not is_dominant(ideal):
+def structural_split(ideal: MonomialIdeal) -> CISplit:
+    """The split the structural identity runs on: `find_ci_split`'s, for a dominant ideal only."""
+    if not is_dominant(ideal):  # cached and cheap; the split search is not
         raise HypothesisError("the structural formula requires a dominant ideal")
-    if not pairwise_coprime(ideal.supports[i] for i in split.ci):
-        raise HypothesisError("the designated CI part is not pairwise coprime")
-    if codim(ideal) != len(split.ci):
-        raise HypothesisError("codimension must equal the size of the CI part")
+    split = find_ci_split(ideal)
+    if split is None:
+        raise HypothesisError("no pairwise-coprime subset of size codim exists")
+    return split
 
 
-def e_structural(ideal: MonomialIdeal, split: CISplit | None = None) -> int:
+def e_structural(ideal: MonomialIdeal) -> int:
     """Alternating sum over free-part subsets of products of lcm-quotient degrees.
 
     The empty subset contributes + the product of the CI generators' degrees;
-    a subset of size j contributes with sign (-1)^j.  Without a `split`, the
-    first one `find_ci_split` finds is used, searched only for a dominant ideal.
+    a subset of size j contributes with sign (-1)^j.  The split is `structural_split`'s.
     """
-    if split is None:
-        if not is_dominant(ideal):  # cached and cheap; the split search is not
-            raise HypothesisError("the structural formula requires a dominant ideal")
-        split = find_ci_split(ideal)
-        if split is None:
-            raise HypothesisError("no pairwise-coprime subset of size codim exists")
-    else:  # only a passed split is checked: a found one meets every condition by construction
-        validate_split(ideal, split)
+    split = structural_split(ideal)
     h = [ideal.gens[i].exps for i in split.ci]
     lcms = subset_lcms(ideal.ring, [ideal.gens[i] for i in split.free])
     total = 0

@@ -24,7 +24,8 @@ walk splits the faces on each plane, 2^13 faces at a time, down to one degree
 per leaf, where K_d is two bit counts: Python code runs per leaf, not per face.
 `betti` and `taylor` walk all 2^q faces at q <= 20; the ps engine at q <= 20,
 or q <= 24 when deg lcm(all) < 2^(33 - q), so never longer than at q = 20.
-Minimality and regularity walk none: both follow from the dominance witnesses.
+Regularity walks none: it follows from the dominance witnesses, which also
+decide minimality (the complex is minimal exactly for a dominant ideal).
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ __all__ = [
     "taylor_resolution",
     "minimal_resolution",
     "differential_coefficient",
-    "is_taylor_minimal",
     "betti_table",
     "regularity_dominant",
     "ps_power_sum",
@@ -268,17 +268,6 @@ def differential_coefficient(
     mdegs = resolution.mdegs
     coefficient = tuple(map(sub, mdegs[mask], mdegs[mask ^ (1 << removed)]))
     return sign, Monomial(resolution.ideal.ring, coefficient)
-
-
-def is_taylor_minimal(ideal: MonomialIdeal) -> bool:
-    """Whether no face shares its multidegree with one of its facets: dominance.
-
-    A witness exponent enters a face's lcm only with its generator, so a
-    dominant ideal's faces all differ from their facets; a generator with no
-    witness is matched in every variable by the others, so the full face and
-    the facet without that generator share an lcm.
-    """
-    return is_dominant(ideal)
 
 
 @dataclass

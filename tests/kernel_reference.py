@@ -10,7 +10,8 @@ degrees and labels, `ps_power_sum(ideal, k)` for k <= 3, and for dominant
 ideals the `betti_table` entries, one per face.  Two walks over the faces'
 degrees certify what the library decides from the dominance witnesses
 alone: whether any face has the degree of one of its facets
-(`is_taylor_minimal`), and for dominant ideals max(deg - hdeg)
+(`minimal_by_faces`, against `is_dominant`, which `classify` reports as
+`taylor_minimal`), and for dominant ideals max(deg - hdeg)
 (`regularity_dominant`).  `BOUNDARY` pairs ideals whose lcm degree d sits on
 either side of each field-width limit with the width of the subset-lcm
 columns, and `PLANE_BOUNDARY` ideals whose d sits on either side of a power
@@ -35,7 +36,6 @@ from multmon import (
     UnsupportedError,
     betti_table,
     is_dominant,
-    is_taylor_minimal,
     lcm,
     lcm_degree_table,
     ps_power_sum,
@@ -92,6 +92,16 @@ def shortfalls(planes: list[int], q: int) -> list[int]:
     return [sum((plane >> face & 1) << p for p, plane in bits) for face in range(1 << q)]
 
 
+def minimal_by_faces(degrees: list[int], q: int) -> bool:
+    """Whether no face has the degree of one of its facets; `degrees` is indexed by face mask.
+
+    A facet's multidegree divides the face's, so equal degrees mean equal lcms.
+    """
+    return not any(
+        degrees[mask ^ 1 << i] == d for mask, d in enumerate(degrees) for i in range(q) if mask >> i & 1
+    )
+
+
 def check(ideal: MonomialIdeal) -> None:
     unit = Monomial.unit(ideal.ring)
     folds = [
@@ -120,14 +130,7 @@ def check(ideal: MonomialIdeal) -> None:
     for k in range(4):
         expected = sum((-1) ** mask.bit_count() * d**k for mask, d in enumerate(degrees) if mask)
         assert ps_power_sum(ideal, k) == expected, (str(ideal), k)
-    # a facet's multidegree divides the face's, so equal degrees mean equal lcms
-    minimal = not any(
-        degrees[mask ^ 1 << i] == d
-        for mask, d in enumerate(degrees)
-        for i in range(ideal.q)
-        if mask >> i & 1
-    )
-    assert is_taylor_minimal(ideal) == minimal, str(ideal)
+    assert is_dominant(ideal) == minimal_by_faces(degrees, ideal.q), str(ideal)
     if is_dominant(ideal):
         expected = max(d - mask.bit_count() for mask, d in enumerate(degrees))
         assert regularity_dominant(ideal) == expected, str(ideal)

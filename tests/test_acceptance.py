@@ -29,7 +29,6 @@ from multmon import (
     gcd_all,
     is_almost_complete_intersection,
     is_dominant,
-    is_taylor_minimal,
     lcm,
     lcm_all,
     multiplicity_associativity,
@@ -55,6 +54,7 @@ from generators import (
     random_quadratic_dominant,
     random_stem_ideal,
 )
+from kernel_reference import minimal_by_faces
 
 EXAMPLE_5_5 = "a^3*c, a*b*e^3, a^2*b^2, c^2, d^2*e^2"
 EXAMPLE_4_3 = "a^2*b*c, b^3*c, c^4, d^2*e^2, d*e*f, d*g^2"
@@ -84,11 +84,10 @@ def thousand_random_ideals():
 
 def test_c01_example_5_5_golden():
     ideal = parse_ideal(EXAMPLE_5_5)
-    split = find_ci_split(ideal)
 
     from multmon import structural_terms
 
-    terms = structural_terms(ideal, split)
+    terms = structural_terms(ideal)
     signed = []
     for term in terms:
         product = 1
@@ -96,12 +95,12 @@ def test_c01_example_5_5_golden():
             product *= q.degree
         signed.append((-1) ** term.j * product)
     assert signed == [32, -8, -8, 2]
-    assert e_structural(ideal, split) == 18
+    assert e_structural(ideal) == 18
     assert multiplicity_ps(ideal) == 18
     assert multiplicity_associativity(ideal) == 18
 
     budgets = {
-        "structural": _best_of_three(ideal, lambda: e_structural(ideal, split)),
+        "structural": _best_of_three(ideal, lambda: e_structural(ideal)),
         "ps": _best_of_three(ideal, lambda: multiplicity_ps(ideal)),
         "oracle": _best_of_three(ideal, lambda: multiplicity_associativity(ideal)),
     }
@@ -124,12 +123,12 @@ def test_c02_example_4_3_golden():
 def test_c03_example_2_2_golden():
     m1 = parse_ideal("a^2, b^3, a*b")
     assert is_dominant(m1) is False
-    assert is_taylor_minimal(m1) is False
+    assert minimal_by_faces(taylor_resolution(m1).degrees, m1.q) is False
 
     m2 = parse_ideal("a^2*b, a*b^3*c, b*c^2")
     assert is_dominant(m2) is True
     assert {m2.ring.names[w] for w in dominance_witnesses(m2)} == {"a", "b", "c"}
-    assert is_taylor_minimal(m2) is True
+    assert minimal_by_faces(taylor_resolution(m2).degrees, m2.q) is True
     _report(3, "dominance classification and Taylor minimality on both examples")
 
 
@@ -187,10 +186,9 @@ def test_c09_structural_formula_and_betti_identity():
     rng = random.Random(SEED + 9)
     for _ in range(300):
         ideal = random_dominant_with_split(rng)
-        split = find_ci_split(ideal)
-        assert split is not None, str(ideal)
-        assert e_structural(ideal, split) == multiplicity_ps(ideal), str(ideal)
-        assert betti_decomposition(ideal, split).entries == betti_table(ideal).entries, str(ideal)
+        assert find_ci_split(ideal) is not None, str(ideal)
+        assert e_structural(ideal) == multiplicity_ps(ideal), str(ideal)
+        assert betti_decomposition(ideal).entries == betti_table(ideal).entries, str(ideal)
     _report(9, "structural sum and multigraded Betti assembly on 300 ideals")
 
 

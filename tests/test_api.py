@@ -19,12 +19,12 @@ PUBLIC = {
     "betti_table", "classify", "codim", "colength", "detect_stem", "differential_coefficient",
     "dominance_witnesses", "e_aci", "e_codim1", "e_complete_intersection", "e_quadratic_dominant",
     "e_stem", "e_structural", "find_ci_split", "gcd", "gcd_all", "is_almost_complete_intersection",
-    "is_complete_intersection", "is_dominant", "is_taylor_minimal", "lcm", "lcm_all",
+    "is_complete_intersection", "is_dominant", "lcm", "lcm_all",
     "lcm_degree_table", "minimal_covers", "minimal_resolution", "minimalize",
     "multiplicity_associativity", "multiplicity_ps", "multiplicity_recurrence", "parse_ideal",
     "parse_ideal_detailed", "polar_set", "polar_sets", "ps_power_sum", "quadratic_dominant_data",
     "quotient", "reg_quadratic_dominant", "regularity_dominant", "structural_terms",
-    "taylor_numerator", "taylor_resolution", "third_decomposition", "validate_split",
+    "taylor_numerator", "taylor_resolution", "third_decomposition",
 }
 
 

@@ -7,6 +7,7 @@ import io
 import json
 import random
 import re
+import signal
 import string
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from functools import reduce
 from itertools import groupby
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -293,6 +295,25 @@ def test_structural_sum_is_capped_under_a_small_address_space():
     assert time.perf_counter() - started < 5
     assert done.returncode == 4 and done.stdout == "", done.stderr
     assert "subset lcms of 30 generators exceed the q <= 24 cap" in done.stderr
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+def test_a_closed_stdout_ends_the_console_script_by_sigpipe():
+    # a reader that stops early (`| head -c 20`) is not an engine bug: no traceback, no exit 5
+    child = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(Path(cli.__file__).parents[1])!r})\n"
+        "from multmon.cli import run\n"
+        "run()\n"
+    )
+    argv = [sys.executable, "-c", child, "betti", "--ideal", cycle(16)]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as done:
+        head = done.stdout.read(20)
+        done.stdout.close()
+        stderr = done.stderr.read()
+        code = done.wait(timeout=60)
+    assert head == b'{"command": "betti",'
+    assert code == -signal.SIGPIPE and stderr == b"", (code, stderr.decode())
 
 
 def test_taylor_cap_exit(capsys):

@@ -26,7 +26,7 @@ from multmon import (
     structural_terms,
     third_decomposition,
 )
-from multmon.decomposition import recurrence_pivot
+from multmon.decomposition import recurrence_parts
 from multmon.generate import random_ideal
 
 from conftest import gen_index
@@ -70,17 +70,17 @@ def test_third_decomposition_rejects_non_dominant_pivot():
 
 def test_recurrence_examples():
     ideal = parse_ideal("a^2*b*c, b^3*c, c^4, d^2*e^2, d*e*f, d*g^2")
-    assert multiplicity_recurrence(ideal, gen_index(ideal, "a^2*b*c")) == 1
+    assert multiplicity_recurrence(ideal) == multiplicity_ps(ideal) == 1
 
-    ideal = parse_ideal("x^2, y^3")
-    with pytest.raises(HypothesisError):
-        multiplicity_recurrence(ideal, gen_index(ideal, "x^2"))
+    # both pivots of a complete intersection lower the codimension when removed
+    with pytest.raises(HypothesisError, match="^no dominant pivot preserves the codimension$"):
+        multiplicity_recurrence(parse_ideal("x^2, y^3"))
 
+    # removing z lowers the codimension, so the search passes it over for x^2*y
     ideal = parse_ideal("x^2*y, x*y^2, z")
-    with pytest.raises(HypothesisError):
-        multiplicity_recurrence(ideal, gen_index(ideal, "z"))
-    value = multiplicity_recurrence(ideal, gen_index(ideal, "x^2*y"))
-    assert value == multiplicity_ps(ideal) == 2
+    parts = recurrence_parts(ideal)
+    assert parts.pivot == gen_index(ideal, "x^2*y") and parts.m1 == parse_ideal("x*y^2, z")
+    assert multiplicity_recurrence(ideal) == multiplicity_ps(ideal) == 2
 
 
 def test_recurrence_finds_its_own_pivot():
@@ -88,25 +88,23 @@ def test_recurrence_finds_its_own_pivot():
     answered = 0
     for _ in range(200):
         ideal = random_ideal(rng, max_gens=6)
-        pivot = recurrence_pivot(ideal)
-        if pivot is None:
+        if recurrence_parts(ideal) is None:
             with pytest.raises(HypothesisError):
                 multiplicity_recurrence(ideal)
         else:
-            assert multiplicity_recurrence(ideal) == multiplicity_recurrence(ideal, pivot)
+            assert multiplicity_recurrence(ideal) == multiplicity_ps(ideal), str(ideal)
             answered += 1
     assert answered >= 40
-    # both pivots of a complete intersection lower the codimension when removed
-    with pytest.raises(HypothesisError, match="^no dominant pivot preserves the codimension$"):
-        multiplicity_recurrence(parse_ideal("x^2, y^3"))
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.randoms(use_true_random=False).map(random_ideal))
 def test_pivot_search_and_quotients_match_their_definitions(ideal):
     # the search runs first, on support lists alone; the reference then builds every M1
-    pivot = recurrence_pivot(ideal)
-    if pivot is not None:
+    parts = recurrence_parts(ideal)
+    pivot = None if parts is None else parts.pivot
+    if parts is not None:
+        assert parts == third_decomposition(ideal, parts.pivot), str(ideal)
         assert multiplicity_recurrence(ideal) == multiplicity_ps(ideal), str(ideal)
     c = codim(ideal)
     dominant = [i for i, w in enumerate(dominance_witnesses(ideal)) if w is not None]
@@ -121,6 +119,7 @@ def test_pivot_search_and_quotients_match_their_definitions(ideal):
 
 
 def test_recurrence_matches_engine_when_applicable():
+    # whenever some dominant pivot keeps the codimension, the recurrence answers
     rng = random.Random(29)
     checked = 0
     for _ in range(200):
@@ -128,18 +127,18 @@ def test_recurrence_matches_engine_when_applicable():
         if ideal.q < 2:
             continue
         c = codim(ideal)
-        for pivot, w in enumerate(dominance_witnesses(ideal)):
-            if w is None or codim(ideal.without(pivot)) != c:
-                continue
-            assert multiplicity_recurrence(ideal, pivot) == multiplicity_ps(ideal)
+        if any(
+            w is not None and codim(ideal.without(pivot)) == c
+            for pivot, w in enumerate(dominance_witnesses(ideal))
+        ):
+            assert multiplicity_recurrence(ideal) == multiplicity_ps(ideal), str(ideal)
             checked += 1
-            break
     assert checked >= 40
 
 
 def test_structural_terms_example():
     ideal = parse_ideal("a^3*c, a*b*e^3, a^2*b^2, c^2, d^2*e^2")
-    terms = structural_terms(ideal, find_ci_split(ideal))
+    terms = structural_terms(ideal)
     shapes = [(t.j, str(t.mbar)) for t in terms]
     assert shapes == [
         (0, "1"),
@@ -164,7 +163,7 @@ def _product(values):
 
 def test_structural_terms_pure_ci():
     ideal = parse_ideal("x^2, y^3")
-    terms = structural_terms(ideal, find_ci_split(ideal))
+    terms = structural_terms(ideal)
     assert len(terms) == 1
     assert terms[0].j == 0 and terms[0].mbar.is_unit
     assert terms[0].ideal == ideal
@@ -176,7 +175,7 @@ def test_term_quotients_divide_and_are_coprime():
         ideal = random_dominant_with_split(rng)
         split = find_ci_split(ideal)
         h = [ideal.gens[i] for i in split.ci]
-        for term in structural_terms(ideal, split):
+        for term in structural_terms(ideal):
             for hi, qi in zip(h, term.quotients):
                 assert qi.divides(hi)
             for a in range(len(term.quotients)):
@@ -188,19 +187,16 @@ def test_alternating_term_sum_equals_engine():
     rng = random.Random(53)
     for _ in range(80):
         ideal = random_dominant_with_split(rng)
-        split = find_ci_split(ideal)
-        total = sum(
-            (-1) ** t.j * multiplicity_ps(t.ideal) for t in structural_terms(ideal, split)
-        )
+        total = sum((-1) ** t.j * multiplicity_ps(t.ideal) for t in structural_terms(ideal))
         assert total == multiplicity_ps(ideal), str(ideal)
 
 
 def test_betti_decomposition_examples():
     ideal = parse_ideal("x^2, y^3")
-    assert betti_decomposition(ideal, find_ci_split(ideal)).entries == betti_table(ideal).entries
+    assert betti_decomposition(ideal).entries == betti_table(ideal).entries
 
     ideal = parse_ideal("a^3*c, a*b*e^3, a^2*b^2, c^2, d^2*e^2")
-    assembled = betti_decomposition(ideal, find_ci_split(ideal))
+    assembled = betti_decomposition(ideal)
     assert assembled.total(0) == 1
     first_layer = {str(Monomial(ideal.ring, m)) for (i, m) in assembled.entries if i == 1}
     assert first_layer == {str(g) for g in ideal.gens}
@@ -212,5 +208,16 @@ def test_betti_decomposition_matches_taylor_on_random_ideals():
     rng = random.Random(59)
     for _ in range(60):
         ideal = random_dominant_with_split(rng)
-        split = find_ci_split(ideal)
-        assert betti_decomposition(ideal, split).entries == betti_table(ideal).entries
+        assert betti_decomposition(ideal).entries == betti_table(ideal).entries
+
+
+def test_structural_routes_check_their_own_hypotheses():
+    # each finds its split as `e_structural` does, and refuses with its messages
+    cases = {
+        "x^2*y, x^3, y^3": "the structural formula requires a dominant ideal",  # split x^3, y^3
+        "a^2*b, b^2*c, c^2*a": "no pairwise-coprime subset of size codim exists",
+    }
+    for text, message in cases.items():
+        for route in (structural_terms, betti_decomposition):
+            with pytest.raises(HypothesisError, match=f"^{message}$"):
+                route(parse_ideal(text))

@@ -222,42 +222,31 @@ def test_find_ci_split_is_the_first_split_of_the_scan(maps):
 
 def test_e_structural_example():
     ideal = parse_ideal("a^3*c, a*b*e^3, a^2*b^2, c^2, d^2*e^2")
-    assert e_structural(ideal, find_ci_split(ideal)) == 18
+    assert e_structural(ideal) == 18
 
 
 def test_e_structural_pure_ci_split():
     ideal = parse_ideal("x^3, y^4")
-    split = find_ci_split(ideal)
-    assert split.free == ()
-    assert e_structural(ideal, split) == 12
+    assert find_ci_split(ideal).free == ()
+    assert e_structural(ideal) == 12
 
 
 def test_e_structural_rejects_non_dominant():
     # the formula's value would be right here, but the hypothesis gate is firm
     ideal = parse_ideal("x^2*y, x^3, y^3")
     assert not is_dominant(ideal)
-    split = find_ci_split(ideal)
+    assert find_ci_split(ideal) is not None
     with pytest.raises(HypothesisError):
-        e_structural(ideal, split)
+        e_structural(ideal)
     # the quantity itself is engine-checkable
     assert multiplicity_ps(ideal) == 7
-
-
-def test_e_structural_rejects_bad_split():
-    from multmon import CISplit
-
-    ideal = parse_ideal("a^3*c, a*b*e^3, a^2*b^2, c^2, d^2*e^2")
-    with pytest.raises(HypothesisError):
-        e_structural(ideal, CISplit(free=(0, 1), ci=(2, 3)))  # wrong size
-    with pytest.raises(HypothesisError):
-        e_structural(ideal, CISplit(free=(0,), ci=(1, 2, 3)))  # not a partition
 
 
 def test_e_structural_finds_its_own_split():
     rng = random.Random(37)
     for _ in range(60):
         ideal = random_dominant_with_split(rng)
-        assert e_structural(ideal) == e_structural(ideal, find_ci_split(ideal)), str(ideal)
+        assert e_structural(ideal) == multiplicity_ps(ideal), str(ideal)
     # dominance is checked before the split search, so a non-dominant ideal
     # with a split (x^3, y^3) reports dominance
     with pytest.raises(HypothesisError, match="^the structural formula requires a dominant ideal$"):

@@ -21,7 +21,7 @@ from multmon import (
     betti_table,
     codim,
     differential_coefficient,
-    is_taylor_minimal,
+    is_dominant,
     lcm,
     lcm_degree_table,
     multiplicity_associativity,
@@ -38,7 +38,7 @@ from multmon.generate import make_table, random_ideal
 from multmon.taylor import face_order, member_indices
 
 from generators import random_dominant_with_split, random_stem_ideal
-from kernel_reference import shortfalls
+from kernel_reference import minimal_by_faces, shortfalls
 
 
 def test_resolution_single_generator():
@@ -188,9 +188,11 @@ def test_differential_squares_to_zero_on_random_ideals():
 
 
 def test_minimality_examples():
-    assert not is_taylor_minimal(parse_ideal("a^2, b^3, a*b"))
-    assert is_taylor_minimal(parse_ideal("a^2*b, a*b^3*c, b*c^2"))
-    assert is_taylor_minimal(parse_ideal("x^9"))
+    # `classify` reports a minimal Taylor complex exactly for a dominant ideal
+    for text, minimal in (("a^2, b^3, a*b", False), ("a^2*b, a*b^3*c, b*c^2", True), ("x^9", True)):
+        ideal = parse_ideal(text)
+        faces = minimal_by_faces(taylor_resolution(ideal).degrees, ideal.q)
+        assert is_dominant(ideal) == faces == minimal, text
 
 
 def test_minimality_and_regularity_walk_no_face(monkeypatch):
@@ -201,9 +203,9 @@ def test_minimality_and_regularity_walk_no_face(monkeypatch):
     monkeypatch.setattr(taylor, "lcm_columns", refuse)
     monkeypatch.setattr(core, "lcm_columns", refuse)
     cycle = parse_ideal(", ".join(f"x{i}^2*x{(i + 1) % 25}" for i in range(25)))
-    assert is_taylor_minimal(cycle) and regularity_dominant(cycle) == 25
+    assert is_dominant(cycle) and regularity_dominant(cycle) == 25
     squarefree = parse_ideal(", ".join(f"x{i}*x{(i + 1) % 21}" for i in range(21)))
-    assert not is_taylor_minimal(squarefree)
+    assert not is_dominant(squarefree)
     assert regularity_dominant(parse_ideal("x^2, y^3")) == 3
 
 
