@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import InitVar, dataclass, field
 from functools import reduce, wraps
 from itertools import compress
 from operator import add, le, neg, or_, sub
@@ -55,15 +54,25 @@ PS_Q_MAX = 24
 VAR_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 
-@dataclass(frozen=True)
-class VariableTable:
+class _Frozen:
+    """Base of the immutable values: `__init__` fills each slot once, by `object.__setattr__`."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class VariableTable(_Frozen):
     """Ordered table of distinct variable names, each a `VAR_NAME` token; index i <-> names[i]."""
 
+    __slots__ = ("names", "_lookup")
     names: tuple[str, ...]
-    _lookup: dict = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        names = tuple(self.names)
+    def __init__(self, names: Iterable[str]):
+        names = tuple(names)
         if not names:
             raise ValueError("a variable table needs at least one variable")
         lookup = {}
@@ -76,6 +85,9 @@ class VariableTable:
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "_lookup", lookup)
 
+    def __reduce__(self):
+        return VariableTable, (self.names,)
+
     def __len__(self) -> int:
         return len(self.names)
 
@@ -85,9 +97,17 @@ class VariableTable:
         except KeyError:
             raise KeyError(f"unknown variable {name!r}") from None
 
+    def __eq__(self, other) -> bool:
+        return self.names == other.names if isinstance(other, VariableTable) else NotImplemented
 
-@dataclass(frozen=True, eq=False)
-class Monomial:
+    def __hash__(self) -> int:
+        return hash(self.names)
+
+    def __repr__(self) -> str:
+        return f"VariableTable(names={self.names!r})"
+
+
+class Monomial(_Frozen):
     """A monomial stored as its dense exponent tuple over a variable table.
 
     `vec[i]` is the exponent of `table.names[i]`, between 0 and `MAX_EXPONENT`;
@@ -95,18 +115,23 @@ class Monomial:
     the same product of named variables, even across tables.
     """
 
+    __slots__ = ("table", "vec")
     table: VariableTable
     vec: tuple[int, ...]
 
-    def __post_init__(self):
-        vec = tuple(self.vec)
-        if len(vec) != len(self.table):
+    def __init__(self, table: VariableTable, vec: Iterable[int]):
+        vec = tuple(vec)
+        if len(vec) != len(table):
             raise ValueError(
-                f"exponent tuple has length {len(vec)}, the table has {len(self.table)} variables"
+                f"exponent tuple has length {len(vec)}, the table has {len(table)} variables"
             )
         if min(vec) < 0 or max(vec) > MAX_EXPONENT:
             raise ValueError(f"exponents must lie between 0 and the {MAX_EXPONENT} cap")
+        object.__setattr__(self, "table", table)
         object.__setattr__(self, "vec", vec)
+
+    def __reduce__(self):
+        return Monomial, (self.table, self.vec)
 
     @classmethod
     def from_map(cls, table: VariableTable, exponents: Mapping[int, int]) -> "Monomial":
@@ -279,8 +304,7 @@ def subset_lcms(table: VariableTable, gens: Sequence[Monomial]) -> list[tuple[in
     return list(zip(*[unpack_fields(col, width, q) if col else zero for col in columns]))
 
 
-@dataclass(frozen=True, eq=False)
-class MonomialIdeal:
+class MonomialIdeal(_Frozen):
     """A monomial ideal held by its canonical minimal generating set.
 
     The constructor rejects generating sets that are not minimal (a duplicate
@@ -291,25 +315,24 @@ class MonomialIdeal:
     from the ideal are cached on it (see `per_ideal`).
     """
 
+    __slots__ = ("ring", "gens", "supports", "_facts")
     ring: VariableTable
     gens: tuple[Monomial, ...]
-    supports: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _facts: dict = field(init=False, repr=False, compare=False)
-    drop_redundant: InitVar[bool] = False
+    supports: tuple[int, ...]
 
-    def __post_init__(self, drop_redundant: bool):
-        raw = tuple(self.gens)
+    def __init__(self, ring: VariableTable, gens: Iterable[Monomial], drop_redundant: bool = False):
+        raw = tuple(gens)
         if not raw:
             raise ValueError("a monomial ideal needs at least one generator")
         for g in raw:
-            if g.table != self.ring:
+            if g.table != ring:
                 raise ValueError("generator does not live in the ideal's ring")
             if g.is_unit:
                 raise ValueError("the unit monomial cannot be a generator")
         # in canonical order a divisor, or the first of two equal generators, comes first
         gens: list[Monomial] = []
         supports: list[int] = []
-        bits = [1 << v for v in range(len(self.ring))]  # `compress` picks a support's bits
+        bits = [1 << v for v in range(len(ring))]  # `compress` picks a support's bits
         for h in sorted(raw, key=Monomial.sort_key):
             t = sum(compress(bits, h.vec))
             g = next((g for g in _inside(gens, supports, t) if g.divides(h)), None)
@@ -318,9 +341,13 @@ class MonomialIdeal:
                 supports.append(t)
             elif not drop_redundant:
                 raise ValueError(f"not a minimal generating set: {g} divides {h}")
+        object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "gens", tuple(gens))
         object.__setattr__(self, "supports", tuple(supports))
         object.__setattr__(self, "_facts", {})
+
+    def __reduce__(self):
+        return MonomialIdeal, (self.ring, self.gens)
 
     @property
     def q(self) -> int:
@@ -364,7 +391,8 @@ def per_ideal(fn: Callable) -> Callable:
 
     Ideals are immutable and callers share the cached value, so a fact whose
     `fn` returns an immutable value never goes stale.  A call that raises
-    caches nothing; facts are keyed by name so an analysed ideal pickles.
+    caches nothing.  A pickled ideal is rebuilt from its ring and generators,
+    so it carries none of its cached facts.
     """
     key = f"{fn.__module__}.{fn.__qualname__}"
 

@@ -16,8 +16,8 @@ built once per ideal), the Betti identity the split `formulas.structural_split` 
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add, sub
+from typing import NamedTuple
 
 from .core import Monomial, MonomialIdeal, lcm, minimalize, per_ideal, quotient, record, subset_lcms
 from .errors import HypothesisError, InternalConsistencyError
@@ -35,8 +35,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ThirdDecomposition:
+class ThirdDecomposition(NamedTuple):
     """The two sub-ideals produced by removing a dominant pivot generator."""
 
     pivot: int
@@ -101,8 +100,7 @@ def multiplicity_recurrence(ideal: MonomialIdeal) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class DecompositionTerm:
+class DecompositionTerm(NamedTuple):
     """One free-part subset's contribution to the structural identity.
 
     `quotients` is the full length-c list lcm(mbar, h_i)/mbar (units possible

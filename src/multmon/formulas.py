@@ -8,8 +8,8 @@ inputs outside their hypotheses (raising `HypothesisError`).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from math import prod
+from typing import NamedTuple
 
 from .core import Monomial, MonomialIdeal, gcd, gcd_all, per_ideal, subset_lcms
 from .errors import HypothesisError, InternalConsistencyError
@@ -54,8 +54,7 @@ def e_complete_intersection(ideal: MonomialIdeal) -> int:
     return prod(g.degree for g in ideal.gens)
 
 
-@dataclass(frozen=True)
-class StemStructure:
+class StemStructure(NamedTuple):
     """Partition of the generators into mutually coprime blocks with nonunit gcds.
 
     Blocks are ordered by size descending (ties by smallest member index) and
@@ -101,8 +100,7 @@ def e_stem(ideal: MonomialIdeal) -> int:
     return prod(stem.degree for stem in structure.stems)
 
 
-@dataclass(frozen=True)
-class QuadraticDominantData:
+class QuadraticDominantData(NamedTuple):
     """Shape data of a quadratic dominant ideal.
 
     `isolated` are indices of generators coprime to all others; `shared_vars`
@@ -151,8 +149,7 @@ def reg_quadratic_dominant(ideal: MonomialIdeal) -> int:
     return reg
 
 
-@dataclass(frozen=True)
-class CISplit:
+class CISplit(NamedTuple):
     """A partition of the generator indices into a free part and a CI part."""
 
     free: tuple[int, ...]

@@ -7,7 +7,6 @@
 from __future__ import annotations
 
 import random
-import string
 
 from .core import Monomial, MonomialIdeal, VariableTable, minimalize
 
@@ -16,7 +15,7 @@ __all__ = ["make_table", "random_ideal"]
 
 def make_table(n: int) -> VariableTable:
     if n <= 26:
-        return VariableTable(tuple(string.ascii_lowercase[:n]))
+        return VariableTable(tuple("abcdefghijklmnopqrstuvwxyz"[:n]))
     return VariableTable(tuple(f"v{i}" for i in range(n)))
 
 

@@ -9,8 +9,7 @@ the same search.  Each fact here is computed once per ideal (`core.per_ideal`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .core import MonomialIdeal, per_ideal
 from .errors import InternalConsistencyError
@@ -184,8 +183,7 @@ def is_almost_complete_intersection(ideal: MonomialIdeal) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     """Summary of the hypothesis-relevant shape of an ideal."""
 
     codim: int

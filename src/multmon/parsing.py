@@ -22,8 +22,7 @@ one name rule `VariableTable` enforces, so an explicit name list obeys it too.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import MAX_EXPONENT, VAR_NAME, Monomial, MonomialIdeal, VariableTable, minimalize
 from .errors import ParseError
@@ -40,8 +39,7 @@ _FACTOR = re.compile(rf"({VAR_NAME.pattern})(\^[0-9]*)?")
 _CAP_DIGITS = len(str(MAX_EXPONENT))
 
 
-@dataclass(frozen=True)
-class ParsedIdeal:
+class ParsedIdeal(NamedTuple):
     ideal: MonomialIdeal
     notices: tuple[str, ...]
 

@@ -31,10 +31,10 @@ decide minimality (the complex is minimal exactly for a dominant ideal).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, repeat
 from operator import itemgetter, or_, sub
+from typing import NamedTuple
 
 from .core import (
     PS_Q_MAX,
@@ -182,7 +182,6 @@ def member_indices(mask: int) -> tuple[int, ...]:
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-@dataclass(frozen=True)
 class TaylorResolution:
     """The Taylor complex of an ideal as mask-indexed lists.
 
@@ -193,9 +192,8 @@ class TaylorResolution:
     the list is built on first access.
     """
 
-    ideal: MonomialIdeal
-    degrees: list[int]
-    labels: list[str]
+    def __init__(self, ideal: MonomialIdeal, degrees: list[int], labels: list[str]):
+        self.ideal, self.degrees, self.labels = ideal, degrees, labels
 
     @cached_property
     def mdegs(self) -> list[tuple[int, ...]]:
@@ -270,8 +268,7 @@ def differential_coefficient(
     return sign, Monomial(resolution.ideal.ring, coefficient)
 
 
-@dataclass
-class BettiTable:
+class BettiTable(NamedTuple):
     """Multigraded Betti numbers: (homological degree, multidegree) -> count.
 
     Multidegrees are exponent tuples, stored for the quotient ring convention,

@@ -316,6 +316,22 @@ def test_a_closed_stdout_ends_the_console_script_by_sigpipe():
     assert code == -signal.SIGPIPE and stderr == b"", (code, stderr.decode())
 
 
+def test_the_cli_runs_without_importing_dataclasses_or_inspect():
+    # every process pays `import multmon.cli` before its first answer, and these two were
+    # half of it; `-S` keeps a site-packages `.pth` import from loading them first
+    child = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(Path(cli.__file__).parents[1])!r})\n"
+        "from multmon.cli import main\n"
+        "code = main(['verify', '--ideal', 'a^3*c, a*b*e^3, a^2*b^2, c^2, d^2*e^2'])\n"
+        "print(code, sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    argv = [sys.executable, "-I", "-S", "-c", child]
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0 and done.stderr == "", done.stderr
+    assert done.stdout.splitlines()[-1] == "0 []", done.stdout
+
+
 def test_taylor_cap_exit(capsys):
     text = ", ".join(f"x{i}^2" for i in range(21))
     code, docs = run_cli(capsys, "taylor", "--ideal", text)

@@ -100,6 +100,30 @@ def test_constructor_rejects_wrong_length():
             Monomial(ABCDE, vec)
 
 
+def test_core_values_are_frozen_and_have_no_instance_dict():
+    ideal = parse_ideal("a^2*b, b^3, c")
+    for value in (ideal.ring, ideal.gens[0], ideal):
+        assert not hasattr(value, "__dict__")
+        for name in type(value).__slots__:
+            before = getattr(value, name)
+            with pytest.raises(AttributeError):
+                setattr(value, name, before)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+            assert getattr(value, name) is before
+        with pytest.raises(AttributeError):
+            value.extra = 1
+
+
+def test_tables_built_apart_from_equal_names_are_equal():
+    left, right = VariableTable(("x", "y")), VariableTable(["x", "y"])
+    assert left is not right and left == right and hash(left) == hash(right)
+    assert left != VariableTable(("y", "x")) and left != ("x", "y")
+    # the ring checks compare tables by value
+    assert lcm(Monomial(left, (1, 0)), Monomial(right, (0, 2))) == Monomial(left, (1, 2))
+    assert MonomialIdeal(left, [Monomial(right, (1, 0))]).ring is left
+
+
 # ---------------------------------------------------------------------------
 # minimalize
 

@@ -269,11 +269,18 @@ def test_a_recorded_fact_is_not_searched_again(searches):
     assert codim(ideal) == 1 and searches[0] == 0
 
 
-def test_an_analysed_ideal_pickles():
-    ideal = parse_ideal("a^2*b, b^3, c")
+@given(st.randoms(use_true_random=False).map(random_ideal))
+def test_an_analysed_ideal_pickles(ideal):
     report = classify(ideal)
     copy = pickle.loads(pickle.dumps(ideal))
-    assert copy == ideal and classify(copy) == report
+    assert copy == ideal and hash(copy) == hash(ideal) and copy._facts == {}
+    assert copy.gens == ideal.gens and copy.supports == ideal.supports
+    assert all(g.table is copy.ring for g in copy.gens)  # one table, as in the original
+    assert classify(copy) == report and pickle.loads(pickle.dumps(report)) == report
+    for value in (ideal.ring, *ideal.gens):
+        again = pickle.loads(pickle.dumps(value))
+        assert again == value and hash(again) == hash(value)
+    assert [copy.ring.index(name) for name in ideal.ring.names] == list(range(len(ideal.ring)))
 
 
 def test_one_verify_runs_few_codim_searches(searches, capsys):
