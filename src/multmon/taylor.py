@@ -18,12 +18,20 @@ of S/I (Bayer-Stillman 1992, Bigatti 1997), and reads the power sums off it:
 
 P(k) vanishes for 1 <= k < c and equals (-1)^c c! e at k = c, where c is the
 codimension and e the multiplicity; all arithmetic is arbitrary-precision.
-K is counted from bit planes (bit slicing, Biham 1997): plane p holds bit p
-of each face's shortfall from deg lcm(all), face F at bit F.  A depth-first
-walk splits the faces on each plane, 2^13 faces at a time, down to one degree
-per leaf, where K_d is two bit counts: Python code runs per leaf, not per face.
-`betti` and `taylor` walk all 2^q faces at q <= 20; the ps engine at q <= 20,
-or q <= 24 when deg lcm(all) < 2^(33 - q), so never longer than at q = 20.
+Past q = 13 a frontier sweep over the generators usually sums K instead
+(variable elimination, Dechter 1999): it groups the faces by the exponents, in
+their lcm, of the variables that a later generator still uses, and keeps one
+signed degree histogram per group, so its work follows the groups, not the
+2^q faces.  It runs when an up-front bound on its groups is at most 2^(q - 7),
+as on cycles and other sparse ideals.  Otherwise, and at q <= 13, where one
+2^13-face block is faster, K is counted from bit planes (bit slicing, Biham
+1997): plane p holds bit p of each face's shortfall from deg lcm(all), face F
+at bit F.  A depth-first walk splits the faces on each plane, 2^13 faces at a
+time, down to one degree per leaf, where K_d is two bit counts: Python code
+runs per leaf, not per face.  `betti` and `taylor` walk all 2^q faces at
+q <= 20; the ps engine answers at q <= 20, or q <= 24 when
+deg lcm(all) < 2^(33 - q), so a walk past q = 20 is never longer than one at
+q = 20.
 Regularity walks none: it follows from the dominance witnesses, which also
 decide minimality (the complex is minimal exactly for a dominant ideal).
 """
@@ -65,7 +73,7 @@ __all__ = [
 ]
 
 Q_MAX = 20
-_BLOCK = 13  # the power-sum walk takes 2^13 faces at a time
+_BLOCK = 13  # the walk takes 2^13 faces at a time; at q <= 13 it beats the sweep
 _UNSTARRED = itemgetter(slice(1, None))  # a label less its leading "*"
 
 
@@ -83,18 +91,25 @@ def _require_dominant(ideal: MonomialIdeal) -> None:
         )
 
 
-def lcm_degree_table(ideal: MonomialIdeal) -> tuple[int, list[int]]:
-    """deg lcm(all) and the planes: bit F of `planes[p]` is bit p of deg lcm(all) - deg lcm(F).
-
-    Each `core.lcm_levels` level, at 1-bit fields, is ripple-carried in at each bit of its step.
-    """
+def _ps_columns(ideal: MonomialIdeal) -> tuple[int, list[tuple[int, ...]]]:
+    """deg lcm(all) and the exponent columns, once the ps engine's caps admit the ideal."""
     _require_small(ideal, PS_Q_MAX)
-    exponents, shifts = list(zip(*[g.vec for g in ideal.gens])), [1 << k for k in range(ideal.q)]
+    exponents = list(zip(*[g.vec for g in ideal.gens]))
     top = sum(map(max, exponents))
     if ideal.q > Q_MAX and top >> Q_MAX + _BLOCK - ideal.q:
         raise ResourceCapError(
             f"ps engine past q = {Q_MAX}: lcm degree {top} is not below 2^({Q_MAX + _BLOCK} - q)"
         )
+    return top, exponents
+
+
+def lcm_degree_table(ideal: MonomialIdeal) -> tuple[int, list[int]]:
+    """deg lcm(all) and the planes: bit F of `planes[p]` is bit p of deg lcm(all) - deg lcm(F).
+
+    Each `core.lcm_levels` level, at 1-bit fields, is ripple-carried in at each bit of its step.
+    """
+    top, exponents = _ps_columns(ideal)
+    shifts = [1 << k for k in range(ideal.q)]
     planes = [0] * top.bit_length()  # no face falls short by more than top
     for exps in exponents:
         for step, z in lcm_levels(exps, shifts):
@@ -114,9 +129,8 @@ def _odd_faces(q: int) -> int:  # bit F holds |F| mod 2
     return odd
 
 
-@per_ideal
-def taylor_numerator(ideal: MonomialIdeal) -> tuple[tuple[int, int], ...]:
-    """K(t) as (d, K_d) pairs by degree, K_d != 0: the sum of (-1)^|F| over faces F of degree d."""
+def _walk(ideal: MonomialIdeal) -> dict[int, int]:
+    """{d: K_d}, counted from the shortfall planes of `lcm_degree_table`."""
     top, planes = lcm_degree_table(ideal)
     q, b, counts, blocks = ideal.q, min(ideal.q, _BLOCK), {}, [[*planes, _odd_faces(ideal.q)]]
     if q > b:  # 1 KiB slices: no split costs more, so one face per degree is linear work
@@ -135,6 +149,134 @@ def taylor_numerator(ideal: MonomialIdeal) -> tuple[tuple[int, int], ...]:
                         stack.append((p, d, low))
                     faces, d = high, d - (1 << p)
             counts[d] = counts.get(d, 0) + faces.bit_count() - 2 * (faces & odd).bit_count()
+    return counts
+
+
+def _sweep_plan(ideal: MonomialIdeal, cap: float = math.inf) -> tuple[int, list | None, int | None]:
+    """A bound on the frontier sweep's states, its steps (one per generator), and `top`.
+
+    The generators are taken greedily, each the one after which the fewest variables
+    are live (seen, and used by a generator still to come).  A state's key holds each
+    live variable's exponent in the lcm of a face so far, in a `width`-bit field of its
+    own; a variable's field is freed after its last generator, for a later one to reuse.
+    A step is (touch, base, keep, born): (shift, field mask, e) for each live variable of
+    the generator, the sum of its other exponents, the mask of the fields that stay
+    live, and its newly live variables' exponents in their fields.  After k steps at
+    most 2^k states remain, and at most the product over live v of (v's exponents so
+    far + 1): the bound sums the lesser over the steps.  The plan stops, without steps,
+    once the bound passes `cap`, or at once if the variables in every generator, live
+    after each step but the last, pass it.  `top` is deg lcm(all) when the most states
+    at once, packed at that degree, hold at most 2^22 digits, else None.
+    """
+    vecs, q = [g.vec for g in ideal.gens], ideal.q
+    columns = list(zip(*vecs))
+    uses = [q - column.count(0) for column in columns]  # generators still to come
+    # the variables in every generator are live after each step but the last, in any order
+    bound = sum(min(1 << k, 1 << uses.count(q)) for k in range(1, q)) + 1
+    if bound > cap:
+        return bound, None, None
+    width, top = max(map(max, columns)).bit_length(), sum(map(max, columns))
+    ones = (1 << width) - 1
+    once = sum(1 << v for v, n in enumerate(uses) if n == 1)  # a last generator to come
+    left, supports = list(range(q)), ideal.supports
+    live, shifts, free, levels, end, keep = 0, {}, [], [set() for _ in columns], 0, 0
+    bound, peak, steps = 0, 0, []
+    for k in range(1, q + 1):
+        scores = [(supports[i] & ~live).bit_count() - (supports[i] & once).bit_count()
+                  for i in left]
+        i = left.pop(scores.index(min(scores)))
+        s, vec = supports[i], vecs[i]
+        dying, touch, base, born, fields = s & once, [], 0, 0, 0
+        for v, e in [(v, e) for v, e in enumerate(vec) if e]:
+            levels[v].add(e)
+            uses[v] -= 1
+            if uses[v] == 1:
+                once |= 1 << v
+            if v in shifts:
+                shift = shifts[v]
+                touch.append((shift, ones << shift, e))
+                if dying >> v & 1:
+                    del shifts[v]
+                    free.append(shift)
+                    keep ^= ones << shift
+                continue
+            base += e
+            if not dying >> v & 1:  # newly live: a free field, or a new one
+                if free:
+                    shift = shifts[v] = free.pop()
+                else:
+                    shift = shifts[v] = end
+                    end += width
+                fields |= ones << shift
+                born |= e << shift
+        live, once = (live | s) & ~dying, once & ~dying
+        states = 1
+        for v in shifts:
+            states *= len(levels[v]) + 1
+            if states >> k:
+                states = 1 << k
+                break
+        bound, peak = bound + states, max(peak, states)
+        if bound > cap:
+            return bound, None, None
+        steps.append((touch, base, keep, born))
+        keep |= fields
+    return bound, steps, top if peak * (top + 1) <= 1 << 22 else None
+
+
+def _fold(into: dict[int, int], hist: dict[int, int], gain: int, sign: int) -> None:
+    """Add sign * t^gain * hist into `into`."""
+    for d, n in hist.items():
+        into[d + gain] = into.get(d + gain, 0) + sign * n
+
+
+def _sweep(steps: list[tuple], top: int | None) -> dict[int, int]:
+    """{d: K_d}, summed by the `_sweep_plan` steps.
+
+    Each step takes every state's faces once without the generator and once with it:
+    with it, the generator's exponents raise the live fields, and the histogram shifts
+    by the degree gained and changes sign.  No variable is live after the last step.
+    Given `top`, a histogram is one integer, K_d its signed 32-bit digit d (|K_d| <= 2^24);
+    given None, a dict.
+    """
+    states = {0: 1 if top is not None else {0: 1}}  # the empty face
+    for touch, base, keep, born in steps:
+        grown: dict = {}
+        for key, hist in states.items():
+            gain, up = base, key
+            for shift, field, e in touch:
+                rise = e - ((key & field) >> shift)
+                if rise > 0:
+                    gain, up = gain + rise, up + (rise << shift)
+            up, down = up & keep | born, key & keep
+            if top is None:
+                _fold(grown.setdefault(up, {}), hist, gain, -1)
+                _fold(grown.setdefault(down, {}), hist, 0, 1)
+            else:
+                grown[up] = grown.get(up, 0) - (hist << 32 * gain)
+                grown[down] = grown.get(down, 0) + hist
+        states = grown
+    if top is None:
+        return states[0]
+    # 2^m digits hold degrees 0..top; a bias of 2^31 in each makes it nonnegative, so none borrows
+    m = top.bit_length()
+    bias = int.from_bytes(b"\0\0\0\x80" * (1 << m), "little")
+    digits = unpack_fields(states[0] + bias, 32, m)
+    return {d: n - (1 << 31) for d, n in enumerate(digits) if n != 1 << 31}
+
+
+@per_ideal
+def taylor_numerator(ideal: MonomialIdeal) -> tuple[tuple[int, int], ...]:
+    """K(t) as (d, K_d) pairs by degree, K_d != 0: the sum of (-1)^|F| over faces F of degree d.
+
+    Past q = 13 the frontier sweep sums it when its state bound is at most 2^(q - 7);
+    the sliced walk counts it otherwise.
+    """
+    steps = None
+    if ideal.q > _BLOCK:
+        _ps_columns(ideal)  # the caps, before either kernel; none applies at q <= 13
+        _, steps, top = _sweep_plan(ideal, cap=1 << ideal.q - 7)
+    counts = _walk(ideal) if steps is None else _sweep(steps, top)
     return tuple(item for item in sorted(counts.items()) if item[1])
 
 

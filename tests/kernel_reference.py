@@ -4,8 +4,8 @@
 fold of `lcm` over each face's members: the `lcm_columns` exponent columns
 (each variable's exponent in the face's lcm, one column per ring variable),
 `lcm_degree_table` (deg lcm(all) and each face's shortfall from it, read off
-the bit planes face by face), `taylor_numerator` against a signed degree
-histogram counted face by face, `subset_lcms`, the `taylor_resolution`
+the bit planes face by face), `taylor_numerator` against the signed degree
+histogram counted face by face (`signed_histogram`), `subset_lcms`, the `taylor_resolution`
 degrees and labels, `ps_power_sum(ideal, k)` for k <= 3, and for dominant
 ideals the `betti_table` entries, one per face.  Two walks over the faces'
 degrees certify what the library decides from the dominance witnesses
@@ -102,12 +102,25 @@ def minimal_by_faces(degrees: list[int], q: int) -> bool:
     )
 
 
-def check(ideal: MonomialIdeal) -> None:
+def folded_lcms(ideal: MonomialIdeal) -> list[Monomial]:
+    """The lcm of each face, a left fold of `lcm` over its members; index = face mask."""
     unit = Monomial.unit(ideal.ring)
-    folds = [
+    return [
         reduce(lcm, (g for i, g in enumerate(ideal.gens) if mask >> i & 1), unit)
         for mask in range(1 << ideal.q)
     ]
+
+
+def signed_histogram(degrees: list[int]) -> tuple[tuple[int, int], ...]:
+    """K(t) as (d, K_d) pairs, K_d != 0, counted face by face; `degrees` is indexed by face mask."""
+    histogram: dict[int, int] = {}
+    for mask, d in enumerate(degrees):
+        histogram[d] = histogram.get(d, 0) + (-1) ** mask.bit_count()
+    return tuple((d, n) for d, n in sorted(histogram.items()) if n)
+
+
+def check(ideal: MonomialIdeal) -> None:
+    folds = folded_lcms(ideal)
     degrees = [m.degree for m in folds]
     width, columns = lcm_columns(ideal.gens)
     columns = list(columns)
@@ -118,11 +131,7 @@ def check(ideal: MonomialIdeal) -> None:
     top, planes = lcm_degree_table(ideal)
     assert top == degrees[-1] and len(planes) == top.bit_length(), str(ideal)
     assert shortfalls(planes, ideal.q) == [top - d for d in degrees], str(ideal)
-    histogram: dict[int, int] = {}
-    for mask, d in enumerate(degrees):
-        histogram[d] = histogram.get(d, 0) + (-1) ** mask.bit_count()
-    expected = tuple((d, n) for d, n in sorted(histogram.items()) if n)
-    assert taylor_numerator(ideal) == expected, str(ideal)
+    assert taylor_numerator(ideal) == signed_histogram(degrees), str(ideal)
     assert subset_lcms(ideal.ring, ideal.gens) == [m.vec for m in folds], str(ideal)
     resolution = taylor_resolution(ideal)
     assert resolution.degrees == degrees, str(ideal)

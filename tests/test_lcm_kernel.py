@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from time import perf_counter
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from kernel_reference import (
     BOUNDARY,
@@ -16,7 +17,9 @@ from kernel_reference import (
     REFERENCE,
     check,
     field_width,
+    folded_lcms,
     shortfalls,
+    signed_histogram,
     witnesses_by_pairs,
 )
 
@@ -201,12 +204,106 @@ def cycle(q: int) -> str:
     return ", ".join(f"x{i}^2*x{(i + 1) % q}" for i in range(q))
 
 
+def wide(q: int) -> str:
+    # every generator on each of 4 variables, with distinct exponents: a rises as b falls,
+    # so no generator divides another, and c and d run through 1..q in other orders
+    return ", ".join(
+        f"a^{i + 1}*b^{q - i}*c^{5 * i % q + 1}*d^{3 * i % q + 1}" for i in range(q)
+    )
+
+
+def sweep_numerators(ideal):
+    """K(t) summed by the frontier sweep, whatever q and the state bound: with dict
+    histograms, and with packed ones unless the plan finds them too large."""
+    _, steps, top = taylor._sweep_plan(ideal)
+    kinds = [None] if top is None else [None, top]
+    counts = [taylor._sweep(steps, kind) for kind in kinds]
+    return [tuple(item for item in sorted(c.items()) if item[1]) for c in counts]
+
+
+@st.composite
+def pure_powers(draw):
+    exponent = st.one_of(st.integers(1, 6), st.sampled_from(EXPONENTS))
+    exponents = draw(st.lists(exponent, min_size=1, max_size=8))
+    return parse_ideal(", ".join(f"x{i}^{e}" for i, e in enumerate(exponents)))
+
+
+KERNEL_CASES = [parse_ideal(text) for text, _ in BOUNDARY + PLANE_BOUNDARY]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(ideals(), pure_powers(), st.sampled_from(KERNEL_CASES)))
+def test_the_sweep_sums_the_faces_signed_histogram(ideal):
+    # called directly, so that ideals of q <= 13, which `taylor_numerator` walks, reach it too
+    expected = signed_histogram([m.degree for m in folded_lcms(ideal)])
+    for numerator in sweep_numerators(ideal):
+        assert numerator == expected, str(ideal)
+
+
+def test_the_plan_bounds_a_cycle_by_four_states_a_step():
+    # in the greedy order x0 and the far end of the path so far are live after each step
+    # but the first and the last, so the bound reads 2 + 4 (q - 2) + 1, and packs
+    for q in (14, 20, 24):
+        ideal = parse_ideal(", ".join(f"x{i}*x{(i + 1) % q}" for i in range(q)))
+        bound, steps, top = taylor._sweep_plan(ideal)
+        assert (bound, len(steps), top) == (4 * q - 5, q, q)
+
+
+@st.composite
+def sparse_reorderings(draw):
+    # q = 14..18 generators on q variables: a cycle, square-free or with squares, or one
+    # after edge swaps that keep every variable in two edges, with some edges grown into
+    # triples; then shuffled, and over a permuted variable order
+    q, square = draw(st.integers(14, 18)), draw(st.booleans())
+    edges = [[i, (i + 1) % q] for i in range(q)]
+    if draw(st.booleans()):
+        pairs = st.tuples(st.integers(0, q - 1), st.integers(0, q - 1))
+        for a, b in draw(st.lists(pairs, max_size=q)):
+            (x, y), (u, w) = sorted(edges[a]), sorted(edges[b])
+            new_a, new_b = sorted({x, u}), sorted({y, w})
+            if len(new_a) == len(new_b) == 2 and new_a not in edges and new_b not in edges:
+                edges[a], edges[b] = new_a, new_b
+        for i in draw(st.lists(st.integers(0, q - 1), max_size=q // 3, unique=True)):
+            edges[i] = [*edges[i], draw(st.integers(0, q - 1))]
+    names = [f"x{v}" for v in range(q)]
+    maps = [{f"x{v}": 1 for v in edge} | {f"x{edge[0]}": 1 + square} for edge in edges]
+    ideal = from_maps(maps, names)
+    assume(ideal.q >= 14)  # a grown triple may be a multiple of another edge
+    shuffled = from_maps(draw(st.permutations(maps)), names)
+    renamed = from_maps(maps, draw(st.permutations(names)))
+    return ideal, shuffled, renamed
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_reorderings())
+def test_numerator_ignores_generator_and_variable_order_past_one_block(ideals):
+    # each order takes the sweep in its own greedy order, or the walk if its bound is too high
+    ideal, *others = ideals
+    numerator = taylor_numerator(ideal)
+    assert numerator == tuple(item for item in sorted(taylor._walk(ideal).items()) if item[1])
+    for other in others:
+        assert taylor_numerator(other) == numerator, str(other)
+
+
 @pytest.mark.parametrize(
     "text", [cycle(12), ", ".join(f"x{i}*x{i + 1}" for i in range(13)), cycle(14)]
 )
 def test_long_tables_match_a_folded_lcm(text):
-    # 2^12, 2^13 and 2^14 faces, split down 5, 4 and 6 shortfall planes; the last in two slices
+    # 2^12 and 2^13 faces, walked down 5 and 4 shortfall planes; the 14-cycle takes the sweep
     check(parse_ideal(text))
+
+
+def test_a_wide_ideal_past_one_block_takes_the_walk(monkeypatch):
+    # every variable stays live to the last generator, so the sweep's bound is far past
+    # 2^(q - 7) and the numerator is walked: 2^14 faces down 6 shortfall planes, in two slices
+    calls, kernel = [], taylor.lcm_degree_table
+    monkeypatch.setattr(taylor, "lcm_degree_table", lambda i: calls.append(i) or kernel(i))
+    ideal = parse_ideal(wide(14))
+    bound, _, _ = taylor._sweep_plan(ideal)
+    assert ideal.q == 14 and bound > 1 << 7
+    taylor_numerator(ideal)
+    assert calls == [ideal]
+    check(ideal)
 
 
 def test_one_face_per_degree_is_walked_in_linear_time():
@@ -214,9 +311,28 @@ def test_one_face_per_degree_is_walked_in_linear_time():
     q = 18
     ideal = parse_ideal(", ".join(f"x{i}^{1 << i}" for i in range(q)))
     start = perf_counter()
-    numerator = taylor_numerator(ideal)
+    counts = taylor._walk(ideal)
     assert perf_counter() - start < 2.0
+    assert sorted(counts.items()) == [(d, (-1) ** d.bit_count()) for d in range(1 << q)]
+
+
+def test_many_degrees_are_summed_in_well_under_the_walk_time():
+    # the walk runs Python code per leaf, a leaf per degree in each 2^13-face slice: it took
+    # 2.0 s on the 2^20 degrees of the powers x_i^(2^i), and 1.4 s on the 17614 of this cycle
+    q = 20
+    powers = parse_ideal(", ".join(f"x{i}^{1 << i}" for i in range(q)))
+    start = perf_counter()
+    numerator = taylor_numerator(powers)
+    assert perf_counter() - start < 1.5
     assert numerator == tuple((d, (-1) ** d.bit_count()) for d in range(1 << q))
+    ideal = parse_ideal(", ".join(f"x{i}^{1000 + 37 * i}*x{(i + 1) % q}^{3 + i}" for i in range(q)))
+    start = perf_counter()
+    numerator = taylor_numerator(ideal)
+    assert perf_counter() - start < 0.5
+    # the walk's K: its terms, its multiplicity, and the SHA-256 of its repr
+    digest = "11c1282eb54e98128fdf4ea203ddf6caacb19995936a86a82e1e66e83dbede32"
+    assert len(numerator) == 17614 and multiplicity_ps(ideal) == 54624113775
+    assert hashlib.sha256(repr(numerator).encode()).hexdigest() == digest
 
 
 def test_editing_the_numerator_cannot_change_later_power_sums():
@@ -233,19 +349,24 @@ def test_editing_the_numerator_cannot_change_later_power_sums():
 
 
 def test_a_power_sum_sweep_builds_one_degree_table(monkeypatch):
-    calls, kernel = [], taylor.lcm_degree_table
+    # one numerator per ideal, whichever kernel built it: the sweep on cycle 20, the walk
+    # on the 6-cycle (one block) and on the wide ideal (a bound past 2^(q - 7))
+    calls = []
+    for name in ("_sweep", "_walk"):
 
-    def counted(ideal):
-        calls.append(ideal)
-        return kernel(ideal)
+        def counted(*args, kernel=getattr(taylor, name), name=name):
+            calls.append(name)
+            return kernel(*args)
 
-    monkeypatch.setattr(taylor, "lcm_degree_table", counted)
-    ideal = parse_ideal(cycle(20))
-    c = codim(ideal)
-    sums = [ps_power_sum(ideal, k) for k in range(c + 1)]
-    assert sums[0] == -1 and not any(sums[1:c])
-    assert sums[c] == math.factorial(c) * multiplicity_ps(ideal)
-    assert len(calls) == 1
+        monkeypatch.setattr(taylor, name, counted)
+    for text, route in ((cycle(20), "_sweep"), (cycle(6), "_walk"), (wide(14), "_walk")):
+        calls.clear()
+        ideal = parse_ideal(text)
+        c = codim(ideal)
+        sums = [ps_power_sum(ideal, k) for k in range(c + 1)]
+        assert sums[0] == -1 and not any(sums[1:c]), text
+        assert sums[c] == (-1) ** c * math.factorial(c) * multiplicity_ps(ideal), text
+        assert calls == [route], text
 
 
 def test_power_sum_on_cycle_20_takes_under_a_second():
