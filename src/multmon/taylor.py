@@ -23,7 +23,8 @@ Past q = 13 a frontier sweep over the generators usually sums K instead
 their lcm, of the variables that a later generator still uses, and keeps one
 signed degree histogram per group, so its work follows the groups, not the
 2^q faces.  It runs when an up-front bound on its groups is at most 2^(q - 7),
-as on cycles and other sparse ideals.  Otherwise, and at q <= 13, where one
+as on cycles and other sparse ideals, and the histograms of the groups at
+one step, each packed into an integer, hold at most 2^22 degrees in all.  Otherwise, and at q <= 13, where one
 2^13-face block is faster, K is counted from bit planes (bit slicing, Biham
 1997): plane p holds bit p of each face's shortfall from deg lcm(all), face F
 at bit F.  A depth-first walk splits the faces on each plane, 2^13 faces at a
@@ -91,10 +92,11 @@ def _require_dominant(ideal: MonomialIdeal) -> None:
         )
 
 
-def _ps_columns(ideal: MonomialIdeal) -> tuple[int, list[tuple[int, ...]]]:
+@per_ideal  # read by the sweep's plan and by the walk's table: the caps are checked once
+def _ps_columns(ideal: MonomialIdeal) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """deg lcm(all) and the exponent columns, once the ps engine's caps admit the ideal."""
     _require_small(ideal, PS_Q_MAX)
-    exponents = list(zip(*[g.vec for g in ideal.gens]))
+    exponents = tuple(zip(*[g.vec for g in ideal.gens]))
     top = sum(map(max, exponents))
     if ideal.q > Q_MAX and top >> Q_MAX + _BLOCK - ideal.q:
         raise ResourceCapError(
@@ -152,8 +154,8 @@ def _walk(ideal: MonomialIdeal) -> dict[int, int]:
     return counts
 
 
-def _sweep_plan(ideal: MonomialIdeal, cap: float = math.inf) -> tuple[int, list | None, int | None]:
-    """A bound on the frontier sweep's states, its steps (one per generator), and `top`.
+def _sweep_plan(ideal: MonomialIdeal, cap: float = math.inf) -> tuple[int, list | None]:
+    """A bound on the frontier sweep's states, and its steps (one per generator).
 
     The generators are taken greedily, each the one after which the fewest variables
     are live (seen, and used by a generator still to come).  A state's key holds each
@@ -165,22 +167,22 @@ def _sweep_plan(ideal: MonomialIdeal, cap: float = math.inf) -> tuple[int, list 
     most 2^k states remain, and at most the product over live v of (v's exponents so
     far + 1): the bound sums the lesser over the steps.  The plan stops, without steps,
     once the bound passes `cap`, or at once if the variables in every generator, live
-    after each step but the last, pass it.  `top` is deg lcm(all) when the most states
-    at once, packed at that degree, hold at most 2^22 digits, else None.
+    after each step but the last, pass it; and once the states at one step, each a
+    histogram packed at deg lcm(all), would hold more than 2^22 digits.
     """
+    top, columns = _ps_columns(ideal)  # the caps, before any work
     vecs, q = [g.vec for g in ideal.gens], ideal.q
-    columns = list(zip(*vecs))
     uses = [q - column.count(0) for column in columns]  # generators still to come
     # the variables in every generator are live after each step but the last, in any order
     bound = sum(min(1 << k, 1 << uses.count(q)) for k in range(1, q)) + 1
     if bound > cap:
-        return bound, None, None
-    width, top = max(map(max, columns)).bit_length(), sum(map(max, columns))
-    ones = (1 << width) - 1
+        return bound, None
+    width = max(map(max, columns)).bit_length()
+    most = (1 << 22) // (top + 1)  # states at once whose histograms, packed, hold 2^22 digits
     once = sum(1 << v for v, n in enumerate(uses) if n == 1)  # a last generator to come
     left, supports = list(range(q)), ideal.supports
     live, shifts, free, levels, end, keep = 0, {}, [], [set() for _ in columns], 0, 0
-    bound, peak, steps = 0, 0, []
+    bound, steps, ones = 0, [], (1 << width) - 1
     for k in range(1, q + 1):
         scores = [(supports[i] & ~live).bit_count() - (supports[i] & once).bit_count()
                   for i in left]
@@ -216,32 +218,25 @@ def _sweep_plan(ideal: MonomialIdeal, cap: float = math.inf) -> tuple[int, list 
             if states >> k:
                 states = 1 << k
                 break
-        bound, peak = bound + states, max(peak, states)
-        if bound > cap:
-            return bound, None, None
+        bound += states
+        if bound > cap or states > most:
+            return bound, None
         steps.append((touch, base, keep, born))
         keep |= fields
-    return bound, steps, top if peak * (top + 1) <= 1 << 22 else None
+    return bound, steps
 
 
-def _fold(into: dict[int, int], hist: dict[int, int], gain: int, sign: int) -> None:
-    """Add sign * t^gain * hist into `into`."""
-    for d, n in hist.items():
-        into[d + gain] = into.get(d + gain, 0) + sign * n
-
-
-def _sweep(steps: list[tuple], top: int | None) -> dict[int, int]:
+def _sweep(steps: list[tuple]) -> dict[int, int]:
     """{d: K_d}, summed by the `_sweep_plan` steps.
 
     Each step takes every state's faces once without the generator and once with it:
     with it, the generator's exponents raise the live fields, and the histogram shifts
     by the degree gained and changes sign.  No variable is live after the last step.
-    Given `top`, a histogram is one integer, K_d its signed 32-bit digit d (|K_d| <= 2^24);
-    given None, a dict.
+    A histogram is one integer, K_d its signed 32-bit digit d (|K_d| <= 2^24).
     """
-    states = {0: 1 if top is not None else {0: 1}}  # the empty face
+    states = {0: 1}  # the empty face
     for touch, base, keep, born in steps:
-        grown: dict = {}
+        grown: dict[int, int] = {}
         for key, hist in states.items():
             gain, up = base, key
             for shift, field, e in touch:
@@ -249,17 +244,12 @@ def _sweep(steps: list[tuple], top: int | None) -> dict[int, int]:
                 if rise > 0:
                     gain, up = gain + rise, up + (rise << shift)
             up, down = up & keep | born, key & keep
-            if top is None:
-                _fold(grown.setdefault(up, {}), hist, gain, -1)
-                _fold(grown.setdefault(down, {}), hist, 0, 1)
-            else:
-                grown[up] = grown.get(up, 0) - (hist << 32 * gain)
-                grown[down] = grown.get(down, 0) + hist
+            grown[up] = grown.get(up, 0) - (hist << 32 * gain)
+            grown[down] = grown.get(down, 0) + hist
         states = grown
-    if top is None:
-        return states[0]
-    # 2^m digits hold degrees 0..top; a bias of 2^31 in each makes it nonnegative, so none borrows
-    m = top.bit_length()
+    # the top nonzero digit d outweighs those below it, so the value has 32 d bits or more and
+    # 2^m > d; a bias of 2^31 in each of the 2^m digits makes every digit nonnegative: no borrow
+    m = (abs(states[0]).bit_length() >> 5).bit_length()
     bias = int.from_bytes(b"\0\0\0\x80" * (1 << m), "little")
     digits = unpack_fields(states[0] + bias, 32, m)
     return {d: n - (1 << 31) for d, n in enumerate(digits) if n != 1 << 31}
@@ -272,11 +262,8 @@ def taylor_numerator(ideal: MonomialIdeal) -> tuple[tuple[int, int], ...]:
     Past q = 13 the frontier sweep sums it when its state bound is at most 2^(q - 7);
     the sliced walk counts it otherwise.
     """
-    steps = None
-    if ideal.q > _BLOCK:
-        _ps_columns(ideal)  # the caps, before either kernel; none applies at q <= 13
-        _, steps, top = _sweep_plan(ideal, cap=1 << ideal.q - 7)
-    counts = _walk(ideal) if steps is None else _sweep(steps, top)
+    steps = _sweep_plan(ideal, cap=1 << ideal.q - 7)[1] if ideal.q > _BLOCK else None
+    counts = _walk(ideal) if steps is None else _sweep(steps)
     return tuple(item for item in sorted(counts.items()) if item[1])
 
 
