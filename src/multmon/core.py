@@ -55,7 +55,7 @@ VAR_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 
 class _Frozen:
-    """Base of the immutable values: `__init__` fills each slot once, by `object.__setattr__`."""
+    """Base of the immutable values: each slot is filled once, by `object.__setattr__`, on building."""
 
     __slots__ = ()
 
@@ -341,9 +341,13 @@ class MonomialIdeal(_Frozen):
                 supports.append(t)
             elif not drop_redundant:
                 raise ValueError(f"not a minimal generating set: {g} divides {h}")
+        self._fill(ring, tuple(gens), tuple(supports))
+
+    def _fill(self, ring: VariableTable, gens: tuple[Monomial, ...], supports: tuple[int, ...]):
+        """Set the slots from a canonical minimal generating set, with no facts cached yet."""
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "gens", tuple(gens))
-        object.__setattr__(self, "supports", tuple(supports))
+        object.__setattr__(self, "gens", gens)
+        object.__setattr__(self, "supports", supports)
         object.__setattr__(self, "_facts", {})
 
     def __reduce__(self):
@@ -355,8 +359,15 @@ class MonomialIdeal(_Frozen):
         return len(self.gens)
 
     def without(self, index: int) -> "MonomialIdeal":
-        """The ideal generated by all generators except `gens[index]`."""
-        return MonomialIdeal(self.ring, self.gens[:index] + self.gens[index + 1 :])
+        """The ideal of all generators but `gens[index]`: a canonical minimal set less one is one."""
+        q, gens, supports = self.q, self.gens, self.supports
+        if not 0 <= index < q:
+            raise ValueError(f"generator index {index} out of range for q = {q}")
+        if q == 1:
+            raise ValueError("a monomial ideal needs at least one generator")
+        ideal = object.__new__(MonomialIdeal)
+        ideal._fill(self.ring, gens[:index] + gens[index + 1 :], supports[:index] + supports[index + 1 :])
+        return ideal
 
     def used_variables(self) -> tuple[int, ...]:
         used = reduce(or_, self.supports)

@@ -11,7 +11,8 @@ shifted Betti tables of one small complete intersection per free-part subset.
 
 Each route takes only the ideal and finds its own witness: the recurrence
 uses the smallest dominant pivot that keeps the codimension (`recurrence_parts`,
-built once per ideal), the Betti identity the split `formulas.structural_split` finds.
+built once per ideal, asks only whether the other generators have a smaller
+cover), the Betti identity the split `formulas.structural_split` finds.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import NamedTuple
 from .core import Monomial, MonomialIdeal, lcm, minimalize, per_ideal, quotient, record, subset_lcms
 from .errors import HypothesisError, InternalConsistencyError
 from .formulas import structural_split
-from .invariants import codim, dominance_witnesses, least_cover
+from .invariants import codim, dominance_witnesses, has_cover
 from .taylor import BettiTable, betti_table, face_order, multiplicity_ps
 
 __all__ = [
@@ -65,13 +66,14 @@ def third_decomposition(ideal: MonomialIdeal, pivot: int) -> ThirdDecomposition:
 def recurrence_parts(ideal: MonomialIdeal) -> ThirdDecomposition | None:
     """The decomposition at the smallest dominant pivot that keeps the codimension, if any.
 
-    Candidates are tested on support lists; only the winner's is built, its M1 handed its codim.
+    A removal cannot raise the codimension c, so a candidate keeps it unless the other supports
+    have a cover of c - 1 variables (`has_cover`); only the winner's is built, its M1 handed c.
     """
     if ideal.q < 2:
         return None
     c, supports = codim(ideal), ideal.supports
     for i, w in enumerate(dominance_witnesses(ideal)):
-        if w is not None and least_cover(supports[:i] + supports[i + 1 :]) == c:
+        if w is not None and not has_cover(supports[:i] + supports[i + 1 :], c - 1):
             parts = third_decomposition(ideal, i)
             record(codim, parts.m1, c)
             return parts

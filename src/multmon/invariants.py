@@ -46,6 +46,8 @@ def covers(supports: list[int], size: int) -> Iterator[int]:
     the size left, the variables chosen, the pivot's untried variables and the
     variable to ban when the frame is popped.
     """
+    if size < 1:
+        return
     stack = [(supports, size, 0, min(supports, key=int.bit_count), 0)]
     while stack:
         supports, size, chosen, pivot, ban = stack.pop()
@@ -59,6 +61,11 @@ def covers(supports: list[int], size: int) -> Iterator[int]:
             yield chosen | bit
         elif _packing(rest) < size:
             stack.append((rest, size - 1, chosen | bit, min(rest, key=int.bit_count), 0))
+
+
+def has_cover(supports: list[int], size: int) -> bool:
+    """Whether some cover of at most `size` variables meets every support bitmask."""
+    return _packing(supports) <= size and any(covers(supports, size))
 
 
 def _components(supports: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -101,7 +108,7 @@ def least_cover(supports: Sequence[int], blocks: Sequence[Sequence[int]] = ()) -
                 if walk[k] & last:
                     walk.insert(j, walk.pop(k))
                     break
-        size = _packing(walk)
+        size = _packing(walk)  # sizes from the packing up: `has_cover`'s packing test would repeat it
         while size < len(walk) and not next(covers(walk, size), 0):
             size += 1
         total += size

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from multmon import (
     MonomialIdeal,
     ResourceCapError,
     VariableTable,
+    codim,
     gcd,
     gcd_all,
     lcm,
@@ -25,6 +27,7 @@ from multmon import (
     polar_sets,
     quotient,
 )
+from multmon.generate import random_ideal
 
 ABCDE = VariableTable(("a", "b", "c", "d", "e"))
 
@@ -157,6 +160,31 @@ def test_constructor_rejects_non_minimal():
     ):
         with pytest.raises(ValueError, match="not a minimal generating set"):
             MonomialIdeal(ABCDE, tuple(mono(g) for g in gens))
+
+
+def test_without_rejects_an_index_outside_the_generators():
+    ideal = parse_ideal("a^2, b^3, a*b")
+    for index in (-1, -4, 3, 7):
+        with pytest.raises(ValueError, match=f"generator index {index} out of range for q = 3"):
+            ideal.without(index)
+    with pytest.raises(ValueError, match="needs at least one generator"):
+        parse_ideal("a^2").without(0)
+
+
+def test_without_matches_the_checked_constructor():
+    # the subset's slots are set directly: it must be the ideal the constructor builds
+    rng = random.Random(41)
+    for _ in range(150):
+        ideal = random_ideal(rng)
+        codim(ideal)  # a fact cached on the ideal must not reach its sub-ideals
+        for i in range(ideal.q if ideal.q > 1 else 0):
+            sub = ideal.without(i)
+            built = MonomialIdeal(ideal.ring, ideal.gens[:i] + ideal.gens[i + 1 :])
+            assert sub.gens == built.gens and sub.supports == built.supports, str(ideal)
+            assert sub == built and hash(sub) == hash(built) and sub.ring is ideal.ring
+            assert sub._facts == {} and sub._facts is not ideal._facts
+            copy = pickle.loads(pickle.dumps(sub))
+            assert copy == sub and copy.gens == sub.gens and copy.supports == sub.supports
 
 
 # ---------------------------------------------------------------------------

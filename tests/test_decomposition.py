@@ -118,6 +118,15 @@ def test_pivot_search_and_quotients_match_their_definitions(ideal):
         assert third_decomposition(ideal, i).mm1 == expected, str(ideal)
 
 
+def test_recurrence_pivot_in_codim_one():
+    # at c = 1 every dominant candidate keeps the codim: the bounded query asks for a cover of 0 variables
+    ideal = parse_ideal("x*y, x*z")
+    parts = recurrence_parts(ideal)
+    assert codim(ideal) == 1 and parts.pivot == 0
+    assert str(parts.m1) == str(ideal.gens[1]) and codim(parts.m1) == 1
+    assert multiplicity_recurrence(ideal) == multiplicity_ps(ideal) == 1
+
+
 def test_recurrence_matches_engine_when_applicable():
     # whenever some dominant pivot keeps the codimension, the recurrence answers
     rng = random.Random(29)

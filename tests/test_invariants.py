@@ -21,7 +21,7 @@ from multmon import (
     is_dominant,
     parse_ideal,
 )
-from multmon.invariants import covers, support_components
+from multmon.invariants import covers, has_cover, least_cover, support_components
 from multmon.generate import make_table, random_ideal
 from multmon.core import Monomial, MonomialIdeal, minimalize, record
 import multmon.cli as cli
@@ -209,6 +209,19 @@ def test_covers_yields_what_the_recursive_search_yields_in_its_order(supports, s
     assert list(covers(supports, size)) == list(recursive_covers(supports, size))
 
 
+def test_covers_yields_nothing_below_one_variable():
+    # at size 0 the search used to yield a one-variable cover anyway
+    for supports in ([0b1], [0b11, 0b110], [0b101, 0b10]):
+        assert list(covers(supports, 0)) == list(covers(supports, -1)) == []
+        assert not has_cover(supports, 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 2**8 - 1), min_size=1, max_size=9), st.integers(0, 9))
+def test_has_cover_answers_by_the_least_cover(supports, size):
+    assert has_cover(supports, size) == (least_cover(supports) <= size)
+
+
 def test_covers_of_a_cover_past_the_recursion_limit():
     # the recursive search took one Python frame per cover variable
     q = 2000
@@ -237,16 +250,18 @@ def test_classification_report_consistency():
 
 @pytest.fixture
 def searches(monkeypatch):
-    """Counts real codim searches: calls of the support-list cover search, from either caller."""
+    """Counts real codim searches: `codim`'s least-cover searches and the pivot search's bounded queries."""
     count = [0]
-    original = invariants.least_cover
 
-    def counting(*args):
-        count[0] += 1
-        return original(*args)
+    def counting(original):
+        def counted(*args):
+            count[0] += 1
+            return original(*args)
 
-    monkeypatch.setattr(invariants, "least_cover", counting)
-    monkeypatch.setattr(decomposition, "least_cover", counting)
+        return counted
+
+    monkeypatch.setattr(invariants, "least_cover", counting(invariants.least_cover))
+    monkeypatch.setattr(decomposition, "has_cover", counting(invariants.has_cover))
     return count
 
 
