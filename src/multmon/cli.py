@@ -18,7 +18,7 @@ import json
 import random
 import sys
 import time
-from itertools import groupby, islice, repeat
+from itertools import groupby, repeat
 from operator import add
 from typing import Iterable, Iterator, Sequence
 
@@ -49,7 +49,7 @@ from .oracle import multiplicity_associativity
 from .parsing import parse_ideal_detailed
 from .taylor import (
     TaylorResolution,
-    face_order,
+    face_levels,
     minimal_resolution,
     multiplicity_ps,
     regularity_dominant,
@@ -157,16 +157,10 @@ class _Raw(tuple):
     """A result already rendered as JSON text: its string parts, written out in turn."""
 
 
-def _levels(resolution: TaylorResolution) -> Iterator[tuple[int, Iterator[int]]]:
-    """Each homological degree with its face masks, in `face_order`; read each before the next."""
-    order = iter(face_order(resolution.ideal.q))
-    return ((hdeg, islice(order, count)) for hdeg, count in enumerate(resolution.ranks()))
-
-
 def _betti_runs(resolution: TaylorResolution) -> Iterator[tuple[int, int, list[str]]]:
     """(hdeg, degree, labels) of the faces of each hdeg and degree, in entry order."""
     degrees, labels = resolution.degrees, resolution.labels
-    for hdeg, masks in _levels(resolution):
+    for hdeg, masks in enumerate(face_levels(resolution.ideal.q)):
         faces = sorted(masks, key=labels.__getitem__)
         faces.sort(key=degrees.__getitem__)  # stable: by degree, then label
         for d, run in groupby(faces, degrees.__getitem__):
@@ -230,7 +224,7 @@ def _result_for(
         members = [""]
         for i in range(ideal.q):  # the faces with generator i follow all faces without it
             members += [f"{i}", *map(add, members[1:], repeat(f", {i}"))]
-        ranks, levels = list(resolution.ranks()), _levels(resolution)
+        ranks, levels = list(resolution.ranks()), enumerate(face_levels(ideal.q))
         if args.pretty:
             faces = (f"  {f'[{members[m]}]':<16} {h:>3}  {labels[m]}" for h, ms in levels for m in ms)
             return [f"ranks: {ranks}", "faces (members, hdeg, mdeg):", *faces], "taylor", [], None
@@ -410,7 +404,7 @@ def _exit_code(exc: Exception) -> int:
 
 def _run_batch(args, names: list[str] | None) -> int:
     try:
-        with open(args.file, encoding="utf-8") as handle:
+        with open(args.file, encoding="utf-8-sig") as handle:  # drops a leading byte-order mark
             lines = handle.read().splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read batch file: {exc}") from exc

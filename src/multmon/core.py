@@ -13,7 +13,8 @@ fixed-width field per generator bitmask, so the 2^q faces cost a few
 big-integer operations per generator, not a Python loop per face.
 `lcm_columns` turns the levels into packed exponent columns, which
 `subset_lcms` unpacks into exponent tuples; `taylor.lcm_degree_table` adds
-them at width 1 into the bit planes of each face's shortfall.
+them at width 1 into the bit planes of each face's shortfall.  Supports, covers
+and faces are bitmasks, and `bits` lists a mask's set bits for every module.
 
 Everything here is an immutable value; operations return fresh objects.
 """
@@ -165,6 +166,8 @@ class Monomial(_Frozen):
         return tuple(i for i, e in enumerate(self.vec) if e)
 
     def exponent(self, index: int) -> int:
+        if not 0 <= index < len(self.vec):
+            raise ValueError(f"variable index {index} out of range")
         return self.vec[index]
 
     def divides(self, other: "Monomial") -> bool:
@@ -204,6 +207,16 @@ class Monomial(_Frozen):
 def _check_table(a: Monomial, b: Monomial) -> None:
     if a.table is not b.table and a.table != b.table:
         raise ValueError("mismatched variable tables")
+
+
+def bits(mask: int) -> list[int]:
+    """The indices of a nonnegative mask's set bits, ascending; the work follows the set bits."""
+    found = []
+    while mask:
+        low = mask & -mask
+        found.append(low.bit_length() - 1)
+        mask ^= low
+    return found
 
 
 def lcm(a: Monomial, b: Monomial) -> Monomial:
@@ -370,8 +383,7 @@ class MonomialIdeal(_Frozen):
         return ideal
 
     def used_variables(self) -> tuple[int, ...]:
-        used = reduce(or_, self.supports)
-        return tuple(v for v in range(used.bit_length()) if used >> v & 1)
+        return tuple(bits(reduce(or_, self.supports)))
 
     def name_form(self) -> tuple:
         forms = [g.name_form() for g in self.gens]

@@ -9,9 +9,9 @@ the same search.  Each fact here is computed once per ideal (`core.per_ideal`).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
-from .core import MonomialIdeal, per_ideal
+from .core import MonomialIdeal, bits, per_ideal
 from .errors import InternalConsistencyError
 
 __all__ = [
@@ -25,7 +25,7 @@ __all__ = [
 ]
 
 
-def _packing(supports: list[int]) -> int:
+def _packing(supports: Sequence[int]) -> int:
     """Greedy count of pairwise-disjoint supports in list order: a lower bound on any cover."""
     used = count = 0
     for s in supports:
@@ -121,16 +121,6 @@ def codim(ideal: MonomialIdeal) -> int:
     return least_cover(ideal.supports, support_components(ideal))
 
 
-def pairwise_coprime(supports: Iterable[int]) -> bool:
-    """True when no two of the given support bitmasks share a variable."""
-    seen = 0
-    for s in supports:
-        if seen & s:
-            return False
-        seen |= s
-    return True
-
-
 @per_ideal
 def dominance_witnesses(ideal: MonomialIdeal) -> tuple[int | None, ...]:
     """Per generator, the least variable whose exponent strictly beats all others.
@@ -143,10 +133,7 @@ def dominance_witnesses(ideal: MonomialIdeal) -> tuple[int | None, ...]:
     holder: dict[int, int | None] = {}  # the generator alone at the top, if one is
     for i, (g, s) in enumerate(zip(ideal.gens, ideal.supports)):
         vec = g.vec
-        while s:
-            low = s & -s
-            v = low.bit_length() - 1
-            s ^= low
+        for v in bits(s):
             e = vec[v]
             t = top.get(v, 0)
             if e > t:
@@ -169,8 +156,8 @@ def is_dominant(ideal: MonomialIdeal) -> bool:
 
 @per_ideal
 def is_complete_intersection(ideal: MonomialIdeal) -> bool:
-    """True when the minimal generators are pairwise coprime."""
-    return pairwise_coprime(ideal.supports)
+    """True when the minimal generators are pairwise coprime: the packing takes them all."""
+    return _packing(ideal.supports) == ideal.q
 
 
 @per_ideal
@@ -181,11 +168,11 @@ def is_almost_complete_intersection(ideal: MonomialIdeal) -> int | None:
     set whose size equals the codimension; the smallest such index is returned,
     and `None` means no removal works (so also for complete intersections).
     """
-    q = ideal.q
+    q, supports = ideal.q, ideal.supports
     if codim(ideal) != q - 1:
         return None
     for t in range(q):
-        if pairwise_coprime(s for j, s in enumerate(ideal.supports) if j != t):
+        if _packing(supports[:t] + supports[t + 1 :]) == q - 1:
             return t
     return None
 

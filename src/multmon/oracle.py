@@ -13,7 +13,7 @@ from __future__ import annotations
 from math import prod
 from operator import itemgetter, lt
 
-from .core import MonomialIdeal
+from .core import MonomialIdeal, bits
 from .errors import ResourceCapError
 from .invariants import codim, covers
 
@@ -34,9 +34,8 @@ def minimal_covers(ideal: MonomialIdeal) -> list[frozenset[int]]:
     with the covers and dead branches it meets, not with the C(n, codim)
     variable subsets.  Covers are listed in lexicographic variable order.
     """
-    supports = list(dict.fromkeys(ideal.supports))
-    found = [[v for v in range(m.bit_length()) if m >> v & 1] for m in covers(supports, codim(ideal))]
-    return [frozenset(cover) for cover in sorted(found)]
+    found = covers(list(dict.fromkeys(ideal.supports)), codim(ideal))
+    return [frozenset(cover) for cover in sorted(map(bits, found))]
 
 
 def _staircase(vectors: list[tuple[int, ...]], bounds: list[int]) -> int:

@@ -6,9 +6,10 @@ subset-lcm exponent columns (`core.lcm_columns`, one big integer per variable):
 `degrees[mask]` is the total degree of the lcm of its members and
 `labels[mask]` that lcm as text (a table lookup per group of variables); its
 homological degree is `mask.bit_count()`.  Ranks are binomial: C(q, s) faces in
-degree s.  The lcms themselves (`mdegs`) are exponent tuples, built only when
-asked for.  For a dominant ideal the complex is the minimal free resolution
-(`minimal_resolution`), so each face is one multigraded Betti number.
+degree s, which `face_levels` lists in ascending mask order.  The lcms themselves
+(`mdegs`) are exponent tuples, built only when asked for.  For a dominant ideal
+the complex is the minimal free resolution (`minimal_resolution`), so each face
+is one multigraded Betti number.
 
 The engine counts one signed degree histogram, the Hilbert-series numerator
 of S/I (Bayer-Stillman 1992, Bigatti 1997), and reads the power sums off it:
@@ -49,6 +50,7 @@ from .core import (
     PS_Q_MAX,
     Monomial,
     MonomialIdeal,
+    bits,
     lcm_columns,
     lcm_levels,
     per_ideal,
@@ -171,7 +173,7 @@ def _sweep_plan(ideal: MonomialIdeal, cap: float = math.inf) -> tuple[int, list 
     histogram packed at deg lcm(all), would hold more than 2^22 digits.
     """
     top, columns = _ps_columns(ideal)  # the caps, before any work
-    vecs, q = [g.vec for g in ideal.gens], ideal.q
+    gens, q = ideal.gens, ideal.q
     uses = [q - column.count(0) for column in columns]  # generators still to come
     # the variables in every generator are live after each step but the last, in any order
     bound = sum(min(1 << k, 1 << uses.count(q)) for k in range(1, q)) + 1
@@ -187,9 +189,9 @@ def _sweep_plan(ideal: MonomialIdeal, cap: float = math.inf) -> tuple[int, list 
         scores = [(supports[i] & ~live).bit_count() - (supports[i] & once).bit_count()
                   for i in left]
         i = left.pop(scores.index(min(scores)))
-        s, vec = supports[i], vecs[i]
+        s = supports[i]
         dying, touch, base, born, fields = s & once, [], 0, 0, 0
-        for v, e in [(v, e) for v, e in enumerate(vec) if e]:
+        for v, e in gens[i].exps:
             levels[v].add(e)
             uses[v] -= 1
             if uses[v] == 1:
@@ -297,18 +299,18 @@ def multiplicity_ps(ideal: MonomialIdeal) -> int:
     return total // fact
 
 
-def face_order(q: int) -> list[int]:
-    """Face masks of a q-generator complex by homological degree, then bitmask."""
-    levels = [[0]] + [[] for _ in range(q)]  # the masks of each homological degree
+def face_levels(q: int) -> list[list[int]]:
+    """Face masks of a q-generator complex, one ascending list per homological degree."""
+    levels = [[0]] + [[] for _ in range(q)]
     for i in range(q):  # the masks with bit i lie above all older ones: no sort
         for s in range(i, -1, -1):  # downwards, so no level reads the masks just added
             levels[s + 1] += map(or_, levels[s], repeat(1 << i))
-    return list(chain.from_iterable(levels))
+    return levels
 
 
-def member_indices(mask: int) -> tuple[int, ...]:
-    """Generator indices of a face, in increasing order."""
-    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+def face_order(q: int) -> list[int]:
+    """Face masks of a q-generator complex by homological degree, then bitmask."""
+    return list(chain.from_iterable(face_levels(q)))
 
 
 class TaylorResolution:
@@ -385,7 +387,10 @@ def differential_coefficient(
     generator-index order; the sign is +1 for odd positions, and the
     coefficient is mdeg(face) / mdeg(face minus that member).
     """
-    members = member_indices(mask)
+    q = resolution.ideal.q
+    if not 0 <= mask < 1 << q:
+        raise ValueError(f"face mask {mask} out of range for q = {q}")
+    members = bits(mask)
     if not 1 <= removed_position <= len(members):
         raise ValueError(
             f"removed position {removed_position} out of range for a face of size {len(members)}"

@@ -1,13 +1,6 @@
 from __future__ import annotations
 
-import pytest
-
 from multmon import MonomialIdeal, parse_ideal
-
-
-@pytest.fixture
-def ideal():
-    return parse_ideal
 
 
 def gen_index(ideal: MonomialIdeal, text: str) -> int:

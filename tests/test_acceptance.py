@@ -42,9 +42,8 @@ from multmon import (
     regularity_dominant,
     taylor_resolution,
 )
-from multmon.core import Monomial
+from multmon.core import Monomial, bits
 from multmon.generate import make_table, random_ideal
-from multmon.taylor import member_indices
 
 from generators import (
     random_aci,
@@ -221,11 +220,11 @@ def test_c11_differential_squares_to_zero():
             if face.bit_count() < 2:
                 continue
             reaching: dict[int, list[tuple[int, Monomial]]] = {}
-            members = member_indices(face)
+            members = bits(face)
             for j in range(1, len(members) + 1):
                 s1, c1 = differential_coefficient(resolution, face, j)
                 sub = face ^ (1 << members[j - 1])
-                sub_members = member_indices(sub)
+                sub_members = bits(sub)
                 for k in range(1, len(sub_members) + 1):
                     s2, c2 = differential_coefficient(resolution, sub, k)
                     target = sub ^ (1 << sub_members[k - 1])

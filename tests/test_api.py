@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import types
+from pathlib import Path
 
 import multmon
 
@@ -42,3 +44,18 @@ def test_every_listed_name_is_exported():
         mod = importlib.import_module(f"multmon.{module}")
         missing = [n for n in mod.__all__ if getattr(multmon, n, None) is not getattr(mod, n)]
         assert not missing, (module, missing)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # the star re-exports of `__init__` bind each module's `__all__`, and bind no name of their own
+    for path in sorted(Path(multmon.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__"
+            for alias in node.names
+            if alias.name != "*"
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= used, (path.name, sorted(imported - used))

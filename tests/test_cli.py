@@ -492,6 +492,19 @@ def test_batch_mode_checks_vars_once(tmp_path, capsys):
     assert code == 0 and [doc["input"]["vars"] for doc in docs] == [["b", "a"]] * 3
 
 
+def test_batch_mode_drops_a_leading_byte_order_mark(tmp_path, capsys):
+    # the mark stayed in line 1: a syntax error at column 1, exit 1
+    batch = tmp_path / "ideals.txt"
+    batch.write_bytes("\ufeffx^2, y^3\nz^4\n".encode("utf-8"))
+    code, docs = run_cli(capsys, "codim", "--file", str(batch))
+    assert code == 0 and [d["input"]["text"] for d in docs] == ["x^2, y^3", "z^4"]
+    assert [d["result"]["codim"] for d in docs] == [2, 1]
+
+    batch.write_bytes("x^2, y^3\n\ufeffz^4\n".encode("utf-8"))  # elsewhere it is input
+    code, docs = run_cli(capsys, "codim", "--file", str(batch))
+    assert code == 1 and docs[1]["error"]["code"] == "syntax"
+
+
 def test_batch_mode_survives_an_unexpected_exception(tmp_path, capsys, monkeypatch):
     original = cli.e_codim1
 
@@ -616,6 +629,13 @@ def test_readme_shows_every_command():
     readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
     shown = set(re.findall(r"(?m)^\$ multmon (\w+)", readme))
     assert set(cli.COMMANDS) <= shown, set(cli.COMMANDS) - shown
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    library = readme.split("## Library", 1)[1]
+    (block,) = re.findall(r"(?s)```python\n(.*?)```", library.split("\n## ", 1)[0])
+    exec(compile(block, "README.md", "exec"), {})
 
 
 def test_parser_is_built_once():

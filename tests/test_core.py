@@ -6,7 +6,7 @@ import pickle
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import multmon.core as core
@@ -95,6 +95,14 @@ def test_from_map_rejects_out_of_range_input():
     assert Monomial.from_map(ABCDE, {0: MAX_EXPONENT}).degree == MAX_EXPONENT
     with pytest.raises(ValueError):
         Monomial.from_map(ABCDE, {0: MAX_EXPONENT + 1})
+
+
+def test_exponent_rejects_an_index_outside_the_table():
+    g = parse_ideal("x^2*y^5, z").gens[1]
+    assert str(g) == "x^2*y^5" and [g.exponent(v) for v in range(3)] == [2, 5, 0]
+    for index in (-1, 3):  # -1 read the last variable's exponent, z's 0
+        with pytest.raises(ValueError, match=f"variable index {index} out of range"):
+            g.exponent(index)
 
 
 def test_constructor_rejects_wrong_length():
@@ -353,3 +361,17 @@ def test_ideal_equality_ignores_variable_table_order():
     right = parse_ideal("c, a*b")
     assert left == right
     assert hash(left) == hash(right)
+
+
+# sparse masks as wide as the 2004-cycle's supports, and dense ones
+masks = st.integers(min_value=0) | st.sets(st.integers(0, 2100), max_size=4).map(
+    lambda members: sum(1 << i for i in members)
+)
+
+
+@settings(max_examples=300)
+@example(0)
+@example(1 << 2003 | 1)
+@given(masks)
+def test_bits_lists_the_set_bits_in_ascending_order(mask):
+    assert core.bits(mask) == [i for i in range(mask.bit_length()) if mask >> i & 1]

@@ -34,7 +34,6 @@ from multmon import (
     regularity_dominant,
 )
 from multmon.generate import make_table
-from multmon.invariants import pairwise_coprime
 
 from generators import (
     random_codim1_ideal,
@@ -196,10 +195,15 @@ def test_find_ci_split_examples():
     assert find_ci_split(parse_ideal("a^2*b, b^2*c, c^2*a")) is None
 
 
+def _pairwise_coprime(supports):
+    """No two of the support bitmasks share a variable, pair by pair."""
+    return all(not s & t for s, t in combinations(supports, 2))
+
+
 def _first_split_by_scan(ideal):
     """The reference: every size-codim subset, in lexicographic order."""
     for combo in combinations(range(ideal.q), codim(ideal)):
-        if pairwise_coprime(ideal.supports[i] for i in combo):
+        if _pairwise_coprime([ideal.supports[i] for i in combo]):
             return CISplit(tuple(i for i in range(ideal.q) if i not in combo), combo)
     return None
 

@@ -145,6 +145,25 @@ def test_ci_iff_codim_equals_generator_count():
         assert codim(ideal) == ideal.q
 
 
+def test_ci_and_aci_match_their_pairwise_definitions():
+    # both read the greedy packing: it takes every support exactly when they are pairwise disjoint
+    def coprime(supports):
+        return all(not s & t for s, t in combinations(supports, 2))
+
+    rng = random.Random(20261020)
+    kinds = {"ci": 0, "aci": 0, "neither": 0}
+    for _ in range(400):
+        ideal = random_ideal(rng, max_gens=6, max_vars=5)
+        q, supports = ideal.q, ideal.supports
+        ci = coprime(supports)
+        assert is_complete_intersection(ideal) == ci, str(ideal)
+        removals = [t for t in range(q) if coprime(supports[:t] + supports[t + 1 :])]
+        aci = removals[0] if removals and codim(ideal) == q - 1 else None
+        assert is_almost_complete_intersection(ideal) == aci, str(ideal)
+        kinds["ci" if ci else "neither" if aci is None else "aci"] += 1
+    assert min(kinds.values()) >= 20, kinds
+
+
 def test_codim_bounds_and_invariance():
     rng = random.Random(4)
     for _ in range(100):

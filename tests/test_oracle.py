@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import multmon.cli as cli
 import multmon.formulas as formulas
 import multmon.oracle as oracle
+import multmon.taylor as taylor
 from multmon import (
     Monomial,
     ResourceCapError,
@@ -200,8 +201,8 @@ def test_cycle_cover_counts():
 
 
 def test_oracle_imports_no_other_route():
-    # the closed forms, too, share only `core` (and its subset-lcm DP) with the Taylor engine
-    for module in (oracle, formulas):
+    # the oracle, the closed forms and the Taylor engine share only `core` (and its subset-lcm DP)
+    for module in (oracle, formulas, taylor):
         tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
         imported = {
             node.module

@@ -33,9 +33,9 @@ from multmon import (
     taylor_resolution,
 )
 from multmon import cli, core, taylor
-from multmon.core import subset_lcms
+from multmon.core import bits, subset_lcms
 from multmon.generate import make_table, random_ideal
-from multmon.taylor import face_order, member_indices
+from multmon.taylor import face_levels, face_order
 
 from generators import random_dominant_with_split, random_stem_ideal
 from kernel_reference import minimal_by_faces, shortfalls
@@ -104,13 +104,23 @@ def test_face_order_is_hdeg_then_mask():
     assert len(taylor_resolution(ideal).mdegs) == 8
     masks = face_order(ideal.q)
     assert masks == [0b000, 0b001, 0b010, 0b100, 0b011, 0b101, 0b110, 0b111]
-    assert [member_indices(m) for m in masks[4:]] == [(0, 1), (0, 2), (1, 2), (0, 1, 2)]
+    assert [bits(m) for m in masks[4:]] == [[0, 1], [0, 2], [1, 2], [0, 1, 2]]
 
 
 def test_face_order_is_a_stable_sort_by_hdeg():
     # filled level by level with no sort; `decomposition.structural_terms` reads it too
     for q in range(15):
         assert face_order(q) == sorted(range(1 << q), key=int.bit_count), q
+
+
+def test_face_levels_hold_each_homological_degree_in_mask_order():
+    for q in range(13):
+        levels = face_levels(q)
+        assert len(levels) == q + 1, q
+        for s, level in enumerate(levels):
+            assert level == [m for m in range(1 << q) if m.bit_count() == s], (q, s)
+            assert len(level) == math.comb(q, s), (q, s)
+        assert [m for level in levels for m in level] == face_order(q), q
 
 
 # x^70000 needs 32-bit fields, wide enough for one key over x and 15 binary
@@ -163,6 +173,16 @@ def test_differential_coefficient_position_out_of_range():
     r = taylor_resolution(parse_ideal("x^2, y^3"))
     with pytest.raises(ValueError):
         differential_coefficient(r, 0b11, 3)
+    with pytest.raises(ValueError, match="removed position 1 out of range for a face of size 0"):
+        differential_coefficient(r, 0, 1)
+
+
+def test_differential_coefficient_mask_out_of_range():
+    # -1 read faces from the end of `mdegs` and answered (1, x^2); 4 raised a bare IndexError
+    r = taylor_resolution(parse_ideal("x^2, y^3"))
+    for mask in (-1, 4, 1 << 40):
+        with pytest.raises(ValueError, match=f"face mask {mask} out of range for q = 2"):
+            differential_coefficient(r, mask, 1)
 
 
 def test_differential_squares_to_zero_on_random_ideals():
@@ -176,10 +196,10 @@ def test_differential_squares_to_zero_on_random_ideals():
             reaching: dict[int, list[tuple[int, Monomial]]] = {}
             for j in range(1, face.bit_count() + 1):
                 s1, c1 = differential_coefficient(r, face, j)
-                sub = face ^ (1 << member_indices(face)[j - 1])
+                sub = face ^ (1 << bits(face)[j - 1])
                 for k in range(1, sub.bit_count() + 1):
                     s2, c2 = differential_coefficient(r, sub, k)
-                    target = sub ^ (1 << member_indices(sub)[k - 1])
+                    target = sub ^ (1 << bits(sub)[k - 1])
                     reaching.setdefault(target, []).append((s1 * s2, c1 * c2))
             for terms in reaching.values():
                 assert len(terms) == 2
