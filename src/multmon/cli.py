@@ -363,14 +363,9 @@ def _render_pretty(document: dict) -> str:
         for entry in result["sets"]:
             labels = ", ".join(f"{l['var']}_{l['slot']}" for l in entry["labels"])
             lines.append(f"A({entry['generator']}) = {{{labels}}}")
-    elif command == "verify":
-        for check in document["checks"]:
-            lines.append(f"  {check['method']:<12} {check['value']}")
-        lines.append(f"agreement: {document['agreement']}")
-    if document["checks"] and command not in ("verify",):
-        for check in document["checks"]:
-            lines.append(f"check {check['method']}: {check['value']}")
-    if document["agreement"] is not None and command != "verify":
+    check_line = "  {method:<12} {value}" if command == "verify" else "check {method}: {value}"
+    lines += (check_line.format(**check) for check in document["checks"])
+    if document["agreement"] is not None:
         lines.append(f"agreement: {document['agreement']}")
     lines.append(f"time: {document['timing_ms']} ms")
     return "\n".join(lines)
@@ -431,9 +426,9 @@ def _run_random_verify(args) -> int:
     failures = []
     for index in range(args.cases):
         ideal = random_ideal(rng, max_gens=8, max_vars=6, max_exp=4)
-        values = dict(_answers(ideal, METHODS))
-        if len(set(values.values())) != 1:
-            failures.append({"case": index, "ideal": str(ideal), "methods": values})
+        result, _, _, agreement = _result_for(ideal, args)
+        if not agreement:
+            failures.append({"case": index, "ideal": str(ideal), "methods": result["methods"]})
     document = {
         "command": "verify",
         "mode": "random",

@@ -345,9 +345,9 @@ class MonomialIdeal(_Frozen):
         # in canonical order a divisor, or the first of two equal generators, comes first
         gens: list[Monomial] = []
         supports: list[int] = []
-        bits = [1 << v for v in range(len(ring))]  # `compress` picks a support's bits
+        var_bits = [1 << v for v in range(len(ring))]  # `compress` picks a support's bits
         for h in sorted(raw, key=Monomial.sort_key):
-            t = sum(compress(bits, h.vec))
+            t = sum(compress(var_bits, h.vec))
             g = next((g for g in _inside(gens, supports, t) if g.divides(h)), None)
             if g is None:
                 gens.append(h)

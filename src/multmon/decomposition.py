@@ -20,11 +20,11 @@ from __future__ import annotations
 from operator import add, sub
 from typing import NamedTuple
 
-from .core import Monomial, MonomialIdeal, lcm, minimalize, per_ideal, quotient, record, subset_lcms
+from .core import Monomial, MonomialIdeal, minimalize, per_ideal, record, subset_lcms
 from .errors import HypothesisError, InternalConsistencyError
 from .formulas import structural_split
 from .invariants import codim, dominance_witnesses, has_cover
-from .taylor import BettiTable, betti_table, face_order, multiplicity_ps
+from .taylor import BettiTable, betti_table, face_levels, multiplicity_ps
 
 __all__ = [
     "ThirdDecomposition",
@@ -119,21 +119,21 @@ class DecompositionTerm(NamedTuple):
 def structural_terms(ideal: MonomialIdeal) -> list[DecompositionTerm]:
     """One term per subset of the free part of `structural_split`'s split, by size then bitmask."""
     split = structural_split(ideal)
-    h = [ideal.gens[i] for i in split.ci]
-    lcms = subset_lcms(ideal.ring, [ideal.gens[i] for i in split.free])
+    ring, h = ideal.ring, [ideal.gens[i].vec for i in split.ci]
+    lcms = subset_lcms(ring, [ideal.gens[i] for i in split.free])
     terms = []
-    for mask in face_order(len(split.free)):
-        mbar = Monomial(ideal.ring, lcms[mask])
-        quotients = tuple(quotient(lcm(mbar, hi), mbar) for hi in h)
-        nonunit = [m for m in quotients if not m.is_unit]
+    for mask in (mask for level in face_levels(len(split.free)) for mask in level):
+        m = lcms[mask]
+        quotients = tuple(Monomial(ring, map(sub, map(max, m, hi), m)) for hi in h)
+        nonunit = [g for g in quotients if not g.is_unit]
         if not nonunit:
             raise InternalConsistencyError("all structural quotients collapsed to units")
         terms.append(
             DecompositionTerm(
                 j=mask.bit_count(),
-                mbar=mbar,
+                mbar=Monomial(ring, m),
                 quotients=quotients,
-                ideal=minimalize(ideal.ring, nonunit),
+                ideal=minimalize(ring, nonunit),
             )
         )
     return terms

@@ -7,11 +7,10 @@ inputs outside their hypotheses (raising `HypothesisError`).
 
 from __future__ import annotations
 
-from collections import Counter
 from math import prod
 from typing import NamedTuple
 
-from .core import Monomial, MonomialIdeal, gcd, gcd_all, per_ideal, subset_lcms
+from .core import Monomial, MonomialIdeal, bits, gcd, gcd_all, per_ideal, subset_lcms
 from .errors import HypothesisError, InternalConsistencyError
 from .invariants import (
     codim,
@@ -126,9 +125,11 @@ def quadratic_dominant_data(ideal: MonomialIdeal) -> QuadraticDominantData:
             raise HypothesisError("all generators must have total degree 2")
         raise HypothesisError("the quadratic formulas require a dominant ideal")
     isolated = tuple(block[0] for block in support_components(ideal) if len(block) == 1)
-    counts = Counter(v for g in ideal.gens for v in g.support)
-    shared = tuple(sorted(v for v, n in counts.items() if n > 1))
-    return QuadraticDominantData(isolated, shared)
+    shared = seen = 0
+    for s in ideal.supports:
+        shared |= seen & s
+        seen |= s
+    return QuadraticDominantData(isolated, tuple(bits(shared)))
 
 
 def e_quadratic_dominant(ideal: MonomialIdeal) -> int:

@@ -90,17 +90,17 @@ def support_components(ideal: MonomialIdeal) -> tuple[tuple[int, ...], ...]:
     return _components(ideal.supports)
 
 
-def least_cover(supports: Sequence[int], blocks: Sequence[Sequence[int]] = ()) -> int:
+def least_cover(supports: Sequence[int], blocks: Sequence[Sequence[int]]) -> int:
     """Minimum number of variables meeting every support bitmask: the codim of their ideal.
 
     Least covers of components add up, so each is searched apart; `blocks` gives their
-    `_components` when known.  A packing that takes every support is least.  Each
-    component's supports are ordered as a walk (next, the first one meeting the last
-    one taken): a packing in that order follows the shape of the support graph, not
-    the variable names that fix the generator order.
+    `_components`.  A packing that takes every support is least.  Each component's
+    supports are ordered as a walk (next, the first one meeting the last one taken): a
+    packing in that order follows the shape of the support graph, not the variable names
+    that fix the generator order.
     """
     total = 0
-    for block in blocks or _components(supports):
+    for block in blocks:
         walk = list(dict.fromkeys(supports[i] for i in block))
         for j in range(1, len(walk) - 1):
             last = walk[j - 1]

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property, lru_cache
-from itertools import chain, repeat
+from itertools import repeat
 from operator import itemgetter, or_, sub
 from typing import NamedTuple
 
@@ -306,11 +306,6 @@ def face_levels(q: int) -> list[list[int]]:
         for s in range(i, -1, -1):  # downwards, so no level reads the masks just added
             levels[s + 1] += map(or_, levels[s], repeat(1 << i))
     return levels
-
-
-def face_order(q: int) -> list[int]:
-    """Face masks of a q-generator complex by homological degree, then bitmask."""
-    return list(chain.from_iterable(face_levels(q)))
 
 
 class TaylorResolution:

@@ -59,3 +59,36 @@ def test_no_module_imports_a_name_it_never_uses():
         }
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert imported <= used, (path.name, sorted(imported - used))
+
+
+def test_every_module_level_helper_is_exported_or_used():
+    # a function or class that no module names, outside `__all__`, is dead code
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(Path(multmon.__file__).parent.glob("*.py"))
+    }
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    for name, tree in trees.items():
+        exported = set()
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                exported.update(ast.literal_eval(node.value))
+        defined = {
+            node.name
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        }
+        dead = {
+            n for n in defined - exported - referenced if not (n.startswith("__") and n.endswith("__"))
+        }
+        assert not dead, (name, sorted(dead))

@@ -435,6 +435,26 @@ def test_verify_random_pretty(capsys):
     assert code == 0 and "agreement: True" in out
 
 
+def test_verify_random_disagreement_lists_every_case(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "multiplicity_associativity", lambda ideal: 999)
+    code, (doc,) = run_cli(capsys, "verify", "--random", "--seed", "0", "--cases", "2")
+    assert code == 5 and doc["agreement"] is False
+    assert [failure["case"] for failure in doc["failures"]] == [0, 1]
+    for failure in doc["failures"]:
+        assert set(failure) == {"case", "ideal", "methods"}
+        methods = failure["methods"]
+        assert methods["oracle"] == 999 and methods["ps"] != 999, failure["ideal"]
+
+    code = cli.main(["verify", "--random", "--seed", "0", "--cases", "2", "--pretty"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 5
+    assert lines == [
+        "random verification: seed=0 cases=2",
+        *(f"  disagreement on {f['ideal']}: {f['methods']}" for f in doc["failures"]),
+        "agreement: False",
+    ]
+
+
 def test_parse_error_exit(capsys):
     code, docs = run_cli(capsys, "codim", "--ideal", "x^0")
     assert code == 1 and docs == []
@@ -503,6 +523,16 @@ def test_batch_mode_drops_a_leading_byte_order_mark(tmp_path, capsys):
     batch.write_bytes("x^2, y^3\n\ufeffz^4\n".encode("utf-8"))  # elsewhere it is input
     code, docs = run_cli(capsys, "codim", "--file", str(batch))
     assert code == 1 and docs[1]["error"]["code"] == "syntax"
+
+
+def test_batch_mode_refuses_an_unreadable_file(tmp_path, capsys):
+    undecodable = tmp_path / "latin1.txt"
+    undecodable.write_bytes(b"x^2, \xff")
+    for path in (tmp_path / "missing.txt", undecodable):
+        code = cli.main(["codim", "--file", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == "", path
+        assert captured.err.startswith("multmon: error: cannot read batch file: "), path
 
 
 def test_batch_mode_survives_an_unexpected_exception(tmp_path, capsys, monkeypatch):

@@ -57,6 +57,8 @@ def test_lcm_examples():
 
 def test_gcd_examples():
     assert gcd(mono("a^2*b*c"), mono("b^3*c")) == mono("b*c")
+    with pytest.raises(ValueError, match="^gcd of an empty collection is undefined$"):
+        gcd_all([])
     assert gcd(mono("a^2*b"), Monomial.unit(ABCDE)).is_unit
     assert gcd(mono("a^2*b"), mono("a*b^2")) == mono("a*b")
 
@@ -84,6 +86,8 @@ def test_mismatched_tables_rejected():
     for op in (lcm, gcd, quotient, Monomial.divides, Monomial.__mul__):
         with pytest.raises(ValueError):
             op(mono("a"), other)
+    with pytest.raises(ValueError, match="^generator does not live in the ideal's ring$"):
+        MonomialIdeal(ABCDE, [mono("a"), other])
 
 
 def test_from_map_rejects_out_of_range_input():

@@ -66,6 +66,11 @@ def test_third_decomposition_rejects_non_dominant_pivot():
     ideal = parse_ideal("a^2, b^3, a*b")
     with pytest.raises(HypothesisError):
         third_decomposition(ideal, gen_index(ideal, "a*b"))
+    with pytest.raises(HypothesisError, match="^the decomposition needs at least two generators$"):
+        third_decomposition(parse_ideal("x^2"), 0)
+    for pivot in (5, -1):
+        with pytest.raises(ValueError, match=f"^pivot index {pivot} out of range$"):
+            third_decomposition(ideal, pivot)
 
 
 def test_recurrence_examples():

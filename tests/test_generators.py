@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from multmon.generate import random_ideal
+from multmon.generate import make_table, random_ideal
 
 from generators import (
     random_aci,
@@ -74,3 +74,8 @@ FIRST_DRAWS = [
 def test_first_draws_at_seed_2019_are_pinned(generator, kwargs, expected):
     rng = random.Random(2019)
     assert [str(generator(rng, **kwargs)) for _ in range(3)] == expected
+
+
+def test_make_table_names_letters_then_numbered_variables():
+    assert make_table(26).names == tuple("abcdefghijklmnopqrstuvwxyz")
+    assert make_table(27).names == tuple(f"v{i}" for i in range(27))

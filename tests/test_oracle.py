@@ -77,6 +77,9 @@ def test_colength_rejects_non_cover():
     ideal = parse_ideal("x*y, z")
     with pytest.raises(ValueError):
         colength(ideal, frozenset({ideal.ring.index("x"), ideal.ring.index("y")}))
+    ideal = parse_ideal("x*y, y*z")  # a cover, larger than the codim
+    with pytest.raises(ValueError, match=r"^\{x, z\} is not a minimal cover$"):
+        colength(ideal, frozenset({0, 2}))
 
 
 def test_multiplicity_examples():

@@ -35,7 +35,7 @@ from multmon import (
 from multmon import cli, core, taylor
 from multmon.core import bits, subset_lcms
 from multmon.generate import make_table, random_ideal
-from multmon.taylor import face_levels, face_order
+from multmon.taylor import face_levels
 
 from generators import random_dominant_with_split, random_stem_ideal
 from kernel_reference import minimal_by_faces, shortfalls
@@ -99,10 +99,15 @@ def test_resolution_labels_and_degrees_match_the_monomials():
     assert resolution.labels[-1] == "z^12*x^10*y^10"
 
 
+def flattened(levels: list[list[int]]) -> list[int]:
+    return [mask for level in levels for mask in level]
+
+
 def test_face_order_is_hdeg_then_mask():
     ideal = parse_ideal("x, y^2, z^3")
     assert len(taylor_resolution(ideal).mdegs) == 8
-    masks = face_order(ideal.q)
+    masks = flattened(face_levels(ideal.q))
+    assert masks == sorted(range(1 << ideal.q), key=int.bit_count)
     assert masks == [0b000, 0b001, 0b010, 0b100, 0b011, 0b101, 0b110, 0b111]
     assert [bits(m) for m in masks[4:]] == [[0, 1], [0, 2], [1, 2], [0, 1, 2]]
 
@@ -110,7 +115,7 @@ def test_face_order_is_hdeg_then_mask():
 def test_face_order_is_a_stable_sort_by_hdeg():
     # filled level by level with no sort; `decomposition.structural_terms` reads it too
     for q in range(15):
-        assert face_order(q) == sorted(range(1 << q), key=int.bit_count), q
+        assert flattened(face_levels(q)) == sorted(range(1 << q), key=int.bit_count), q
 
 
 def test_face_levels_hold_each_homological_degree_in_mask_order():
@@ -120,7 +125,7 @@ def test_face_levels_hold_each_homological_degree_in_mask_order():
         for s, level in enumerate(levels):
             assert level == [m for m in range(1 << q) if m.bit_count() == s], (q, s)
             assert len(level) == math.comb(q, s), (q, s)
-        assert [m for level in levels for m in level] == face_order(q), q
+        assert flattened(levels) == sorted(range(1 << q), key=int.bit_count), q
 
 
 # x^70000 needs 32-bit fields, wide enough for one key over x and 15 binary
@@ -292,6 +297,8 @@ def test_power_sum_examples():
     assert ps_power_sum(example, 3) == -math.factorial(3) * 18
     for k in (1, 2):
         assert ps_power_sum(example, k) == 0
+    with pytest.raises(ValueError, match="^power-sum exponent must be nonnegative$"):
+        ps_power_sum(parse_ideal("x^2, y^3"), -1)
 
 
 def test_power_sum_zero_conventions():
@@ -394,5 +401,8 @@ def test_generator_cap():
     text = ", ".join(f"x{i}^2" for i in range(21))
     with pytest.raises(ResourceCapError, match="20"):
         taylor_resolution(parse_ideal(text))
+    many = parse_ideal(", ".join(f"x{i}^2" for i in range(25)))
+    with pytest.raises(ResourceCapError, match="^subset lcms of 25 generators exceed the q <= 24 cap$"):
+        subset_lcms(many.ring, many.gens)
     with pytest.raises(ResourceCapError, match="24"):
         ps_power_sum(parse_ideal(", ".join(f"x{i}^2" for i in range(25))), 1)
