@@ -18,8 +18,8 @@ import json
 import random
 import sys
 import time
-from itertools import groupby, repeat
-from operator import add
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from . import __version__
@@ -221,20 +221,21 @@ def _result_for(
     if command == "taylor":
         resolution = taylor_resolution(ideal)
         degrees, labels = resolution.degrees, resolution.labels
-        members = [""]
-        for i in range(ideal.q):  # the faces with generator i follow all faces without it
-            members += [f"{i}", *map(add, members[1:], repeat(f", {i}"))]
-        ranks, levels = list(resolution.ranks()), enumerate(face_levels(ideal.q))
+        ranks, levels = list(resolution.ranks()), face_levels(ideal.q)
+        levels = enumerate(zip(levels, face_levels(ideal.q, members=True)))
         if args.pretty:
-            faces = (f"  {f'[{members[m]}]':<16} {h:>3}  {labels[m]}" for h, ms in levels for m in ms)
+            faces = (f"  {f'[{t}]':<16} {h:>3}  {labels[m]}"
+                     for h, (masks, members) in levels for m, t in zip(masks, members))
             return [f"ranks: {ranks}", "faces (members, hdeg, mdeg):", *faces], "taylor", [], None
+        tails = {d: f'", "degree": {d}}}' for d in set(degrees)}
         parts = [f'{{"ranks": {json.dumps(ranks)}, "faces": [']
-        for hdeg, masks in levels:  # one text per hdeg: no list of every face's text
-            parts += [", " if hdeg else "", ", ".join(
-                f'{{"members": [{members[mask]}], "hdeg": {hdeg}, '
-                f'"mdeg": "{labels[mask]}", "degree": {degrees[mask]}}}'
-                for mask in masks
-            )]
+        for hdeg, (masks, members) in levels:  # one join per hdeg: no Python code runs per face
+            pick = itemgetter(*masks, 0)  # a tuple even for one face; the extra 0 is dropped
+            row = [', {"members": [', "", f'], "hdeg": {hdeg}, "mdeg": "', "", ""] * len(masks)
+            row[1::5], row[3::5] = members, pick(labels)[:-1]
+            row[4::5] = map(tails.__getitem__, pick(degrees)[:-1])
+            row[0] = row[0] if hdeg else row[0][2:]  # the first face has no comma
+            parts.append("".join(row))
         return _Raw([*parts, "]}"]), "taylor", [], None
 
     if command == "diagram":

@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 from functools import cached_property, lru_cache
 from itertools import repeat
-from operator import itemgetter, or_, sub
+from operator import add, itemgetter, sub
 from typing import NamedTuple
 
 from .core import (
@@ -299,13 +299,30 @@ def multiplicity_ps(ideal: MonomialIdeal) -> int:
     return total // fact
 
 
-def face_levels(q: int) -> list[list[int]]:
-    """Face masks of a q-generator complex, one ascending list per homological degree."""
-    levels = [[0]] + [[] for _ in range(q)]
-    for i in range(q):  # the masks with bit i lie above all older ones: no sort
-        for s in range(i, -1, -1):  # downwards, so no level reads the masks just added
-            levels[s + 1] += map(or_, levels[s], repeat(1 << i))
-    return levels
+# `face_levels`' tables, the masks and the member texts: each grows only when asked for, as
+# only `taylor` reads the texts (at q = 20 the masks hold 40 MiB and the texts 90 MiB)
+_FACES = {False: [[0]], True: [[""]]}
+
+
+def face_levels(q: int, *, members: bool = False) -> list[list]:
+    """Face masks of a q-generator complex, one ascending list per homological degree, or
+    with `members` each face's member indices as text ("0, 2" for 0b101) in that order.
+
+    In every degree the faces of the first q generators come first, so each q <= Q_MAX reads
+    fresh copies of prefixes of a table grown once per process to the largest q asked for,
+    into new lists that one assignment publishes.  A larger q is built for its call alone.
+    """
+    table = old = _FACES[members]  # read once: another thread may publish a larger table
+    if len(old) <= q:
+        table = [*map(list, old), *([] for _ in range(q + 1 - len(old)))]
+        for i in range(len(old) - 1, q):  # faces with i lie above all older ones
+            for s in range(i, -1, -1):  # downwards, so no level reads the faces just added
+                new = (f", {i}" if s else f"{i}") if members else 1 << i  # no older mask has bit i
+                table[s + 1] += map(add, table[s], repeat(new))
+        if q > Q_MAX:  # the structural formula's up to PS_Q_MAX free generators: not kept
+            return table
+        _FACES[members] = table
+    return [level[: math.comb(q, s)] for s, level in enumerate(table[: q + 1])]
 
 
 class TaylorResolution:

@@ -128,6 +128,60 @@ def test_face_levels_hold_each_homological_degree_in_mask_order():
         assert flattened(levels) == sorted(range(1 << q), key=int.bit_count), q
 
 
+def _doubled_levels(q: int) -> list[list[int]]:
+    """The face masks per hdeg, doubled generator by generator in a fresh list."""
+    levels = [[0]] + [[] for _ in range(q)]
+    for i in range(q):
+        for s in range(i, -1, -1):
+            levels[s + 1] += [mask | 1 << i for mask in levels[s]]
+    return levels
+
+
+def test_face_table_reads_prefixes_and_hands_out_copies():
+    # grown past every smaller q first, so each q below reads a prefix of the larger table
+    face_levels(14)
+    face_levels(9, members=True)
+    face_levels(14, members=True)
+    for q in range(15):
+        levels, members = face_levels(q), face_levels(q, members=True)
+        assert levels == _doubled_levels(q), q
+        assert [len(level) for level in members] == [len(level) for level in levels], q
+        for masks, texts in zip(levels, members):
+            assert texts == [", ".join(map(str, bits(mask))) for mask in masks], q
+    for members in (False, True):
+        first = face_levels(6, members=members)
+        expected = [list(level) for level in first]
+        first[2].clear()
+        first[3][0] = None
+        first.append(["changed"])
+        assert face_levels(6, members=members) == expected
+        assert face_levels(14, members=members)[2][:15] == expected[2]
+
+
+def test_face_table_grows_from_the_table_it_read(monkeypatch):
+    # another thread publishes a larger table just after this call reads the small one
+    larger = [[0]] + [[] for _ in range(9)]
+
+    class Racing(dict):
+        def __getitem__(self, members):
+            table = super().__getitem__(members)
+            self[members] = larger
+            return table
+
+    monkeypatch.setattr(taylor, "_FACES", Racing({False: [[0]], True: [[""]]}))
+    assert face_levels(6) == _doubled_levels(6)
+
+
+def test_face_table_keeps_no_q_past_the_cap(monkeypatch):
+    # `structural_terms` may ask for up to PS_Q_MAX free generators; only q <= Q_MAX is kept
+    monkeypatch.setattr(taylor, "_FACES", {False: [[0]], True: [[""]]})
+    monkeypatch.setattr(taylor, "Q_MAX", 4)
+    assert face_levels(6) == _doubled_levels(6)
+    assert taylor._FACES[False] == [[0]]
+    assert face_levels(4) == _doubled_levels(4) and len(taylor._FACES[False]) == 5
+    assert face_levels(6) == _doubled_levels(6) and len(taylor._FACES[False]) == 5
+
+
 # x^70000 needs 32-bit fields, wide enough for one key over x and 15 binary
 # variables: the 256-entry bound on a group's text table keeps each group at 8
 WIDE_BINARY = "x^70000*y, " + ", ".join(f"a{i}*b{i}*c{i}" for i in range(11))
