@@ -24,7 +24,7 @@ from .core import Monomial, MonomialIdeal, minimalize, per_ideal, record, subset
 from .errors import HypothesisError, InternalConsistencyError
 from .formulas import structural_split
 from .invariants import codim, dominance_witnesses, has_cover
-from .taylor import BettiTable, betti_table, face_levels, multiplicity_ps
+from .taylor import BettiTable, betti_table, multiplicity_ps
 
 __all__ = [
     "ThirdDecomposition",
@@ -122,8 +122,7 @@ def structural_terms(ideal: MonomialIdeal) -> list[DecompositionTerm]:
     ring, h = ideal.ring, [ideal.gens[i].vec for i in split.ci]
     lcms = subset_lcms(ring, [ideal.gens[i] for i in split.free])
     terms = []
-    for mask in (mask for level in face_levels(len(split.free)) for mask in level):
-        m = lcms[mask]
+    for mask, m in sorted(enumerate(lcms), key=lambda face: face[0].bit_count()):  # stable sort
         quotients = tuple(Monomial(ring, map(sub, map(max, m, hi), m)) for hi in h)
         nonunit = [g for g in quotients if not g.is_unit]
         if not nonunit:

@@ -84,6 +84,8 @@ def colength(ideal: MonomialIdeal, cover: frozenset[int]) -> int:
       dominates it.  The pure powers go too.
     """
     cov = sorted(cover)
+    if bad := [v for v in cov if not 0 <= v < len(ideal.ring)]:
+        raise ValueError(f"variable index {bad[0]} out of range")
     mask = sum(1 << v for v in cov)
     if len(cov) != codim(ideal):
         raise _not_a_cover(ideal, cov)

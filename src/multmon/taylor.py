@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 from functools import cached_property, lru_cache
 from itertools import repeat
-from operator import add, itemgetter, sub
+from operator import add, itemgetter
 from typing import NamedTuple
 
 from .core import (
@@ -51,9 +51,11 @@ from .core import (
     Monomial,
     MonomialIdeal,
     bits,
+    lcm_all,
     lcm_columns,
     lcm_levels,
     per_ideal,
+    quotient,
     subset_lcms,
     unpack_fields,
 )
@@ -299,28 +301,25 @@ def multiplicity_ps(ideal: MonomialIdeal) -> int:
     return total // fact
 
 
-# `face_levels`' tables, the masks and the member texts: each grows only when asked for, as
-# only `taylor` reads the texts (at q = 20 the masks hold 40 MiB and the texts 90 MiB)
-_FACES = {False: [[0]], True: [[""]]}
+# `face_levels`' tables of masks and of member texts (only `taylor` reads the texts), each for
+# the largest q asked for so far; at q = 20, the cap of both callers, they hold 40 and 90 MiB
+_FACES = {False: [], True: []}
 
 
 def face_levels(q: int, *, members: bool = False) -> list[list]:
     """Face masks of a q-generator complex, one ascending list per homological degree, or
     with `members` each face's member indices as text ("0, 2" for 0b101) in that order.
 
-    In every degree the faces of the first q generators come first, so each q <= Q_MAX reads
-    fresh copies of prefixes of a table grown once per process to the largest q asked for,
-    into new lists that one assignment publishes.  A larger q is built for its call alone.
+    In every degree the faces of the first q generators come first, so each q reads copies of
+    prefixes of one table, built afresh for the largest q asked for and published at once.
     """
-    table = old = _FACES[members]  # read once: another thread may publish a larger table
-    if len(old) <= q:
-        table = [*map(list, old), *([] for _ in range(q + 1 - len(old)))]
-        for i in range(len(old) - 1, q):  # faces with i lie above all older ones
+    table = _FACES[members]  # read once: another thread may publish another table
+    if len(table) <= q:
+        table = [[""] if members else [0], *([] for _ in range(q))]
+        for i in range(q):  # faces with i lie above all faces without it
             for s in range(i, -1, -1):  # downwards, so no level reads the faces just added
                 new = (f", {i}" if s else f"{i}") if members else 1 << i  # no older mask has bit i
                 table[s + 1] += map(add, table[s], repeat(new))
-        if q > Q_MAX:  # the structural formula's up to PS_Q_MAX free generators: not kept
-            return table
         _FACES[members] = table
     return [level[: math.comb(q, s)] for s, level in enumerate(table[: q + 1])]
 
@@ -397,21 +396,21 @@ def differential_coefficient(
 
     `removed_position` is 1-based among the face's members in increasing
     generator-index order; the sign is +1 for odd positions, and the
-    coefficient is mdeg(face) / mdeg(face minus that member).
+    coefficient is mdeg(face) / mdeg(face minus that member), each the lcm of
+    its members' generators: `resolution.mdegs` is not built.
     """
-    q = resolution.ideal.q
-    if not 0 <= mask < 1 << q:
-        raise ValueError(f"face mask {mask} out of range for q = {q}")
+    ideal = resolution.ideal
+    if not 0 <= mask < 1 << ideal.q:
+        raise ValueError(f"face mask {mask} out of range for q = {ideal.q}")
     members = bits(mask)
     if not 1 <= removed_position <= len(members):
         raise ValueError(
             f"removed position {removed_position} out of range for a face of size {len(members)}"
         )
     removed = members[removed_position - 1]
-    sign = 1 if removed_position % 2 == 1 else -1
-    mdegs = resolution.mdegs
-    coefficient = tuple(map(sub, mdegs[mask], mdegs[mask ^ (1 << removed)]))
-    return sign, Monomial(resolution.ideal.ring, coefficient)
+    face = lcm_all(ideal.ring, (ideal.gens[i] for i in members))
+    facet = lcm_all(ideal.ring, (ideal.gens[i] for i in members if i != removed))
+    return (1 if removed_position % 2 else -1), quotient(face, facet)
 
 
 class BettiTable(NamedTuple):

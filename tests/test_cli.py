@@ -297,10 +297,12 @@ def test_taylor_documents_of_non_dominant_ideals_match_a_per_face_reference(caps
 
 
 def test_taylor_renders_faster_than_one_fstring_per_face(capsys, monkeypatch):
-    # The q = 16 cycle with its resolution computed once: the whole call, output included,
-    # must beat one f-string per face over the same faces, both timed here (best of 3 each).
-    # The join over the face table took 0.6-0.7 of the f-strings' time; one f-string per
-    # face in `cli` took 1.6, and the join over member texts rebuilt per call 1.3.
+    # The q = 16 cycle with its resolution computed once: the whole call must beat one
+    # f-string per face over the same faces, both timed here (best of 3 each).  Both write
+    # their text to the captured `sys.stdout`, so each pays for encoding its 5 MB into
+    # pytest's buffer (about 10 ms), not the call alone.  The join over the face table took
+    # 0.56-0.86 of the f-strings' time; one f-string per face in `cli` took 1.08-1.46, and the
+    # join over member texts rebuilt per call 1.10-1.34.
     text = cycle(16)
     resolution = taylor_resolution(parse_ideal(text))
     monkeypatch.setattr(cli, "taylor_resolution", lambda ideal: resolution)
@@ -309,10 +311,10 @@ def test_taylor_renders_faster_than_one_fstring_per_face(capsys, monkeypatch):
     members = {mask: ", ".join(map(str, bits(mask))) for mask in range(1 << 16)}
 
     def per_face():
-        return [", ".join(
+        sys.stdout.writelines(", ".join(
             f'{{"members": [{members[m]}], "hdeg": {h}, "mdeg": "{labels[m]}", "degree": {degrees[m]}}}'
             for m in masks
-        ) for h, masks in enumerate(levels)]
+        ) for h, masks in enumerate(levels))
 
     def best(run):
         times = []

@@ -18,6 +18,7 @@ from multmon import (
     find_ci_split,
     gcd,
     lcm,
+    lcm_all,
     minimalize,
     multiplicity_ps,
     multiplicity_recurrence,
@@ -26,6 +27,8 @@ from multmon import (
     structural_terms,
     third_decomposition,
 )
+from multmon import taylor
+from multmon.core import bits
 from multmon.decomposition import recurrence_parts
 from multmon.generate import random_ideal
 
@@ -181,6 +184,32 @@ def test_structural_terms_pure_ci():
     assert len(terms) == 1
     assert terms[0].j == 0 and terms[0].mbar.is_unit
     assert terms[0].ideal == ideal
+
+
+def test_structural_terms_come_by_size_then_mask():
+    # a dominant ideal's subset lcms are distinct, so the mbars name the free-part masks
+    rng = random.Random(61)
+    most = 0
+    for _ in range(40):
+        ideal = random_dominant_with_split(rng, max_free=8)
+        free = [ideal.gens[i] for i in find_ci_split(ideal).free]
+        most = max(most, len(free))
+        masks = sorted(range(1 << len(free)), key=lambda mask: (mask.bit_count(), mask))
+        expected = [(m.bit_count(), lcm_all(ideal.ring, (free[i] for i in bits(m)))) for m in masks]
+        assert [(t.j, t.mbar) for t in structural_terms(ideal)] == expected, str(ideal)
+    assert most == 8
+
+
+def test_structural_routes_leave_the_face_table_alone(monkeypatch):
+    # the terms order their own subsets: only `betti` and `taylor` grow `taylor._FACES`
+    monkeypatch.setattr(taylor, "_FACES", {False: [], True: []})
+    rng = random.Random(67)
+    ideals = [parse_ideal("a^3*c, a*b*e^3, a^2*b^2, c^2, d^2*e^2")]
+    ideals += [random_dominant_with_split(rng, max_free=6) for _ in range(10)]
+    for ideal in ideals:
+        structural_terms(ideal)
+        betti_decomposition(ideal)
+    assert taylor._FACES == {False: [], True: []}
 
 
 def test_term_quotients_divide_and_are_coprime():

@@ -80,6 +80,10 @@ def test_colength_rejects_non_cover():
     ideal = parse_ideal("x*y, y*z")  # a cover, larger than the codim
     with pytest.raises(ValueError, match=r"^\{x, z\} is not a minimal cover$"):
         colength(ideal, frozenset({0, 2}))
+    # an index outside the ring is named as `Monomial.exponent` names it, before any lookup
+    for index in (7, -1):
+        with pytest.raises(ValueError, match=f"^variable index {index} out of range$"):
+            colength(ideal, frozenset({index}))
 
 
 def test_multiplicity_examples():

@@ -113,7 +113,7 @@ def test_face_order_is_hdeg_then_mask():
 
 
 def test_face_order_is_a_stable_sort_by_hdeg():
-    # filled level by level with no sort; `decomposition.structural_terms` reads it too
+    # filled level by level with no sort; `cli`'s `betti` and `taylor` read it in this order
     for q in range(15):
         assert flattened(face_levels(q)) == sorted(range(1 << q), key=int.bit_count), q
 
@@ -170,16 +170,6 @@ def test_face_table_grows_from_the_table_it_read(monkeypatch):
 
     monkeypatch.setattr(taylor, "_FACES", Racing({False: [[0]], True: [[""]]}))
     assert face_levels(6) == _doubled_levels(6)
-
-
-def test_face_table_keeps_no_q_past_the_cap(monkeypatch):
-    # `structural_terms` may ask for up to PS_Q_MAX free generators; only q <= Q_MAX is kept
-    monkeypatch.setattr(taylor, "_FACES", {False: [[0]], True: [[""]]})
-    monkeypatch.setattr(taylor, "Q_MAX", 4)
-    assert face_levels(6) == _doubled_levels(6)
-    assert taylor._FACES[False] == [[0]]
-    assert face_levels(4) == _doubled_levels(4) and len(taylor._FACES[False]) == 5
-    assert face_levels(6) == _doubled_levels(6) and len(taylor._FACES[False]) == 5
 
 
 # x^70000 needs 32-bit fields, wide enough for one key over x and 15 binary
@@ -242,6 +232,35 @@ def test_differential_coefficient_mask_out_of_range():
     for mask in (-1, 4, 1 << 40):
         with pytest.raises(ValueError, match=f"face mask {mask} out of range for q = 2"):
             differential_coefficient(r, mask, 1)
+
+
+def test_differential_coefficients_match_the_lcm_list():
+    # two lcms of the members' generators per coefficient, against the quotient of `mdegs` entries
+    rng = random.Random(4242)
+    ideals = [random_ideal(rng, max_gens=12, max_vars=12) for _ in range(20)]
+    ideals += [random_dominant_with_split(rng, max_free=6) for _ in range(4)]
+    ideals += [parse_ideal(", ".join(f"x{i}*x{(i + 1) % 12}*y^{i % 3 + 1}" for i in range(12)))]
+    assert max(ideal.q for ideal in ideals) == 12
+    for ideal in ideals:
+        r = taylor_resolution(ideal)
+        mdegs = taylor_resolution(ideal).mdegs
+        for mask in range(1 << ideal.q):
+            for position, removed in enumerate(bits(mask), 1):
+                expected = tuple(a - b for a, b in zip(mdegs[mask], mdegs[mask ^ 1 << removed]))
+                sign, coeff = differential_coefficient(r, mask, position)
+                assert (sign, coeff.vec) == ((-1) ** (position + 1), expected), (str(ideal), mask)
+        assert "mdegs" not in vars(r)
+
+
+def test_differential_coefficient_of_the_20_cycle_builds_no_lcm_list():
+    # `mdegs` of the q = 20 cycle holds 2^20 tuples: a coefficient reads two lcms only
+    ideal = parse_ideal(", ".join(f"x{i}*x{(i + 1) % 20}" for i in range(20)))
+    r = taylor_resolution(ideal)
+    x = {i: Monomial.from_map(ideal.ring, {ideal.ring.index(f"x{i}"): 1}) for i in (4, 5, 6)}
+    assert differential_coefficient(r, (1 << 20) - 1, 7) == (1, Monomial.unit(ideal.ring))
+    pair = sum(1 << i for i, g in enumerate(ideal.gens) if x[5].divides(g))  # x4*x5, x5*x6
+    assert {differential_coefficient(r, pair, k)[1] for k in (1, 2)} == {x[4], x[6]}
+    assert "mdegs" not in vars(r)
 
 
 def test_differential_squares_to_zero_on_random_ideals():
