@@ -178,10 +178,9 @@ def _result_for(
             method, value = next(_answers(ideal, AUTO_METHODS))
         else:
             method, value = args.method, METHODS[args.method](ideal)
-        checks, agreement = [], None
-        if args.check:
-            checks = [{"method": m, "value": METHODS[m](ideal)} for m in ("ps", "oracle")]
-            agreement = all(c["value"] == value for c in checks)
+        checks = [{"method": m, "value": value if m == method else METHODS[m](ideal)}
+                  for m in ("ps", "oracle") if args.check]  # the chosen route is not run twice
+        agreement = all(c["value"] == value for c in checks) if args.check else None
         return {"multiplicity": value}, method, checks, agreement
 
     if command == "codim":

@@ -171,12 +171,10 @@ class Monomial(_Frozen):
         return self.vec[index]
 
     def divides(self, other: "Monomial") -> bool:
-        _check_table(self, other)
-        return all(map(le, self.vec, other.vec))
+        return all(map(le, self.vec, _vec(other, self.table)))
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        _check_table(self, other)
-        return Monomial(self.table, tuple(map(add, self.vec, other.vec)))
+        return Monomial(self.table, tuple(map(add, self.vec, _vec(other, self.table))))
 
     def sort_key(self) -> tuple:
         """Ascending total degree, then descending lex on exponent vectors."""
@@ -204,9 +202,11 @@ class Monomial(_Frozen):
         return f"Monomial({self})"
 
 
-def _check_table(a: Monomial, b: Monomial) -> None:
-    if a.table is not b.table and a.table != b.table:
+def _vec(m: Monomial, table: VariableTable) -> tuple[int, ...]:
+    """The exponent tuple of `m`, which must lie over `table`."""
+    if m.table is not table and m.table != table:
         raise ValueError("mismatched variable tables")
+    return m.vec
 
 
 def bits(mask: int) -> list[int]:
@@ -221,14 +221,12 @@ def bits(mask: int) -> list[int]:
 
 def lcm(a: Monomial, b: Monomial) -> Monomial:
     """Least common multiple: coordinatewise max of exponents."""
-    _check_table(a, b)
-    return Monomial(a.table, tuple(map(max, a.vec, b.vec)))
+    return Monomial(a.table, tuple(map(max, a.vec, _vec(b, a.table))))
 
 
 def gcd(a: Monomial, b: Monomial) -> Monomial:
     """Greatest common divisor: coordinatewise min of exponents."""
-    _check_table(a, b)
-    return Monomial(a.table, tuple(map(min, a.vec, b.vec)))
+    return Monomial(a.table, tuple(map(min, a.vec, _vec(b, a.table))))
 
 
 def quotient(a: Monomial, b: Monomial) -> Monomial:
@@ -239,16 +237,18 @@ def quotient(a: Monomial, b: Monomial) -> Monomial:
 
 
 def lcm_all(table: VariableTable, monomials: Iterable[Monomial]) -> Monomial:
-    """lcm of any number of monomials; the empty lcm is the unit monomial."""
-    return reduce(lcm, monomials, Monomial.unit(table))
+    """lcm of any number of monomials, in one coordinatewise max; the empty lcm is the unit."""
+    return Monomial(table, map(max, zip((0,) * len(table), *[_vec(m, table) for m in monomials])))
 
 
 def gcd_all(monomials: Iterable[Monomial]) -> Monomial:
-    """gcd of a nonempty collection of monomials."""
+    """gcd of a nonempty collection of monomials, in one coordinatewise min."""
     monomials = list(monomials)
     if not monomials:
         raise ValueError("gcd of an empty collection is undefined")
-    return reduce(gcd, monomials)
+    first, *rest = monomials
+    vecs = [_vec(m, first.table) for m in rest]
+    return Monomial(first.table, map(min, first.vec, *vecs)) if vecs else first
 
 
 # Field widths of a packed column, with the memoryview format of one field.

@@ -31,9 +31,8 @@ one step, each packed into an integer, hold at most 2^22 degrees in all.  Otherw
 at bit F.  A depth-first walk splits the faces on each plane, 2^13 faces at a
 time, down to one degree per leaf, where K_d is two bit counts: Python code
 runs per leaf, not per face.  `betti` and `taylor` walk all 2^q faces at
-q <= 20; the ps engine answers at q <= 20, or q <= 24 when
-deg lcm(all) < 2^(33 - q), so a walk past q = 20 is never longer than one at
-q = 20.
+q <= 20; the ps engine answers at q <= 24, where past q = 20 the walk takes only
+a deg lcm(all) of at most 33 - q bits, never longer than a walk at q = 20.
 Regularity walks none: it follows from the dominance witnesses, which also
 decide minimality (the complex is minimal exactly for a dominant ideal).
 """
@@ -51,6 +50,7 @@ from .core import (
     Monomial,
     MonomialIdeal,
     bits,
+    lcm,
     lcm_all,
     lcm_columns,
     lcm_levels,
@@ -96,25 +96,25 @@ def _require_dominant(ideal: MonomialIdeal) -> None:
         )
 
 
-@per_ideal  # read by the sweep's plan and by the walk's table: the caps are checked once
-def _ps_columns(ideal: MonomialIdeal) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """deg lcm(all) and the exponent columns, once the ps engine's caps admit the ideal."""
-    _require_small(ideal, PS_Q_MAX)
+@per_ideal  # read by the sweep's plan, the walk's table and the regularity
+def _columns(ideal: MonomialIdeal) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """deg lcm(all) and the exponent columns, one per variable, by generator."""
     exponents = tuple(zip(*[g.vec for g in ideal.gens]))
-    top = sum(map(max, exponents))
-    if ideal.q > Q_MAX and top >> Q_MAX + _BLOCK - ideal.q:
-        raise ResourceCapError(
-            f"ps engine past q = {Q_MAX}: lcm degree {top} is not below 2^({Q_MAX + _BLOCK} - q)"
-        )
-    return top, exponents
+    return sum(map(max, exponents)), exponents
 
 
 def lcm_degree_table(ideal: MonomialIdeal) -> tuple[int, list[int]]:
     """deg lcm(all) and the planes: bit F of `planes[p]` is bit p of deg lcm(all) - deg lcm(F).
 
     Each `core.lcm_levels` level, at 1-bit fields, is ripple-carried in at each bit of its step.
+    Past q = 20 the planes times the 2^(q - 13) slices of a walk stay below those at q = 20.
     """
-    top, exponents = _ps_columns(ideal)
+    _require_small(ideal, PS_Q_MAX)
+    top, exponents = _columns(ideal)
+    if ideal.q > Q_MAX and top >> Q_MAX + _BLOCK - ideal.q:
+        raise ResourceCapError(
+            f"ps engine past q = {Q_MAX}: lcm degree {top} is not below 2^({Q_MAX + _BLOCK} - q)"
+        )
     shifts = [1 << k for k in range(ideal.q)]
     planes = [0] * top.bit_length()  # no face falls short by more than top
     for exps in exponents:
@@ -174,7 +174,7 @@ def _sweep_plan(ideal: MonomialIdeal, cap: float = math.inf) -> tuple[int, list 
     after each step but the last, pass it; and once the states at one step, each a
     histogram packed at deg lcm(all), would hold more than 2^22 digits.
     """
-    top, columns = _ps_columns(ideal)  # the caps, before any work
+    top, columns = _columns(ideal)
     gens, q = ideal.gens, ideal.q
     uses = [q - column.count(0) for column in columns]  # generators still to come
     # the variables in every generator are live after each step but the last, in any order
@@ -266,6 +266,7 @@ def taylor_numerator(ideal: MonomialIdeal) -> tuple[tuple[int, int], ...]:
     Past q = 13 the frontier sweep sums it when its state bound is at most 2^(q - 7);
     the sliced walk counts it otherwise.
     """
+    _require_small(ideal, PS_Q_MAX)  # the sweep's 32-bit digits and the walk's planes
     steps = _sweep_plan(ideal, cap=1 << ideal.q - 7)[1] if ideal.q > _BLOCK else None
     counts = _walk(ideal) if steps is None else _sweep(steps)
     return tuple(item for item in sorted(counts.items()) if item[1])
@@ -408,9 +409,8 @@ def differential_coefficient(
             f"removed position {removed_position} out of range for a face of size {len(members)}"
         )
     removed = members[removed_position - 1]
-    face = lcm_all(ideal.ring, (ideal.gens[i] for i in members))
     facet = lcm_all(ideal.ring, (ideal.gens[i] for i in members if i != removed))
-    return (1 if removed_position % 2 else -1), quotient(face, facet)
+    return (1 if removed_position % 2 else -1), quotient(lcm(facet, ideal.gens[removed]), facet)
 
 
 class BettiTable(NamedTuple):
@@ -450,4 +450,4 @@ def regularity_dominant(ideal: MonomialIdeal) -> int:
     """
     if not is_dominant(ideal):
         raise UnsupportedError("regularity via the Taylor complex needs a dominant ideal")
-    return sum(map(max, zip(*(g.vec for g in ideal.gens)))) - ideal.q
+    return _columns(ideal)[0] - ideal.q

@@ -711,6 +711,17 @@ def test_check_disagreement_exits_five(capsys, monkeypatch):
     assert doc["agreement"] is False
 
 
+def test_check_reuses_the_answer_of_the_chosen_route(capsys, monkeypatch):
+    # `--method oracle --check` checks the oracle's own answer against ps: one oracle run, not two
+    calls, oracle = [], cli.multiplicity_associativity
+    monkeypatch.setattr(cli, "multiplicity_associativity", lambda i: calls.append(i) or oracle(i))
+    text = "x^100, y^100, z^30, x*y*z"
+    code, (doc,) = run_cli(capsys, "multiplicity", "--ideal", text, "--method", "oracle", "--check")
+    assert code == 0 and doc["method"] == "oracle" and doc["agreement"] is True
+    assert doc["checks"] == [{"method": "ps", "value": 15771}, {"method": "oracle", "value": 15771}]
+    assert len(calls) == 1
+
+
 def test_regularity_disagreement_exits_five_with_its_document(capsys, monkeypatch):
     original = cli.reg_quadratic_dominant
     monkeypatch.setattr(cli, "reg_quadratic_dominant", lambda ideal: original(ideal) + 1)

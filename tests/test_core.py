@@ -63,6 +63,23 @@ def test_gcd_examples():
     assert gcd(mono("a^2*b"), mono("a*b^2")) == mono("a*b")
 
 
+def test_lcm_all_and_gcd_all_build_one_monomial(monkeypatch):
+    # one coordinatewise fold over the checked exponent tuples, not one Monomial per operand;
+    # the gcd of one monomial is that monomial
+    ms = [mono(text) for text in ("a^2*b", "b^3*c", "a*c^4*d", "b*e^2", "a^5")]
+    top, unit = mono("a^5*b^3*c^4*d*e^2"), Monomial.unit(ABCDE)
+    built, init = [], Monomial.__init__
+    monkeypatch.setattr(Monomial, "__init__", lambda m, *args: built.append(m) or init(m, *args))
+    assert lcm_all(ABCDE, ms) == top and len(built) == 1
+    assert gcd_all(ms[:3]) == unit and len(built) == 2
+    assert gcd_all(ms[:1]) is ms[0] and len(built) == 2
+    assert lcm_all(ABCDE, []) == unit and len(built) == 3
+    other = Monomial.from_map(VariableTable(("x", "y")), {0: 1})
+    for fold in (lambda xs: lcm_all(ABCDE, xs), gcd_all):
+        with pytest.raises(ValueError, match="^mismatched variable tables$"):
+            fold([*ms, other])
+
+
 def test_quotient_examples():
     assert quotient(mono("a^3*b*c*e^3"), mono("a^3*c")) == mono("b*e^3")
     assert quotient(mono("a^2*b"), mono("a^2*b")).is_unit

@@ -27,12 +27,14 @@ from multmon import (
     gcd_all,
     is_dominant,
     minimalize,
+    multiplicity_associativity,
     multiplicity_ps,
     parse_ideal,
     quadratic_dominant_data,
     reg_quadratic_dominant,
     regularity_dominant,
 )
+from multmon import cli
 from multmon.generate import make_table
 
 from generators import (
@@ -193,6 +195,18 @@ def test_find_ci_split_examples():
     assert [str(ideal.gens[i]) for i in split.free] == ["x*y^2"]
 
     assert find_ci_split(parse_ideal("a^2*b, b^2*c, c^2*a")) is None
+
+
+def test_find_ci_split_exhausts_its_search():
+    # a 5-cycle holds at most 2 pairwise-coprime generators, and a*b*c 1 more, against codim 4;
+    # the 4 smallest supports fill the 8 variables, so the bound admits it and the search runs out
+    ideal = parse_ideal("x0^2*x1, x1^2*x2, x2^2*x3, x3^2*x4, x4^2*x0, a*b*c")
+    assert is_dominant(ideal) and codim(ideal) == 4 and len(ideal.used_variables()) == 8
+    assert find_ci_split(ideal) is None
+    with pytest.raises(HypothesisError, match="^no pairwise-coprime subset of size codim exists$"):
+        e_structural(ideal)
+    assert next(cli._answers(ideal, cli.AUTO_METHODS)) == ("ps", 30)  # `auto` goes past structural
+    assert multiplicity_associativity(ideal) == 30
 
 
 def _pairwise_coprime(supports):

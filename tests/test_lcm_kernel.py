@@ -392,15 +392,50 @@ def test_power_sum_on_cycle_20_takes_under_a_second():
         multiplicity_ps(parse_ideal(cycle(25)))
 
 
+# every variable in every generator: the sweep's bound is far past 2^(21 - 7), so only a walk
+# could count it, and its deg lcm(all) = 4590 is past the walk's 2^(33 - 21) at q = 21
+DENSE_21 = ", ".join(
+    "*".join(f"x{v}^{10 * ((i + 1) * (v + 1) % 23) + 10}" for v in range(20)) for i in range(21)
+)
+
+
 @pytest.mark.parametrize("q, exponent", [(21, 195), (24, 21)])
 def test_past_q_20_the_lcm_degree_stays_below_2_to_the_33_minus_q(q, exponent):
-    # deg lcm(all) = q * exponent is 4095 and 504, then 4116 and 528 past the bound
+    # deg lcm(all) = q * exponent is 4095 and 504, then 4116 and 528 past the bound: the walk's
+    # table refuses those, but pure powers are a complete intersection, which the sweep sums
     def powers(e: int) -> str:
         return ", ".join(f"x{i}^{e}" for i in range(q))
 
     assert multiplicity_ps(parse_ideal(powers(exponent))) == exponent**q
+    past = parse_ideal(powers(exponent + 1))
+    assert multiplicity_ps(past) == (exponent + 1) ** q
+    window = r"^ps engine past q = 20: lcm degree {} is not below 2\^\(33 - q\)$"
+    with pytest.raises(ResourceCapError, match=window.format(q * (exponent + 1))):
+        lcm_degree_table(past)
+    with pytest.raises(ResourceCapError, match=window.format(4590)):
+        multiplicity_ps(parse_ideal(DENSE_21))
+
+
+@pytest.mark.parametrize(
+    "text, e, oracle",
+    [
+        (", ".join(f"x{i}^200*x{(i + 1) % 21}" for i in range(21)), 4200, True),
+        (", ".join(f"x{i}^30*x{(i + 1) % 24}" for i in range(24)), 2, True),
+        (", ".join(f"x{i}^1000*x{(i + 1) % 22}" for i in range(22)), 2, False),
+        (", ".join(f"a{i}^30*b{i}, b{i}^30*c{i}, c{i}^30*a{i}" for i in range(8)), 90**8, False),
+    ],
+)
+def test_the_sweep_sums_ideals_past_the_walks_lcm_degree_window(text, e, oracle):
+    # q = 21-24 with deg lcm(all) >= 2^(33 - q): the walk's table refuses them, but they are
+    # inside the sweep's own bounds, so the engine answers
+    ideal = parse_ideal(text)
     with pytest.raises(ResourceCapError, match=r"2\^\(33 - q\)"):
-        multiplicity_ps(parse_ideal(powers(exponent + 1)))
+        lcm_degree_table(ideal)
+    start = perf_counter()
+    assert multiplicity_ps(ideal) == e
+    assert perf_counter() - start < 1.0
+    if oracle:
+        assert multiplicity_associativity(ideal) == e
 
 
 @pytest.mark.parametrize(
