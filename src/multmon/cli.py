@@ -77,6 +77,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="multmon", description=__doc__)
     parser.add_argument("--version", action="version", version=f"multmon {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = {}  # name -> its subparser, which `main` calls directly
 
     def add_common(p: _Parser) -> None:
         p.add_argument("--ideal", help="ideal text, e.g. \"a^2*b, b^3*c\"")
@@ -87,7 +88,7 @@ def _build_parser() -> _Parser:
         fmt.add_argument("--pretty", action="store_true", help="human-readable rendering")
 
     for name in COMMANDS:
-        p = sub.add_parser(name)
+        p = parser.commands[name] = sub.add_parser(name)
         add_common(p)
         if name == "multiplicity":
             p.add_argument("--method", choices=("auto", *METHODS), default="auto")
@@ -161,10 +162,9 @@ def _betti_runs(resolution: TaylorResolution) -> Iterator[tuple[int, int, list[s
     """(hdeg, degree, labels) of the faces of each hdeg and degree, in entry order."""
     degrees, labels = resolution.degrees, resolution.labels
     for hdeg, masks in enumerate(face_levels(resolution.ideal.q)):
-        faces = sorted(masks, key=labels.__getitem__)
-        faces.sort(key=degrees.__getitem__)  # stable: by degree, then label
+        faces = sorted(masks, key=degrees.__getitem__)  # labels are sorted only within a run
         for d, run in groupby(faces, degrees.__getitem__):
-            yield hdeg, d, list(map(labels.__getitem__, run))
+            yield hdeg, d, sorted(map(labels.__getitem__, run))
 
 
 def _result_for(
@@ -213,8 +213,8 @@ def _result_for(
         for hdeg, d, run in _betti_runs(resolution):  # one text per (hdeg, degree)
             head, tail = f'{{"hdeg": {hdeg}, "mdeg": "', f'", "degree": {d}, "count": 1}}'
             parts += [", " if graded else "", head, f"{tail}, {head}".join(run), tail]
-            graded.append({"hdeg": hdeg, "degree": d, "count": len(run)})
-        parts.append(f'], "graded": {json.dumps(graded)}, "ranks": {json.dumps(ranks)}}}')
+            graded.append(f'{{"hdeg": {hdeg}, "degree": {d}, "count": {len(run)}}}')
+        parts.append(f'], "graded": [{", ".join(graded)}], "ranks": {json.dumps(ranks)}}}')
         return _Raw(parts), "taylor", [], None
 
     if command == "taylor":
@@ -458,8 +458,14 @@ def _dispatch(args) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        # a command's own parser skips the top-level pass; any other list takes that pass
+        if argv and argv[0] in parser.commands:
+            args = parser.commands[argv[0]].parse_args(argv[1:])
+            args.command = argv[0]
+        else:
+            args = parser.parse_args(argv)
         return _dispatch(args)
     except Exception as exc:
         if isinstance(exc, MultmonError):

@@ -115,9 +115,11 @@ def parse_ideal_detailed(text: str, var_names: Sequence[str] | None = None) -> P
         for name, e in factors.items():
             try:
                 vec[table.index(name)] = e
-            except KeyError:
+            except KeyError:  # the scan kept no offsets: find the name's first use as a factor
+                uses = re.finditer(rf"#[^\n]*|(?<!\w){name}(?!\w)", text)
+                at = next(m.start() for m in uses if m[0] == name)
                 message = f"variable {name!r} is not in the declared list"
-                raise ParseError("unknown-variable", message) from None
+                raise _error(text, at, "unknown-variable", message) from None
         raw.append(Monomial(table, tuple(vec)))
     ideal = minimalize(table, raw)
     kept = {g.vec for g in ideal.gens}

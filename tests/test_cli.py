@@ -14,6 +14,7 @@ import sys
 import time
 from functools import reduce
 from itertools import groupby
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -21,13 +22,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import multmon.cli as cli
+from generators import (
+    random_aci,
+    random_dominant_with_split,
+    random_quadratic_dominant,
+    random_stem_ideal,
+)
 from multmon import (
     HypothesisError,
     Monomial,
     VariableTable,
+    __version__,
     is_dominant,
     lcm,
     minimalize,
+    minimal_resolution,
     multiplicity_ps,
     parse_ideal,
     taylor_resolution,
@@ -294,6 +303,43 @@ def test_taylor_documents_of_non_dominant_ideals_match_a_per_face_reference(caps
         assert lines[start + 1 : -2] == expected, text
         assert re.fullmatch(r"time: [0-9.]+ ms", lines[-2]) and lines[-1] == "", text
     assert shared > len(ideals) // 2
+
+
+def _betti_runs_by_a_full_sort(resolution):
+    """Reference runs: every label of a level sorted, then a stable sort on degree, then grouped."""
+    degrees, labels = resolution.degrees, resolution.labels
+    q = resolution.ideal.q
+    for hdeg in range(q + 1):
+        faces = sorted((m for m in range(1 << q) if bin(m).count("1") == hdeg), key=labels.__getitem__)
+        faces.sort(key=degrees.__getitem__)
+        for d, run in groupby(faces, degrees.__getitem__):
+            yield hdeg, d, [labels[m] for m in run]
+
+
+_randoms = st.randoms(use_true_random=False)
+dominant_ideals = st.one_of(
+    _randoms.map(lambda rng: random_stem_ideal(rng, max_total_gens=10)),
+    # square-free stems: within a block every face of one size has one degree
+    _randoms.map(lambda rng: random_stem_ideal(rng, max_exp=1, max_total_gens=10)),
+    _randoms.map(random_quadratic_dominant),
+    _randoms.map(random_dominant_with_split),
+    _randoms.map(lambda rng: random_aci(rng, dominant=True)),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(dominant_ideals)
+def test_betti_runs_keep_the_order_of_a_full_label_sort(ideal):
+    assert is_dominant(ideal)
+    q, resolution = ideal.q, minimal_resolution(ideal)
+    runs = list(cli._betti_runs(resolution))
+    assert runs == list(_betti_runs_by_a_full_sort(resolution))
+    code, out = _quiet_main("betti", "--ideal", str(ideal), "--vars", ",".join(ideal.ring.names))
+    assert code == 0
+    graded = json.loads(out)["result"]["graded"]
+    assert [(g["hdeg"], g["degree"], g["count"]) for g in graded] == [(h, d, len(r)) for h, d, r in runs]
+    for hdeg in range(q + 1):
+        assert sum(g["count"] for g in graded if g["hdeg"] == hdeg) == comb(q, hdeg)
 
 
 def test_taylor_renders_faster_than_one_fstring_per_face(capsys, monkeypatch):
@@ -584,6 +630,16 @@ def test_batch_mode_checks_vars_once(tmp_path, capsys):
     assert code == 0 and [doc["input"]["vars"] for doc in docs] == [["b", "a"]] * 3
 
 
+def test_batch_mode_places_an_undeclared_variable(tmp_path, capsys):
+    batch = tmp_path / "ideals.txt"
+    batch.write_text("a*b\n  a*b, c^2  # c is not declared\n")
+    code, docs = run_cli(capsys, "codim", "--file", str(batch), "--vars", "a,b")
+    assert code == 1 and docs[0]["result"]["codim"] == 1
+    error = docs[1]["error"]
+    assert error["code"] == "unknown-variable" and error["exit_code"] == 1
+    assert (error["line"], error["column"]) == (1, 6)  # on the stripped line "a*b, c^2"
+
+
 def test_batch_mode_drops_a_leading_byte_order_mark(tmp_path, capsys):
     # the mark stayed in line 1: a syntax error at column 1, exit 1
     batch = tmp_path / "ideals.txt"
@@ -753,6 +809,38 @@ def test_readme_library_example_runs():
 
 def test_parser_is_built_once():
     assert cli._build_parser() is cli._build_parser()
+
+
+def test_top_level_arguments_keep_their_outcomes(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["--version"])
+    assert info.value.code == 0 and capsys.readouterr().out == f"multmon {__version__}\n"
+    assert cli.main([]) == 1
+    assert "the following arguments are required: command" in capsys.readouterr().err
+    assert cli.main(["nosuch", "--ideal", "x"]) == 1
+    assert "invalid choice: 'nosuch'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as info:
+        cli.main(["betti", "-h"])
+    assert info.value.code == 0 and capsys.readouterr().out.startswith("usage: multmon betti")
+    assert cli.main(["multiplicity", "--ideal", "x", "--method", "bogus"]) == 1
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["multiplicity", "--ideal", "x^2, y^3", "--method", "ps", "--check", "--pretty"],
+    ["codim", "--file", "ideals.txt", "--vars", "a,b"],
+    ["classify", "--ideal", "a*b", "--json"],
+    ["betti", "--pretty", "--ideal", "a*b, c"],
+    ["taylor", "--ideal", "x", "--vars", "x,y"],
+    ["diagram", "--ideal", "a^2*b"],
+    ["verify", "--random", "--seed", "3", "--cases", "5", "--pretty"],
+    ["regularity", "--vars", "b,a", "--ideal", "a*b"],
+])
+def test_a_command_parses_to_the_namespace_of_the_top_level_parser(argv, monkeypatch):
+    parsed = []
+    monkeypatch.setattr(cli, "_dispatch", lambda args: parsed.append(args) or 0)
+    assert cli.main(argv) == 0
+    assert parsed == [cli._build_parser().parse_args(argv)]  # `command` included
 
 
 def test_forced_method_does_not_leak_into_the_next_call(capsys):

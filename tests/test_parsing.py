@@ -89,13 +89,16 @@ ERROR_SITES = [
     ("y*x^999999999999", "exponent-too-large", f"exponent of 12 digits exceeds the {CAP} cap",
      1, 5),
     ("# only\n  ", "empty-ideal", "no generators found", 2, 3),
+    # parsed with the declared list ("a", "b"): the first use of the undeclared name
+    ("a*b, c^2", "unknown-variable", "variable 'c' is not in the declared list", 1, 6),
+    ("a # note\n , b*zz", "unknown-variable", "variable 'zz' is not in the declared list", 2, 6),
 ]
 
 
 @pytest.mark.parametrize("text, code, message, line, column", ERROR_SITES)
 def test_error_sites(text, code, message, line, column):
     with pytest.raises(ParseError) as info:
-        parse_ideal(text)
+        parse_ideal(text, ("a", "b") if code == "unknown-variable" else None)
     assert info.value.code == code
     assert str(info.value) == f"{message} (line {line}, column {column})"
     assert (info.value.line, info.value.column) == (line, column)
