@@ -12,9 +12,10 @@ exponent level, the faces whose lcm lies below it, as one integer with a
 fixed-width field per generator bitmask, so the 2^q faces cost a few
 big-integer operations per generator, not a Python loop per face.
 `lcm_columns` turns the levels into packed exponent columns, which
-`subset_lcms` unpacks into exponent tuples; `taylor.lcm_degree_table` adds
-them at width 1 into the bit planes of each face's shortfall.  Supports, covers
-and faces are bitmasks, and `bits` lists a mask's set bits for every module.
+`subset_lcms` streams as exponent tuples; `taylor.lcm_degree_table` adds
+them at width 1 into the bit planes of each face's shortfall.  No q is capped
+here: each route caps its own.  Supports, covers and faces are bitmasks, and
+`bits` lists a mask's set bits for every module.
 
 Everything here is an immutable value; operations return fresh objects.
 """
@@ -49,8 +50,6 @@ __all__ = [
 MAX_EXPONENT = 2**31
 # Most slot labels `polar_sets` builds for one ideal: the sum of generator degrees.
 POLAR_LABEL_CAP = 10**5
-# Most generators whose 2^q subset lcms are listed or counted (`subset_lcms`, the ps engine).
-PS_Q_MAX = 24
 # The input grammar's `var` token, and so the only names a `VariableTable` holds.
 VAR_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
@@ -255,24 +254,25 @@ def gcd_all(monomials: Iterable[Monomial]) -> Monomial:
 _FIELD_FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
 
-def lcm_columns(gens: Sequence[Monomial]) -> tuple[int, Iterator[int]]:
-    """Per variable, its exponent in each subset lcm of `gens`, as one packed column.
+def lcm_columns(exponents: Sequence[Sequence[int]]) -> tuple[int, Iterator[int]]:
+    """Per variable, its exponent in each subset lcm of q generators, as one packed column.
 
-    `gens` is nonempty.  Returns the field width and an iterator over the
-    columns in table order, built one at a time: field `mask` (bits
+    `exponents` holds one column per variable, `exponents[v][k]` generator k's
+    exponent of v, with q >= 1.  Returns the field width and an iterator over
+    the packed columns in that order, built one at a time: field `mask` (bits
     `mask * width` up to `(mask + 1) * width`) holds the exponent in the lcm
     of `mask`, and a variable no generator uses has the column 0.  The width
     is the narrowest of 8, 16, 32 and 64 bits holding deg lcm(all);
     exponents are at most `MAX_EXPONENT`.
     """
-    exponents, q = list(zip(*[g.vec for g in gens])), len(gens)
+    q = len(exponents[0])
     top = sum(map(max, exponents))
     width = next(w for w in _FIELD_FORMATS if not top >> w)  # ascending widths
     ones = ((1 << (width << q)) - 1) // ((1 << width) - 1)  # 1 in each of the 2^q fields
     return width, _columns(exponents, [width << k for k in range(q)], ones)
 
 
-def _columns(exponents: list[tuple[int, ...]], shifts: list[int], ones: int) -> Iterator[int]:
+def _columns(exponents: Sequence[Sequence[int]], shifts: list[int], ones: int) -> Iterator[int]:
     """Each variable's top in every field, less the `lcm_levels` step * z below it."""
     for exps in exponents:
         column = max(exps) * ones
@@ -305,16 +305,14 @@ def unpack_fields(packed: int, width: int, q: int) -> memoryview:
     return memoryview(data).cast(_FIELD_FORMATS[width])
 
 
-def subset_lcms(table: VariableTable, gens: Sequence[Monomial]) -> list[tuple[int, ...]]:
-    """The lcm exponent tuple of every subset of `gens`, by bitmask; entry 0 is all zeros."""
-    q = len(gens)
-    if q > PS_Q_MAX:
-        raise ResourceCapError(f"subset lcms of {q} generators exceed the q <= {PS_Q_MAX} cap")
+def subset_lcms(table: VariableTable, gens: Sequence[Monomial]) -> Iterator[tuple[int, ...]]:
+    """The lcm exponent tuple of each subset of `gens` by bitmask, from all zeros, as a stream."""
     if not gens:
-        return [(0,) * len(table)]
-    width, columns = lcm_columns(gens)
+        return iter([(0,) * len(table)])
+    q = len(gens)
+    width, columns = lcm_columns(list(zip(*[g.vec for g in gens])))
     zero = unpack_fields(0, width, q)  # shared by the variables no generator uses
-    return list(zip(*[unpack_fields(col, width, q) if col else zero for col in columns]))
+    return zip(*[unpack_fields(col, width, q) if col else zero for col in columns])
 
 
 class MonomialIdeal(_Frozen):

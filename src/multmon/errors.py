@@ -33,12 +33,13 @@ class ParseError(MultmonError):
 
     `code` is a stable machine-readable discriminator: one of "syntax",
     "zero-exponent", "exponent-too-large", "empty-ideal", "unknown-variable".
+    A fault outside the text (in an explicit name list) has `line` and `column` None.
     """
 
     exit_code = 1
 
-    def __init__(self, code: str, message: str, line: int = 1, column: int = 1):
-        super().__init__(f"{message} (line {line}, column {column})")
+    def __init__(self, code: str, message: str, line: int | None = 1, column: int | None = 1):
+        super().__init__(message if line is None else f"{message} (line {line}, column {column})")
         self.code = code
         self.line = line
         self.column = column

@@ -11,7 +11,7 @@ from math import prod
 from typing import NamedTuple
 
 from .core import Monomial, MonomialIdeal, bits, gcd, gcd_all, per_ideal, subset_lcms
-from .errors import HypothesisError, InternalConsistencyError
+from .errors import HypothesisError, InternalConsistencyError, ResourceCapError
 from .invariants import (
     codim,
     is_almost_complete_intersection,
@@ -37,6 +37,8 @@ __all__ = [
     "e_aci",
     "aci_dominant_witness",
 ]
+
+_FREE_MAX = 24  # the most free generators of a structural split, whose 2^f subset lcms are walked
 
 
 def e_codim1(ideal: MonomialIdeal) -> int:
@@ -183,12 +185,14 @@ def find_ci_split(ideal: MonomialIdeal) -> CISplit | None:
 
 
 def structural_split(ideal: MonomialIdeal) -> CISplit:
-    """The split the structural identity runs on: `find_ci_split`'s, for a dominant ideal only."""
+    """The split both structural routes run on: `find_ci_split`'s, for a dominant ideal only."""
     if not is_dominant(ideal):  # cached and cheap; the split search is not
         raise HypothesisError("the structural formula requires a dominant ideal")
     split = find_ci_split(ideal)
     if split is None:
         raise HypothesisError("no pairwise-coprime subset of size codim exists")
+    if (f := len(split.free)) > _FREE_MAX:  # the routes walk 2^f subset lcms
+        raise ResourceCapError(f"subset lcms of {f} generators exceed the q <= {_FREE_MAX} cap")
     return split
 
 

@@ -108,7 +108,7 @@ def parse_ideal_detailed(text: str, var_names: Sequence[str] | None = None) -> P
     try:
         table = VariableTable(tuple(var_names))
     except ValueError as exc:  # an explicit name list: empty, or with a non-token or repeated name
-        raise ParseError("syntax", str(exc)) from None
+        raise ParseError("syntax", str(exc), None, None) from None
     raw = []
     for factors in factor_maps:
         vec = [0] * len(table)

@@ -46,7 +46,6 @@ from operator import add, itemgetter
 from typing import NamedTuple
 
 from .core import (
-    PS_Q_MAX,
     Monomial,
     MonomialIdeal,
     bits,
@@ -78,6 +77,7 @@ __all__ = [
 ]
 
 Q_MAX = 20
+PS_Q_MAX = 24  # the ps engine's cap: the sweep's 32-bit digits and the walk's planes
 _BLOCK = 13  # the walk takes 2^13 faces at a time; at q <= 13 it beats the sweep
 _UNSTARRED = itemgetter(slice(1, None))  # a label less its leading "*"
 
@@ -96,7 +96,7 @@ def _require_dominant(ideal: MonomialIdeal) -> None:
         )
 
 
-@per_ideal  # read by the sweep's plan, the walk's table and the regularity
+@per_ideal  # read by the sweep's plan, the walk's table, the labels and the regularity
 def _columns(ideal: MonomialIdeal) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """deg lcm(all) and the exponent columns, one per variable, by generator."""
     exponents = tuple(zip(*[g.vec for g in ideal.gens]))
@@ -266,7 +266,7 @@ def taylor_numerator(ideal: MonomialIdeal) -> tuple[tuple[int, int], ...]:
     Past q = 13 the frontier sweep sums it when its state bound is at most 2^(q - 7);
     the sliced walk counts it otherwise.
     """
-    _require_small(ideal, PS_Q_MAX)  # the sweep's 32-bit digits and the walk's planes
+    _require_small(ideal, PS_Q_MAX)
     steps = _sweep_plan(ideal, cap=1 << ideal.q - 7)[1] if ideal.q > _BLOCK else None
     counts = _walk(ideal) if steps is None else _sweep(steps)
     return tuple(item for item in sorted(counts.items()) if item[1])
@@ -340,7 +340,7 @@ class TaylorResolution:
 
     @cached_property
     def mdegs(self) -> list[tuple[int, ...]]:
-        return subset_lcms(self.ideal.ring, self.ideal.gens)
+        return list(subset_lcms(self.ideal.ring, self.ideal.gens))
 
     def ranks(self) -> tuple[int, ...]:
         q = self.ideal.q
@@ -356,15 +356,15 @@ def taylor_resolution(ideal: MonomialIdeal) -> TaylorResolution:
     key would overflow a field or the table pass 256; a label joins its groups' texts.
     """
     _require_small(ideal, Q_MAX)
-    q, gens, names = ideal.q, ideal.gens, ideal.ring.names
-    width, columns = lcm_columns(gens)
+    q, names, exponents = ideal.q, ideal.ring.names, _columns(ideal)[1]
+    width, columns = lcm_columns(exponents)
     total, groups, key, radix, table = 0, [], 0, 1, {0: ""}
-    for v, col in enumerate(columns):
+    for name, exps, col in zip(names, exponents, columns):
         if not col:
             continue  # a variable no generator uses
         total += col
-        token = {e: f"*{names[v]}^{e}" for e in {g.vec[v] for g in gens}}
-        token.update({0: "", 1: f"*{names[v]}"})
+        token = {e: f"*{name}^{e}" for e in set(exps)}
+        token.update({0: "", 1: f"*{name}"})
         top = max(token)
         if radix * (top + 1) - 1 >> width or len(table) * len(token) > 256:
             groups.append(map(table.__getitem__, unpack_fields(key, width, q)))

@@ -81,7 +81,7 @@ EXPONENTS = (1, 2, 3, 5, 127, 128, 255, 256, 32767, 32768, 65535, 65536, 2**31 -
 
 
 def field_width(ideal: MonomialIdeal) -> int:
-    width, _ = lcm_columns(ideal.gens)
+    width, _ = lcm_columns(list(zip(*[g.vec for g in ideal.gens])))
     return width
 
 
@@ -122,7 +122,7 @@ def signed_histogram(degrees: list[int]) -> tuple[tuple[int, int], ...]:
 def check(ideal: MonomialIdeal) -> None:
     folds = folded_lcms(ideal)
     degrees = [m.degree for m in folds]
-    width, columns = lcm_columns(ideal.gens)
+    width, columns = lcm_columns(list(zip(*[g.vec for g in ideal.gens])))
     columns = list(columns)
     assert len(columns) == len(ideal.ring), str(ideal)
     for v, column in enumerate(columns):
@@ -132,7 +132,7 @@ def check(ideal: MonomialIdeal) -> None:
     assert top == degrees[-1] and len(planes) == top.bit_length(), str(ideal)
     assert shortfalls(planes, ideal.q) == [top - d for d in degrees], str(ideal)
     assert taylor_numerator(ideal) == signed_histogram(degrees), str(ideal)
-    assert subset_lcms(ideal.ring, ideal.gens) == [m.vec for m in folds], str(ideal)
+    assert list(subset_lcms(ideal.ring, ideal.gens)) == [m.vec for m in folds], str(ideal)
     resolution = taylor_resolution(ideal)
     assert resolution.degrees == degrees, str(ideal)
     assert resolution.labels == [str(m) for m in folds], str(ideal)

@@ -107,7 +107,7 @@ def test_labels_and_degrees_match_the_lcms_at_every_width(case):
     width, ideal = case
     assert field_width(ideal) == width and len(ideal.used_variables()) < len(ideal.ring)
     resolution = taylor_resolution(ideal)
-    mdegs = subset_lcms(ideal.ring, ideal.gens)
+    mdegs = list(subset_lcms(ideal.ring, ideal.gens))
     assert resolution.labels == [str(Monomial(ideal.ring, vec)) for vec in mdegs], str(ideal)
     assert resolution.degrees == [sum(vec) for vec in mdegs], str(ideal)
 

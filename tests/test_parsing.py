@@ -135,6 +135,16 @@ def test_explicit_variable_order():
         with pytest.raises(ParseError) as info:
             parse_ideal("a", var_names=names)
         assert info.value.code == "syntax", names
+    # a fault in the name list has no place in the text
+    for names, message in (
+        (("a", "a", "b", "c"), "duplicate variable name 'a'"),
+        (("a", "1b"), "'1b' is not a valid variable name"),
+        ((), "a variable table needs at least one variable"),
+    ):
+        with pytest.raises(ParseError) as info:
+            parse_ideal("a*b, c", var_names=names)
+        assert (info.value.code, str(info.value)) == ("syntax", message), names
+        assert info.value.line is info.value.column is None, names
     with pytest.raises(ParseError) as info:
         parse_ideal("c", var_names=("a", "b"))
     assert info.value.code == "unknown-variable"

@@ -21,6 +21,7 @@ from multmon import (
     betti_table,
     codim,
     differential_coefficient,
+    e_structural,
     is_dominant,
     lcm,
     lcm_degree_table,
@@ -30,6 +31,7 @@ from multmon import (
     polar_set,
     ps_power_sum,
     regularity_dominant,
+    structural_terms,
     taylor_resolution,
 )
 from multmon import cli, core, taylor
@@ -70,7 +72,7 @@ def test_subset_lcms_and_degree_table_match_a_folded_lcm():
     ideals += [parse_ideal("x^5"), parse_ideal("x^3, y^2*z, x*z^4, w")]
     assert any(ideal.used_variables() != tuple(range(len(ideal.ring))) for ideal in ideals)
     for ideal in ideals:
-        lcms = subset_lcms(ideal.ring, ideal.gens)
+        lcms = list(subset_lcms(ideal.ring, ideal.gens))
         top, planes = lcm_degree_table(ideal)
         table = shortfalls(planes, ideal.q)
         unit = Monomial.unit(ideal.ring)
@@ -95,7 +97,7 @@ def test_resolution_labels_and_degrees_match_the_monomials():
         assert resolution.degrees == [top - t for t in shortfalls(planes, ideal.q)], str(ideal)
         monomials = [Monomial(ideal.ring, vec) for vec in resolution.mdegs]
         assert resolution.labels == [str(m) for m in monomials], str(ideal)
-        assert resolution.mdegs == subset_lcms(ideal.ring, ideal.gens)
+        assert resolution.mdegs == list(subset_lcms(ideal.ring, ideal.gens))
     assert resolution.labels[-1] == "z^12*x^10*y^10"
 
 
@@ -474,8 +476,10 @@ def test_generator_cap():
     text = ", ".join(f"x{i}^2" for i in range(21))
     with pytest.raises(ResourceCapError, match="20"):
         taylor_resolution(parse_ideal(text))
-    many = parse_ideal(", ".join(f"x{i}^2" for i in range(25)))
-    with pytest.raises(ResourceCapError, match="^subset lcms of 25 generators exceed the q <= 24 cap$"):
-        subset_lcms(many.ring, many.gens)
+    # the structural routes' own cap: the 50-cycle has 25 free generators
+    cycle = parse_ideal(", ".join(f"x{i}^2*x{(i + 1) % 50}" for i in range(50)))
+    for route in (e_structural, structural_terms):
+        with pytest.raises(ResourceCapError, match="^subset lcms of 25 generators exceed the q <= 24 cap$"):
+            route(cycle)
     with pytest.raises(ResourceCapError, match="24"):
         ps_power_sum(parse_ideal(", ".join(f"x{i}^2" for i in range(25))), 1)
