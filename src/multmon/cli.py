@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import random
 import sys
 import time
 from itertools import groupby
@@ -43,7 +42,6 @@ from .formulas import (
     is_quadratic_dominant,
     reg_quadratic_dominant,
 )
-from .generate import random_ideal
 from .invariants import classify, codim, is_dominant
 from .oracle import multiplicity_associativity
 from .parsing import parse_ideal_detailed
@@ -74,34 +72,36 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def _build_parser() -> _Parser:
+    """The top-level parser, for a list that does not start with a command: it names them."""
     parser = _Parser(prog="multmon", description=__doc__)
     parser.add_argument("--version", action="version", version=f"multmon {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    parser.commands = {}  # name -> its subparser, which `main` calls directly
-
-    def add_common(p: _Parser) -> None:
-        p.add_argument("--ideal", help="ideal text, e.g. \"a^2*b, b^3*c\"")
-        p.add_argument("--file", help="batch file: one ideal per line, '#' comments")
-        p.add_argument("--vars", help="explicit comma-separated variable order")
-        fmt = p.add_mutually_exclusive_group()
-        fmt.add_argument("--json", action="store_true", help="structured output (default)")
-        fmt.add_argument("--pretty", action="store_true", help="human-readable rendering")
-
-    for name in COMMANDS:
-        p = parser.commands[name] = sub.add_parser(name)
-        add_common(p)
-        if name == "multiplicity":
-            p.add_argument("--method", choices=("auto", *METHODS), default="auto")
-            p.add_argument(
-                "--check",
-                action="store_true",
-                help="cross-check multiplicity with engine and oracle",
-            )
-        if name == "verify":
-            p.add_argument("--random", action="store_true", help="verify seeded random ideals")
-            p.add_argument("--seed", type=int, default=0, help="seed for --random")
-            p.add_argument("--cases", type=int, default=100, help="case count for --random")
+    parser.add_argument("command", choices=COMMANDS)
     return parser
+
+
+@functools.cache
+def _command_parser(name: str) -> _Parser:
+    """One command's parser, built the first time a list that starts with the command arrives."""
+    p = _Parser(prog=f"multmon {name}")
+    p.set_defaults(command=name)
+    p.add_argument("--ideal", help="ideal text, e.g. \"a^2*b, b^3*c\"")
+    p.add_argument("--file", help="batch file: one ideal per line, '#' comments")
+    p.add_argument("--vars", help="explicit comma-separated variable order")
+    fmt = p.add_mutually_exclusive_group()
+    fmt.add_argument("--json", action="store_true", help="structured output (default)")
+    fmt.add_argument("--pretty", action="store_true", help="human-readable rendering")
+    if name == "multiplicity":
+        p.add_argument("--method", choices=("auto", *METHODS), default="auto")
+        p.add_argument(
+            "--check",
+            action="store_true",
+            help="cross-check multiplicity with engine and oracle",
+        )
+    if name == "verify":
+        p.add_argument("--random", action="store_true", help="verify seeded random ideals")
+        p.add_argument("--seed", type=int, default=0, help="seed for --random")
+        p.add_argument("--cases", type=int, default=100, help="case count for --random")
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +415,9 @@ def _run_batch(args, names: list[str] | None) -> int:
 
 
 def _run_random_verify(args) -> int:
+    import random  # deferred, with the generator: no other command draws ideals
+    from .generate import random_ideal
+
     if args.cases < 1:
         raise UsageError("--cases must be at least 1")
     rng = random.Random(args.seed)
@@ -452,16 +455,11 @@ def _dispatch(args) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
     argv = sys.argv[1:] if argv is None else argv
     try:
-        # a command's own parser skips the top-level pass; any other list takes that pass
-        if argv and argv[0] in parser.commands:
-            args = parser.commands[argv[0]].parse_args(argv[1:])
-            args.command = argv[0]
-        else:
-            args = parser.parse_args(argv)
-        return _dispatch(args)
+        if not argv or argv[0] not in COMMANDS:  # the top-level parser says why, or reads `-- name`
+            argv = [_build_parser().parse_args(argv).command]
+        return _dispatch(_command_parser(argv[0]).parse_args(argv[1:]))
     except Exception as exc:
         if isinstance(exc, MultmonError):
             print(f"multmon: error: {exc}", file=sys.stderr)

@@ -14,6 +14,7 @@ from .core import Monomial, MonomialIdeal, bits, gcd, gcd_all, per_ideal, subset
 from .errors import HypothesisError, InternalConsistencyError, ResourceCapError
 from .invariants import (
     codim,
+    has_cover,
     is_almost_complete_intersection,
     is_complete_intersection,
     is_dominant,
@@ -163,16 +164,18 @@ class CISplit(NamedTuple):
 def find_ci_split(ideal: MonomialIdeal) -> CISplit | None:
     """Lexicographically first size-codim pairwise-coprime subset of generators, if any.
 
-    A depth-first search in index order adds a generator only when it is coprime
-    to those chosen and enough later ones remain; the complement is the free part.
-    Coprime supports are disjoint, so the c smallest must fit in the used variables.
+    A depth-first search in index order adds a generator coprime to those chosen;
+    the complement is the free part.  Coprime supports are disjoint, so the c
+    smallest must fit in the used variables, and the search backs up once the later
+    supports that miss the chosen ones have a cover (`invariants.has_cover`) of fewer
+    variables than the generators still needed: a packing is never larger than a cover.
     """
     c, q, supports = codim(ideal), ideal.q, ideal.supports
     if sum(sorted(map(int.bit_count, supports))[:c]) > len(ideal.used_variables()):
         return None
     chosen, used, i = [], 0, 0
     while len(chosen) < c:
-        if i + c - len(chosen) > q:  # too few generators left: drop the last chosen
+        if has_cover([s for s in supports[i:] if not s & used], c - len(chosen) - 1):
             if not chosen:
                 return None
             i = chosen.pop()

@@ -65,6 +65,8 @@ def covers(supports: list[int], size: int) -> Iterator[int]:
 
 def has_cover(supports: list[int], size: int) -> bool:
     """Whether some cover of at most `size` variables meets every support bitmask."""
+    if not supports:  # no variable covers an empty list
+        return size >= 0
     return _packing(supports) <= size and any(covers(supports, size))
 
 

@@ -436,18 +436,21 @@ def test_a_closed_stdout_ends_the_console_script_by_sigpipe():
 
 def test_the_cli_runs_without_importing_dataclasses_or_inspect():
     # every process pays `import multmon.cli` before its first answer, and these two were
-    # half of it; `-S` keeps a site-packages `.pth` import from loading them first
+    # half of it; `-S` keeps a site-packages `.pth` import from loading them first.  A call
+    # builds only its command's parser, and only `verify --random` loads the generator.
     child = (
         "import sys\n"
         f"sys.path.insert(0, {str(Path(cli.__file__).parents[1])!r})\n"
-        "from multmon.cli import main\n"
+        "from multmon.cli import _build_parser, _command_parser, main\n"
         "code = main(['verify', '--ideal', 'a^3*c, a*b*e^3, a^2*b^2, c^2, d^2*e^2'])\n"
-        "print(code, sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+        "loaded = {'dataclasses', 'inspect', 'random', 'multmon.generate'} & set(sys.modules)\n"
+        "built = _build_parser.cache_info().currsize, _command_parser.cache_info().currsize\n"
+        "print(code, sorted(loaded), *built)\n"
     )
     argv = [sys.executable, "-I", "-S", "-c", child]
     done = subprocess.run(argv, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0 and done.stderr == "", done.stderr
-    assert done.stdout.splitlines()[-1] == "0 []", done.stdout
+    assert done.stdout.splitlines()[-1] == "0 [] 0 1", done.stdout
 
 
 def test_taylor_cap_exit(capsys):
@@ -809,6 +812,7 @@ def test_readme_library_example_runs():
 
 def test_parser_is_built_once():
     assert cli._build_parser() is cli._build_parser()
+    assert cli._command_parser("betti") is cli._command_parser("betti")
 
 
 def test_top_level_arguments_keep_their_outcomes(capsys):
@@ -826,6 +830,34 @@ def test_top_level_arguments_keep_their_outcomes(capsys):
     assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
 
+def test_a_list_without_a_command_first_meets_the_top_level_parser(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["-h"])
+    assert info.value.code == 0 and "{" + ",".join(cli.COMMANDS) + "}" in capsys.readouterr().out
+    # it names the commands only: what follows one is not that command's options
+    assert cli.main(["--pretty", "codim", "--ideal", "x"]) == 1
+    assert "unrecognized arguments: --pretty --ideal x" in capsys.readouterr().err
+    assert cli.main(["--", "codim"]) == 1
+    assert "provide an ideal with --ideal or --file" in capsys.readouterr().err
+
+
+_COMMON = {"ideal": None, "file": None, "vars": None, "json": False, "pretty": False}
+
+# The namespace the top-level parser, with one subparser per command, gave for each list below,
+# by its command; each command's own parser must give the same, `command` included.
+_PARSED = {
+    "multiplicity": {"command": "multiplicity", **_COMMON, "ideal": "x^2, y^3", "pretty": True,
+                     "method": "ps", "check": True},
+    "codim": {"command": "codim", **_COMMON, "file": "ideals.txt", "vars": "a,b"},
+    "classify": {"command": "classify", **_COMMON, "ideal": "a*b", "json": True},
+    "betti": {"command": "betti", **_COMMON, "ideal": "a*b, c", "pretty": True},
+    "taylor": {"command": "taylor", **_COMMON, "ideal": "x", "vars": "x,y"},
+    "diagram": {"command": "diagram", **_COMMON, "ideal": "a^2*b"},
+    "verify": {"command": "verify", **_COMMON, "pretty": True, "random": True, "seed": 3, "cases": 5},
+    "regularity": {"command": "regularity", **_COMMON, "ideal": "a*b", "vars": "b,a"},
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["multiplicity", "--ideal", "x^2, y^3", "--method", "ps", "--check", "--pretty"],
     ["codim", "--file", "ideals.txt", "--vars", "a,b"],
@@ -840,7 +872,7 @@ def test_a_command_parses_to_the_namespace_of_the_top_level_parser(argv, monkeyp
     parsed = []
     monkeypatch.setattr(cli, "_dispatch", lambda args: parsed.append(args) or 0)
     assert cli.main(argv) == 0
-    assert parsed == [cli._build_parser().parse_args(argv)]  # `command` included
+    assert [vars(args) for args in parsed] == [_PARSED[argv[0]]]
 
 
 def test_forced_method_does_not_leak_into_the_next_call(capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 import tracemalloc
 from itertools import combinations
 
@@ -210,6 +211,17 @@ def test_find_ci_split_exhausts_its_search():
     assert multiplicity_associativity(ideal) == 30
 
 
+def test_find_ci_split_refuses_cycle_41_with_a_disjoint_generator_fast():
+    # the 22 smallest supports fill the 44 variables, so the root bound admits it; once a cycle
+    # generator is chosen, the rest of the cycle is a path, whose least cover is its largest
+    # packing, so the cover bound refutes each branch at once
+    ideal = parse_ideal(", ".join(f"x{i}^2*x{(i + 1) % 41}" for i in range(41)) + ", a*b*c")
+    assert is_dominant(ideal) and codim(ideal) == 22
+    started = time.perf_counter()
+    assert find_ci_split(ideal) is None
+    assert time.perf_counter() - started < 0.25
+
+
 def _pairwise_coprime(supports):
     """No two of the support bitmasks share a variable, pair by pair."""
     return all(not s & t for s, t in combinations(supports, 2))
@@ -236,6 +248,25 @@ SPLIT_TABLE = make_table(7)
 )
 def test_find_ci_split_is_the_first_split_of_the_scan(maps):
     ideal = minimalize(SPLIT_TABLE, [Monomial.from_map(SPLIT_TABLE, m) for m in maps])
+    assert find_ci_split(ideal) == _first_split_by_scan(ideal), str(ideal)
+
+
+GRAPH_TABLE = make_table(10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 9), st.integers(0, 9)).filter(lambda e: e[0] != e[1]),
+        min_size=1,
+        max_size=10,
+    )
+)
+def test_find_ci_split_is_the_first_split_of_the_scan_on_graphs(edges):
+    # x_a^2*x_b per edge: two-variable supports, where covers are small and the cover bound
+    # cuts the search at most nodes; the scan is the lexicographic order over every subset
+    gens = [Monomial.from_map(GRAPH_TABLE, {a: 2, b: 1}) for a, b in edges]
+    ideal = minimalize(GRAPH_TABLE, gens)
     assert find_ci_split(ideal) == _first_split_by_scan(ideal), str(ideal)
 
 

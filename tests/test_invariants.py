@@ -235,6 +235,12 @@ def test_covers_yields_nothing_below_one_variable():
         assert not has_cover(supports, 0)
 
 
+def test_an_empty_support_list_is_covered_by_no_variables():
+    # the pruned split search asks this once no candidate is left; `covers` took min() of nothing
+    assert has_cover([], 0) and has_cover([], 1) and has_cover([], 5)
+    assert not has_cover([], -1)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.integers(1, 2**8 - 1), min_size=1, max_size=9), st.integers(0, 9))
 def test_has_cover_answers_by_the_least_cover(supports, size):
