@@ -424,15 +424,7 @@ def per_ideal(fn: Callable) -> Callable:
             facts[key] = fn(ideal)
         return facts[key]
 
-    cached.fact_key = key
     return cached
-
-
-def record(fact: Callable, ideal: MonomialIdeal, value) -> None:
-    """Cache `value`, found another way, as the `per_ideal` fact `fact(ideal)`."""
-    while not hasattr(fact, "fact_key"):  # under wrappers that set `__wrapped__`
-        fact = fact.__wrapped__
-    ideal._facts.setdefault(fact.fact_key, value)
 
 
 def minimalize(ring: VariableTable, raw: Iterable[Monomial]) -> MonomialIdeal:

@@ -20,11 +20,11 @@ from __future__ import annotations
 from operator import add, sub
 from typing import NamedTuple
 
-from .core import Monomial, MonomialIdeal, minimalize, per_ideal, record, subset_lcms
+from .core import Monomial, MonomialIdeal, minimalize, per_ideal, subset_lcms
 from .errors import HypothesisError, InternalConsistencyError
 from .formulas import structural_split
 from .invariants import codim, dominance_witnesses, has_cover
-from .taylor import BettiTable, betti_table, multiplicity_ps
+from .taylor import BettiTable, betti_table, multiplicity_at, multiplicity_ps
 
 __all__ = [
     "ThirdDecomposition",
@@ -67,34 +67,32 @@ def recurrence_parts(ideal: MonomialIdeal) -> ThirdDecomposition | None:
     """The decomposition at the smallest dominant pivot that keeps the codimension, if any.
 
     A removal cannot raise the codimension c, so a candidate keeps it unless the other supports
-    have a cover of c - 1 variables (`has_cover`); only the winner's is built, its M1 handed c.
+    have a cover of c - 1 variables (`has_cover`); only the winner's is built.
     """
     if ideal.q < 2:
         return None
     c, supports = codim(ideal), ideal.supports
     for i, w in enumerate(dominance_witnesses(ideal)):
         if w is not None and not has_cover(supports[:i] + supports[i + 1 :], c - 1):
-            parts = third_decomposition(ideal, i)
-            record(codim, parts.m1, c)
-            return parts
+            return third_decomposition(ideal, i)
     return None
 
 
 def multiplicity_recurrence(ideal: MonomialIdeal) -> int:
     """Multiplicity via the pivot recurrence at `recurrence_parts`' pivot: codim(M1) = codim(M).
 
-    When the quotient ideal keeps the codimension the answer is the
-    difference of the two sub-multiplicities; when its codimension grows the
-    quotient term drops out entirely.
+    When the quotient ideal keeps the codimension the answer is the difference of the
+    two sub-multiplicities; when its codimension grows the quotient term drops out
+    entirely.  M1's codim is the pivot test's c, which `taylor.multiplicity_at` checks.
     """
     parts = recurrence_parts(ideal)
     if parts is None:
         raise HypothesisError("no dominant pivot preserves the codimension")
     c, cm = codim(ideal), codim(parts.mm1)
     if cm == c:
-        value = multiplicity_ps(parts.m1) - multiplicity_ps(parts.mm1)
+        value = multiplicity_at(parts.m1, c) - multiplicity_ps(parts.mm1)
     elif cm > c:
-        value = multiplicity_ps(parts.m1)
+        value = multiplicity_at(parts.m1, c)
     else:
         raise InternalConsistencyError("quotient ideal dropped below the ambient codimension")
     if value < 1:

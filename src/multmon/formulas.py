@@ -7,7 +7,9 @@ inputs outside their hypotheses (raising `HypothesisError`).
 
 from __future__ import annotations
 
+from functools import reduce
 from math import prod
+from operator import and_
 from typing import NamedTuple
 
 from .core import Monomial, MonomialIdeal, bits, gcd, gcd_all, per_ideal, subset_lcms
@@ -43,8 +45,8 @@ _FREE_MAX = 24  # the most free generators of a structural split, whose 2^f subs
 
 
 def e_codim1(ideal: MonomialIdeal) -> int:
-    """Multiplicity of a codimension-1 ideal: degree of the gcd of its generators."""
-    if codim(ideal) != 1:
+    """Multiplicity of a codimension-1 ideal, one whose generators have a nonunit gcd: its degree."""
+    if not reduce(and_, ideal.supports):  # the variables in every support, which the gcd uses
         raise HypothesisError("the gcd formula requires codimension 1")
     return gcd_all(ideal.gens).degree
 
@@ -175,12 +177,14 @@ def find_ci_split(ideal: MonomialIdeal) -> CISplit | None:
         return None
     chosen, used, i = [], 0, 0
     while len(chosen) < c:
+        while i < q and supports[i] & used:  # not a candidate: the list below stays the same
+            i += 1
         if has_cover([s for s in supports[i:] if not s & used], c - len(chosen) - 1):
             if not chosen:
                 return None
             i = chosen.pop()
             used ^= supports[i]  # exactly its variables: the chosen supports are disjoint
-        elif not used & supports[i]:
+        else:
             chosen.append(i)
             used |= supports[i]
         i += 1

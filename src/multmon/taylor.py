@@ -18,7 +18,8 @@ of S/I (Bayer-Stillman 1992, Bigatti 1997), and reads the power sums off it:
     P(k) = sum over nonempty faces of (-1)^hdeg * deg(mdeg)^k = sum_d K_d d^k - 0^k
 
 P(k) vanishes for 1 <= k < c and equals (-1)^c c! e at k = c, where c is the
-codimension and e the multiplicity; all arithmetic is arbitrary-precision.
+codimension and e the multiplicity; all arithmetic is arbitrary-precision.  The
+engine checks the vanishing below c too, so c is K's order of vanishing at t = 1.
 Past q = 13 a frontier sweep over the generators usually sums K instead
 (variable elimination, Dechter 1999): it groups the faces by the exponents, in
 their lcm, of the variables that a later generator still uses, and keeps one
@@ -42,7 +43,7 @@ from __future__ import annotations
 import math
 from functools import cached_property, lru_cache
 from itertools import repeat
-from operator import add, itemgetter
+from operator import add, itemgetter, mul
 from typing import NamedTuple
 
 from .core import (
@@ -285,21 +286,25 @@ def ps_power_sum(ideal: MonomialIdeal, k: int) -> int:
 
 @per_ideal
 def multiplicity_ps(ideal: MonomialIdeal) -> int:
-    """Multiplicity via the alternating power sum at k = codim.
+    """Multiplicity via the alternating power sum at k = codim (`multiplicity_at`)."""
+    return multiplicity_at(ideal, codim(ideal))
 
-    (-1)^c * P(c) must be a positive multiple of c!; anything else signals an
-    engine bug, never bad input.
+
+def multiplicity_at(ideal: MonomialIdeal, c: int) -> int:
+    """Multiplicity via the power sums at k <= c, for a codimension c found elsewhere.
+
+    P(1), ..., P(c - 1) must vanish and (-1)^c * P(c) be a positive multiple of c!, so c is
+    K's order of vanishing at t = 1; anything else is a wrong c or an engine bug, never bad input.
     """
-    c = codim(ideal)
-    total = ps_power_sum(ideal, c)
-    if c & 1:
-        total = -total
-    fact = math.factorial(c)
-    if total <= 0 or total % fact:
-        raise InternalConsistencyError(
-            f"power sum {total} at k = {c} is not a positive multiple of {c}!"
-        )
-    return total // fact
+    numerator, sums = taylor_numerator(ideal), [0] * c  # P(1), ..., P(c): the empty face drops out
+    for start in range(0, len(numerator), 1 << 16):  # a slice at a time: few powers held at once
+        degrees, terms = zip(*numerator[start : start + (1 << 16)])  # K_d * d^k, from k = 0
+        for k in range(c):
+            terms = list(map(mul, terms, degrees))
+            sums[k] += sum(terms)
+    if c < 1 or any(sums[:-1]) or (total := (-1) ** c * sums[-1]) <= 0 or total % math.factorial(c):
+        raise InternalConsistencyError(f"power sums P(1..{c}) are not those of codim {c} and an e >= 1")
+    return total // math.factorial(c)
 
 
 # `face_levels`' tables of masks and of member texts (only `taylor` reads the texts), each for

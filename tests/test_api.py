@@ -92,3 +92,24 @@ def test_every_module_level_helper_is_exported_or_used():
             n for n in defined - exported - referenced if not (n.startswith("__") and n.endswith("__"))
         }
         assert not dead, (name, sorted(dead))
+
+
+def test_only_per_ideal_writes_an_ideals_facts():
+    # each fact is written by the function that computes it, through `core.per_ideal` alone:
+    # besides the slot and its empty start, no code in `core` or elsewhere names `_facts`
+    def naming(node, path=()):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            path = (*path, node.name)
+        if getattr(node, "attr", None) == "_facts" or getattr(node, "value", None) == "_facts":
+            yield ".".join(path)
+        for child in ast.iter_child_nodes(node):
+            yield from naming(child, path)
+
+    found = {
+        (path.name, where)
+        for path in sorted(Path(multmon.__file__).parent.glob("*.py"))
+        for where in naming(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert found == {
+        ("core.py", "MonomialIdeal"), ("core.py", "MonomialIdeal._fill"), ("core.py", "per_ideal.cached")
+    }

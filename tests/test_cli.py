@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import multmon.cli as cli
+import multmon.taylor as taylor
 from generators import (
     random_aci,
     random_dominant_with_split,
@@ -344,11 +345,12 @@ def test_betti_runs_keep_the_order_of_a_full_label_sort(ideal):
 
 def test_taylor_renders_faster_than_one_fstring_per_face(capsys, monkeypatch):
     # The q = 16 cycle with its resolution computed once: the whole call must beat one
-    # f-string per face over the same faces, both timed here (best of 3 each).  Both write
-    # their text to the captured `sys.stdout`, so each pays for encoding its 5 MB into
-    # pytest's buffer (about 10 ms), not the call alone.  The join over the face table took
-    # 0.56-0.86 of the f-strings' time; one f-string per face in `cli` took 1.08-1.46, and the
-    # join over member texts rebuilt per call 1.10-1.34.
+    # f-string per face over the same faces, both timed here (interleaved, each going first
+    # in turn, best of 5 each), so a burst of host load falls on both.  Both write their text
+    # to the captured `sys.stdout`, so each pays for encoding its 5 MB into pytest's buffer
+    # (about 10 ms), not the call alone.  The join over the face table took 0.56-0.86 of the
+    # f-strings' time; one f-string per face in `cli` took 1.08-1.46, and the join over
+    # member texts rebuilt per call 1.10-1.34.
     text = cycle(16)
     resolution = taylor_resolution(parse_ideal(text))
     monkeypatch.setattr(cli, "taylor_resolution", lambda ideal: resolution)
@@ -362,17 +364,38 @@ def test_taylor_renders_faster_than_one_fstring_per_face(capsys, monkeypatch):
             for m in masks
         ) for h, masks in enumerate(levels))
 
-    def best(run):
-        times = []
-        for _ in range(3):
+    def call():
+        cli.main(["taylor", "--ideal", text])
+
+    times = {call: [], per_face: []}
+    for k in range(5):
+        for run in (call, per_face) if k % 2 else (per_face, call):
             started = time.perf_counter()
             run()
-            times.append(time.perf_counter() - started)
-        return min(times)
+            times[run].append(time.perf_counter() - started)
+            assert capsys.readouterr().out.count('"members"') == 1 << 16
+    called = min(times[call])
+    assert called < min(times[per_face]), f"{called:.3f} s"
 
-    called = best(lambda: cli.main(["taylor", "--ideal", text]))
-    assert capsys.readouterr().out.count('"members"') == 3 << 16
-    assert called < best(per_face), f"{called:.3f} s"
+
+def test_taylor_renders_with_no_python_call_per_face(capsys, monkeypatch):
+    # the wall-clock comparison above, counted instead: a Python-level call per face (a
+    # function, or a generator resumed) would show as at least 2^16 `call` events
+    text = cycle(16)
+    resolution = taylor_resolution(parse_ideal(text))
+    monkeypatch.setattr(cli, "taylor_resolution", lambda ideal: resolution)
+    calls = [0]
+
+    def count(frame, event, arg):
+        calls[0] += event == "call"
+
+    sys.setprofile(count)
+    try:
+        cli.main(["taylor", "--ideal", text])
+    finally:
+        sys.setprofile(None)
+    assert capsys.readouterr().out.count('"members"') == 1 << 16
+    assert calls[0] < 1 << 12, calls[0]
 
 
 def test_labels_need_no_json_escaping(capsys):
@@ -768,6 +791,16 @@ def test_check_disagreement_exits_five(capsys, monkeypatch):
     code, (doc,) = run_cli(capsys, "multiplicity", "--ideal", "x^2, y^3", "--check")
     assert code == 5
     assert doc["agreement"] is False
+
+
+def test_ps_exits_five_on_a_codim_the_numerator_contradicts(capsys, monkeypatch):
+    # the engine checks the codimension it is given: K must vanish to exactly that order at t = 1
+    true_codim = taylor.codim
+    monkeypatch.setattr(taylor, "codim", lambda ideal: true_codim(ideal) + 1)
+    code = cli.main(["multiplicity", "--ideal", EXAMPLE, "--method", "ps"])
+    captured = capsys.readouterr()
+    assert code == 5 and captured.out == ""
+    assert captured.err == "multmon: error: power sums P(1..4) are not those of codim 4 and an e >= 1\n"
 
 
 def test_check_reuses_the_answer_of_the_chosen_route(capsys, monkeypatch):

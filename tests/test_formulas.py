@@ -36,8 +36,8 @@ from multmon import (
     reg_quadratic_dominant,
     regularity_dominant,
 )
-from multmon import cli
-from multmon.generate import make_table
+from multmon import cli, formulas
+from multmon.generate import make_table, random_ideal
 
 from generators import (
     random_codim1_ideal,
@@ -75,6 +75,24 @@ def test_codim1_and_ci_formulas_match_engine():
         assert e_codim1(ideal) == multiplicity_ps(ideal), str(ideal)
         ideal = random_complete_intersection(rng)
         assert e_complete_intersection(ideal) == multiplicity_ps(ideal), str(ideal)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([random_ideal, random_codim1_ideal]),
+    st.randoms(use_true_random=False),
+)
+def test_e_codim1_reads_its_hypothesis_off_the_gcd(draw, rng):
+    # the cover search is not asked: a wrong codim changes no answer and no refusal
+    ideal = draw(rng)
+    expected = gcd_all(ideal.gens).degree if codim(ideal) == 1 else None
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(formulas, "codim", lambda i: 2 if codim(i) == 1 else 1)
+        if expected is None:
+            with pytest.raises(HypothesisError, match="requires codimension 1"):
+                e_codim1(ideal)
+        else:
+            assert e_codim1(ideal) == expected, str(ideal)
 
 
 # ---------------------------------------------------------------------------

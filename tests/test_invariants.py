@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import pickle
 import random
 import time
@@ -23,7 +22,7 @@ from multmon import (
 )
 from multmon.invariants import covers, has_cover, least_cover, support_components
 from multmon.generate import make_table, random_ideal
-from multmon.core import Monomial, MonomialIdeal, minimalize, record
+from multmon.core import Monomial, MonomialIdeal, minimalize
 import multmon.cli as cli
 import multmon.decomposition as decomposition
 import multmon.invariants as invariants
@@ -303,13 +302,6 @@ def test_facts_are_computed_once_per_ideal_object(searches):
     assert codim(ideal) == 3 and searches[0] == 2
 
 
-def test_a_recorded_fact_is_not_searched_again(searches):
-    ideal = parse_ideal("a*b, b*c")
-    traced = functools.wraps(codim)(lambda i: codim(i))  # a wrapper that sets `__wrapped__`
-    record(traced, ideal, 1)
-    assert codim(ideal) == 1 and searches[0] == 0
-
-
 @given(st.randoms(use_true_random=False).map(random_ideal))
 def test_an_analysed_ideal_pickles(ideal):
     report = classify(ideal)
@@ -327,8 +319,8 @@ def test_an_analysed_ideal_pickles(ideal):
 def test_one_verify_runs_few_codim_searches(searches, capsys):
     assert cli.main(["verify", "--ideal", "a^3*c, a*b*e^3, a^2*b^2, c^2, d^2*e^2"]) == 0
     capsys.readouterr()
-    # classify, two pivot candidates (the second keeps the codim, which is
-    # handed to the recurrence's m1), and the recurrence's quotient ideal
+    # classify, two pivot candidates (the second keeps the codim, which the
+    # recurrence passes to m1's power sums), and the recurrence's quotient ideal
     assert searches[0] == 4
 
 

@@ -12,8 +12,11 @@ import tracemalloc
 from functools import reduce
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multmon import (
+    InternalConsistencyError,
     Monomial,
     MonomialIdeal,
     ResourceCapError,
@@ -37,7 +40,7 @@ from multmon import (
 from multmon import cli, core, taylor
 from multmon.core import bits, subset_lcms
 from multmon.generate import make_table, random_ideal
-from multmon.taylor import face_levels
+from multmon.taylor import face_levels, multiplicity_at
 
 from generators import random_dominant_with_split, random_stem_ideal
 from kernel_reference import minimal_by_faces, shortfalls
@@ -387,6 +390,17 @@ def test_power_sum_vanishing_below_codim():
         ideal = random_ideal(rng)
         for k in range(1, codim(ideal)):
             assert ps_power_sum(ideal, k) == 0, str(ideal)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False).map(random_ideal))
+def test_multiplicity_at_refuses_a_codim_off_by_one(ideal):
+    # c is K's order of vanishing at t = 1: one less leaves (-1)^c P(c) = 0, one more P(c) != 0
+    c = codim(ideal)
+    assert multiplicity_at(ideal, c) == multiplicity_ps(ideal)
+    for wrong in (c - 1, c + 1):
+        with pytest.raises(InternalConsistencyError, match=f"codim {wrong} "):
+            multiplicity_at(ideal, wrong)
 
 
 def test_multiplicity_examples():
