@@ -4,8 +4,10 @@ Each run emits one structured JSON document (one per line in batch mode);
 `--pretty` renders the same record for humans.  Field names are frozen in
 docs/schema.md.  Errors map to exit codes: 0 success, 1 usage/parse error,
 2 hypothesis violation, 3 unsupported, 4 resource cap, 5 internal
-consistency failure.  One table of multiplicity routes (`METHODS`) drives
-the `auto` choice, `--method` and `verify`.  Each route checks its own
+consistency failure.  The command table (`_TABLE`) has one row per command:
+its options after the common ones, its result function and its `--pretty`
+lines; adding a command means adding one row.  The route table (`METHODS`)
+drives the `auto` choice, `--method` and `verify`.  Each route checks its own
 hypotheses and raises `HypothesisError` outside them: `--method` exits 2 on
 it, while `auto` and `verify` skip to the next route.
 """
@@ -19,18 +21,12 @@ import sys
 import time
 from itertools import groupby
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import __version__
 from .core import MonomialIdeal, VariableTable, polar_sets
 from .decomposition import multiplicity_recurrence
-from .errors import (
-    HypothesisError,
-    InternalConsistencyError,
-    MultmonError,
-    ParseError,
-    UsageError,
-)
+from .errors import HypothesisError, InternalConsistencyError, MultmonError, ParseError, UsageError
 from .formulas import (
     detect_stem,
     e_aci,
@@ -52,17 +48,6 @@ from .taylor import (
     multiplicity_ps,
     regularity_dominant,
     taylor_resolution,
-)
-
-COMMANDS = (
-    "multiplicity",
-    "codim",
-    "classify",
-    "betti",
-    "taylor",
-    "diagram",
-    "verify",
-    "regularity",
 )
 
 class _Parser(argparse.ArgumentParser):
@@ -90,17 +75,8 @@ def _command_parser(name: str) -> _Parser:
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", help="structured output (default)")
     fmt.add_argument("--pretty", action="store_true", help="human-readable rendering")
-    if name == "multiplicity":
-        p.add_argument("--method", choices=("auto", *METHODS), default="auto")
-        p.add_argument(
-            "--check",
-            action="store_true",
-            help="cross-check multiplicity with engine and oracle",
-        )
-    if name == "verify":
-        p.add_argument("--random", action="store_true", help="verify seeded random ideals")
-        p.add_argument("--seed", type=int, default=0, help="seed for --random")
-        p.add_argument("--cases", type=int, default=100, help="case count for --random")
+    for flag, keywords in _TABLE[name].options:
+        p.add_argument(flag, **keywords)
     return p
 
 
@@ -154,6 +130,42 @@ def _classification_payload(ideal: MonomialIdeal, report) -> dict:
     }
 
 
+# ---------------------------------------------------------------------------
+# commands: each returns (result, method, checks, agreement) for one ideal, and its
+# `--pretty` lines render the document's result and checks
+
+
+def _multiplicity(ideal: MonomialIdeal, args):
+    if args.method == "auto":
+        method, value = next(_answers(ideal, AUTO_METHODS))
+    else:
+        method, value = args.method, METHODS[args.method](ideal)
+    checks = [{"method": m, "value": value if m == method else METHODS[m](ideal)}
+              for m in ("ps", "oracle") if args.check]  # the chosen route is not run twice
+    agreement = all(c["value"] == value for c in checks) if args.check else None
+    return {"multiplicity": value}, method, checks, agreement
+
+
+def _classify(ideal: MonomialIdeal, args):
+    structure = detect_stem(ideal)
+    stem = None if structure is None else {
+        "stems": [str(s) for s in structure.stems],
+        "blocks": [[str(ideal.gens[i]) for i in block] for block in structure.blocks],
+    }
+    # minimal exactly when dominant: a witness enters a face's lcm only with its generator
+    result = {"stem": stem, "quadratic_dominant": is_quadratic_dominant(ideal),
+              "taylor_minimal": is_dominant(ideal)}
+    return result, "classification", [], None
+
+
+def _classify_lines(document: dict) -> list[str]:
+    result = document["result"]
+    stem = result["stem"]
+    return [f"stem ideal: {'no' if stem is None else 'yes, stems ' + ', '.join(stem['stems'])}",
+            f"quadratic dominant: {result['quadratic_dominant']}",
+            f"taylor resolution minimal: {result['taylor_minimal']}"]
+
+
 class _Raw(tuple):
     """A result already rendered as JSON text: its string parts, written out in turn."""
 
@@ -167,99 +179,119 @@ def _betti_runs(resolution: TaylorResolution) -> Iterator[tuple[int, int, list[s
             yield hdeg, d, sorted(map(labels.__getitem__, run))
 
 
-def _result_for(
-    ideal: MonomialIdeal, args
-) -> tuple[dict | _Raw | list[str], str | None, list[dict], bool | None]:
-    """Result payload (lines to print for `betti`/`taylor --pretty`), method, checks, agreement."""
-    command = args.command
+# `betti` and `taylor` return their `--pretty` lines as the result, and otherwise its JSON
+# text.  Labels go into it unescaped: a `VariableTable` holds only `core.VAR_NAME` tokens,
+# and exponents are digits.
+def _betti(ideal: MonomialIdeal, args):
+    resolution = minimal_resolution(ideal)
+    ranks = list(resolution.ranks())
+    if args.pretty:
+        entries = (f"  {h:>3}  {m:<24} 1" for h, _, run in _betti_runs(resolution) for m in run)
+        return ["betti entries (hdeg, mdeg, count):", *entries, f"ranks: {ranks}"], "taylor", [], None
+    parts, graded = ['{"entries": ['], []
+    for hdeg, d, run in _betti_runs(resolution):  # one text per (hdeg, degree)
+        head, tail = f'{{"hdeg": {hdeg}, "mdeg": "', f'", "degree": {d}, "count": 1}}'
+        parts += [", " if graded else "", head, f"{tail}, {head}".join(run), tail]
+        graded.append(f'{{"hdeg": {hdeg}, "degree": {d}, "count": {len(run)}}}')
+    parts.append(f'], "graded": [{", ".join(graded)}], "ranks": {json.dumps(ranks)}}}')
+    return _Raw(parts), "taylor", [], None
 
-    if command == "multiplicity":
-        if args.method == "auto":
-            method, value = next(_answers(ideal, AUTO_METHODS))
-        else:
-            method, value = args.method, METHODS[args.method](ideal)
-        checks = [{"method": m, "value": value if m == method else METHODS[m](ideal)}
-                  for m in ("ps", "oracle") if args.check]  # the chosen route is not run twice
-        agreement = all(c["value"] == value for c in checks) if args.check else None
-        return {"multiplicity": value}, method, checks, agreement
 
-    if command == "codim":
-        return {"codim": codim(ideal)}, "cover-search", [], None
+def _taylor(ideal: MonomialIdeal, args):
+    resolution = taylor_resolution(ideal)
+    degrees, labels = resolution.degrees, resolution.labels
+    ranks, levels = list(resolution.ranks()), face_levels(ideal.q)
+    levels = enumerate(zip(levels, face_levels(ideal.q, members=True)))
+    if args.pretty:
+        faces = (f"  {f'[{t}]':<16} {h:>3}  {labels[m]}"
+                 for h, (masks, members) in levels for m, t in zip(masks, members))
+        return [f"ranks: {ranks}", "faces (members, hdeg, mdeg):", *faces], "taylor", [], None
+    tails = {d: f'", "degree": {d}}}' for d in set(degrees)}
+    parts = [f'{{"ranks": {json.dumps(ranks)}, "faces": [']
+    for hdeg, (masks, members) in levels:  # one join per hdeg: no Python code runs per face
+        pick = itemgetter(*masks, 0)  # a tuple even for one face; the extra 0 is dropped
+        row = [', {"members": [', "", f'], "hdeg": {hdeg}, "mdeg": "', "", ""] * len(masks)
+        row[1::5], row[3::5] = members, pick(labels)[:-1]
+        row[4::5] = map(tails.__getitem__, pick(degrees)[:-1])
+        row[0] = row[0] if hdeg else row[0][2:]  # the first face has no comma
+        parts.append("".join(row))
+    return _Raw([*parts, "]}"]), "taylor", [], None
 
-    if command == "classify":
-        structure = detect_stem(ideal)
-        result = {
-            "stem": None
-            if structure is None
-            else {
-                "stems": [str(s) for s in structure.stems],
-                "blocks": [[str(ideal.gens[i]) for i in block] for block in structure.blocks],
-            },
-            "quadratic_dominant": is_quadratic_dominant(ideal),
-            # minimal exactly when dominant: a witness enters a face's lcm only with its generator
-            "taylor_minimal": is_dominant(ideal),
-        }
-        return result, "classification", [], None
 
-    # Labels go into JSON text unescaped: a `VariableTable` holds only `core.VAR_NAME` tokens,
-    # and exponents are digits.
-    if command == "betti":
-        resolution = minimal_resolution(ideal)
-        ranks = list(resolution.ranks())
-        if args.pretty:
-            entries = (f"  {h:>3}  {m:<24} 1" for h, _, run in _betti_runs(resolution) for m in run)
-            return ["betti entries (hdeg, mdeg, count):", *entries, f"ranks: {ranks}"], "taylor", [], None
-        parts, graded = ['{"entries": ['], []
-        for hdeg, d, run in _betti_runs(resolution):  # one text per (hdeg, degree)
-            head, tail = f'{{"hdeg": {hdeg}, "mdeg": "', f'", "degree": {d}, "count": 1}}'
-            parts += [", " if graded else "", head, f"{tail}, {head}".join(run), tail]
-            graded.append(f'{{"hdeg": {hdeg}, "degree": {d}, "count": {len(run)}}}')
-        parts.append(f'], "graded": [{", ".join(graded)}], "ranks": {json.dumps(ranks)}}}')
-        return _Raw(parts), "taylor", [], None
+def _diagram(ideal: MonomialIdeal, args):
+    names = ideal.ring.names
+    sets = [{"generator": str(g), "labels": [{"var": names[v], "slot": s} for v, s in sorted(labels)]}
+            for g, labels in zip(ideal.gens, polar_sets(ideal))]
+    return {"sets": sets}, "polarization", [], None
 
-    if command == "taylor":
-        resolution = taylor_resolution(ideal)
-        degrees, labels = resolution.degrees, resolution.labels
-        ranks, levels = list(resolution.ranks()), face_levels(ideal.q)
-        levels = enumerate(zip(levels, face_levels(ideal.q, members=True)))
-        if args.pretty:
-            faces = (f"  {f'[{t}]':<16} {h:>3}  {labels[m]}"
-                     for h, (masks, members) in levels for m, t in zip(masks, members))
-            return [f"ranks: {ranks}", "faces (members, hdeg, mdeg):", *faces], "taylor", [], None
-        tails = {d: f'", "degree": {d}}}' for d in set(degrees)}
-        parts = [f'{{"ranks": {json.dumps(ranks)}, "faces": [']
-        for hdeg, (masks, members) in levels:  # one join per hdeg: no Python code runs per face
-            pick = itemgetter(*masks, 0)  # a tuple even for one face; the extra 0 is dropped
-            row = [', {"members": [', "", f'], "hdeg": {hdeg}, "mdeg": "', "", ""] * len(masks)
-            row[1::5], row[3::5] = members, pick(labels)[:-1]
-            row[4::5] = map(tails.__getitem__, pick(degrees)[:-1])
-            row[0] = row[0] if hdeg else row[0][2:]  # the first face has no comma
-            parts.append("".join(row))
-        return _Raw([*parts, "]}"]), "taylor", [], None
 
-    if command == "diagram":
-        names = ideal.ring.names
-        sets = []
-        for g, labels in zip(ideal.gens, polar_sets(ideal)):
-            rendered = [
-                {"var": names[v], "slot": s} for v, s in sorted(labels)
-            ]
-            sets.append({"generator": str(g), "labels": rendered})
-        return {"sets": sets}, "polarization", [], None
+def _diagram_lines(document: dict) -> Iterator[str]:
+    for entry in document["result"]["sets"]:
+        labels = ", ".join(f"{l['var']}_{l['slot']}" for l in entry["labels"])
+        yield f"A({entry['generator']}) = {{{labels}}}"
 
-    if command == "regularity":
-        if not is_quadratic_dominant(ideal):
-            return {"regularity": regularity_dominant(ideal)}, "taylor", [], None
-        value, taylor_value = reg_quadratic_dominant(ideal), regularity_dominant(ideal)
-        checks = [{"method": "taylor", "value": taylor_value}]
-        return {"regularity": value}, "quadratic", checks, taylor_value == value
 
-    # argparse admits only `COMMANDS`, so the one left is "verify"
+def _verify(ideal: MonomialIdeal, args):
     values = dict(_answers(ideal, METHODS))
     agreement = len(set(values.values())) == 1
     checks = [{"method": m, "value": v} for m, v in values.items()]
     result = {"multiplicity": values["ps"] if agreement else None, "methods": values}
     return result, "consensus", checks, agreement
+
+
+def _regularity(ideal: MonomialIdeal, args):
+    if not is_quadratic_dominant(ideal):
+        return {"regularity": regularity_dominant(ideal)}, "taylor", [], None
+    value, taylor_value = reg_quadratic_dominant(ideal), regularity_dominant(ideal)
+    checks = [{"method": "taylor", "value": taylor_value}]
+    return {"regularity": value}, "quadratic", checks, taylor_value == value
+
+
+def _checked(document: dict) -> Iterator[str]:
+    """A pretty line per check, for `multiplicity --check` and quadratic `regularity`."""
+    return map("check {method}: {value}".format_map, document["checks"])
+
+
+class _Command:  # a plain class: a `NamedTuple` would add a quarter of a millisecond to import
+    def __init__(self, options: tuple, result: Callable, lines: Callable):
+        self.options = options  # (flag, `add_argument` keywords) of each option after the common ones
+        self.result = result  # (ideal, args) -> (result, method, checks, agreement)
+        self.lines = lines  # document -> its `--pretty` lines between the shared header and footer
+
+
+# The command table: one row per command, in the order the top-level parser names them.
+_TABLE = {
+    "multiplicity": _Command(
+        (("--method", dict(choices=("auto", *METHODS), default="auto")),
+         ("--check", dict(action="store_true", help="cross-check multiplicity with engine and oracle"))),
+        _multiplicity,
+        lambda d: [f"multiplicity = {d['result']['multiplicity']}  (method: {d['method']})", *_checked(d)],
+    ),
+    "codim": _Command((), lambda ideal, args: ({"codim": codim(ideal)}, "cover-search", [], None),
+                      lambda d: [f"codim = {d['result']['codim']}"]),
+    "classify": _Command((), _classify, _classify_lines),
+    "betti": _Command((), _betti, itemgetter("result")),
+    "taylor": _Command((), _taylor, itemgetter("result")),
+    "diagram": _Command((), _diagram, _diagram_lines),
+    "verify": _Command(
+        (("--random", dict(action="store_true", help="verify seeded random ideals")),
+         ("--seed", dict(type=int, default=0, help="seed for --random")),
+         ("--cases", dict(type=int, default=100, help="case count for --random"))),
+        _verify,
+        lambda d: map("  {method:<12} {value}".format_map, d["checks"]),
+    ),
+    "regularity": _Command(
+        (), _regularity,
+        lambda d: [f"regularity = {d['result']['regularity']}  (method: {d['method']})", *_checked(d)],
+    ),
+}
+
+COMMANDS = tuple(_TABLE)
+
+
+def _result_for(ideal: MonomialIdeal, args) -> tuple:
+    """The command's row: result (lines, for `betti`/`taylor --pretty`), method, checks, agreement."""
+    return _TABLE[args.command].result(ideal, args)
 
 
 def _execute(text: str, args, names: list[str] | None) -> tuple[dict, int]:
@@ -272,12 +304,8 @@ def _execute(text: str, args, names: list[str] | None) -> tuple[dict, int]:
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     document = {
         "command": args.command,
-        "input": {
-            "text": text,
-            "vars": list(ideal.ring.names),
-            "ideal": str(ideal),
-            "notices": list(parsed.notices),
-        },
+        "input": {"text": text, "vars": list(ideal.ring.names), "ideal": str(ideal),
+                  "notices": list(parsed.notices)},
         "classification": _classification_payload(ideal, report),
         "result": result,
         "method": method,
@@ -320,46 +348,19 @@ def _emit(document: dict, args) -> None:
 
 
 def _render_pretty(document: dict) -> str:
-    lines = []
     command = document.get("command", "?")
     if "error" in document:
         err = document["error"]
         return f"{command}: error [{err['code']}] {err['message']}"
     if document.get("mode") == "random":
-        lines.append(
-            f"random verification: seed={document['seed']} cases={document['cases']}"
-        )
-        for failure in document["failures"]:
-            lines.append(f"  disagreement on {failure['ideal']}: {failure['methods']}")
-        lines.append(f"agreement: {document['agreement']}")
-        return "\n".join(lines)
-    cls = document["classification"]
-    lines.append(f"ideal: {document['input']['ideal']}")
-    for notice in document["input"]["notices"]:
-        lines.append(f"note: {notice}")
-    lines.append(
-        "classification: codim={codim} dominant={dominant} ci={complete_intersection}".format(**cls)
-    )
-    result = document["result"]
-    if isinstance(result, list):  # betti and taylor render their own lines for --pretty
-        lines += result
-    elif command == "multiplicity":
-        lines.append(f"multiplicity = {result['multiplicity']}  (method: {document['method']})")
-    elif command == "codim":
-        lines.append(f"codim = {result['codim']}")
-    elif command == "regularity":
-        lines.append(f"regularity = {result['regularity']}  (method: {document['method']})")
-    elif command == "classify":
-        stem = result["stem"]
-        lines.append(f"stem ideal: {'no' if stem is None else 'yes, stems ' + ', '.join(stem['stems'])}")
-        lines.append(f"quadratic dominant: {result['quadratic_dominant']}")
-        lines.append(f"taylor resolution minimal: {result['taylor_minimal']}")
-    elif command == "diagram":
-        for entry in result["sets"]:
-            labels = ", ".join(f"{l['var']}_{l['slot']}" for l in entry["labels"])
-            lines.append(f"A({entry['generator']}) = {{{labels}}}")
-    check_line = "  {method:<12} {value}" if command == "verify" else "check {method}: {value}"
-    lines += (check_line.format(**check) for check in document["checks"])
+        lines = [f"random verification: seed={document['seed']} cases={document['cases']}"]
+        lines += (f"  disagreement on {f['ideal']}: {f['methods']}" for f in document["failures"])
+        return "\n".join([*lines, f"agreement: {document['agreement']}"])
+    lines = [f"ideal: {document['input']['ideal']}"]
+    lines += (f"note: {notice}" for notice in document["input"]["notices"])
+    lines.append("classification: codim={codim} dominant={dominant} ci={complete_intersection}"
+                 .format_map(document["classification"]))
+    lines += _TABLE[command].lines(document)  # the command's own lines, then the shared footer
     if document["agreement"] is not None:
         lines.append(f"agreement: {document['agreement']}")
     lines.append(f"time: {document['timing_ms']} ms")
@@ -373,9 +374,7 @@ def _render_pretty(document: dict) -> str:
 def _error_document(command: str, text: str | None, exc: Exception, exit_code: int) -> dict:
     payload = {"code": type(exc).__name__, "message": str(exc), "exit_code": exit_code}
     if isinstance(exc, ParseError):
-        payload["code"] = exc.code
-        payload["line"] = exc.line
-        payload["column"] = exc.column
+        payload.update(code=exc.code, line=exc.line, column=exc.column)
     doc = {"command": command, "error": payload}
     if text is not None:
         doc["input"] = {"text": text}
@@ -409,8 +408,7 @@ def _run_batch(args, names: list[str] | None) -> int:
             code = _exit_code(exc)
             document = _error_document(args.command, stripped, exc, code)
         _emit(document, args)
-        if status == 0 and code != 0:
-            status = code
+        status = status or code  # the first failure's code
     return status
 
 
@@ -418,6 +416,9 @@ def _run_random_verify(args) -> int:
     import random  # deferred, with the generator: no other command draws ideals
     from .generate import random_ideal
 
+    for flag in ("ideal", "file", "vars"):  # it draws its own ideals, over their own variables
+        if getattr(args, flag):
+            raise UsageError(f"--random and --{flag} are mutually exclusive")
     if args.cases < 1:
         raise UsageError("--cases must be at least 1")
     rng = random.Random(args.seed)
@@ -427,15 +428,8 @@ def _run_random_verify(args) -> int:
         result, _, _, agreement = _result_for(ideal, args)
         if not agreement:
             failures.append({"case": index, "ideal": str(ideal), "methods": result["methods"]})
-    document = {
-        "command": "verify",
-        "mode": "random",
-        "seed": args.seed,
-        "cases": args.cases,
-        "failures": failures,
-        "agreement": not failures,
-    }
-    _emit(document, args)
+    _emit({"command": "verify", "mode": "random", "seed": args.seed, "cases": args.cases,
+           "failures": failures, "agreement": not failures}, args)
     return 0 if not failures else InternalConsistencyError.exit_code
 
 

@@ -273,15 +273,25 @@ def taylor_numerator(ideal: MonomialIdeal) -> tuple[tuple[int, int], ...]:
     return tuple(item for item in sorted(counts.items()) if item[1])
 
 
+def _power_sums(numerator: tuple[tuple[int, int], ...], k: int) -> list[int]:
+    """P(1), ..., P(k) read off K's (d, K_d) pairs: the empty face, of degree 0, drops out."""
+    sums = [0] * k
+    for start in range(0, len(numerator), 1 << 16):  # a slice at a time: few powers held at once
+        degrees, terms = zip(*numerator[start : start + (1 << 16)])  # K_d * d^j, from j = 0
+        for j in range(k):
+            terms = list(map(mul, terms, degrees))
+            sums[j] += sum(terms)
+    return sums
+
+
 def ps_power_sum(ideal: MonomialIdeal, k: int) -> int:
     """Alternating k-th power sum of face degrees over homological degrees >= 1.
 
-    At k = 0 this equals -1: the empty face is excluded.
+    For k >= 1 it is the P(k) that `multiplicity_at` checks; at k = 0 it is -1, as K(1) = 0.
     """
     if k < 0:
         raise ValueError("power-sum exponent must be nonnegative")
-    # 0**k takes out the empty face, of degree 0 and even
-    return sum(n * d**k for d, n in taylor_numerator(ideal)) - 0**k
+    return _power_sums(taylor_numerator(ideal), k)[-1] if k else -1
 
 
 @per_ideal
@@ -296,12 +306,7 @@ def multiplicity_at(ideal: MonomialIdeal, c: int) -> int:
     P(1), ..., P(c - 1) must vanish and (-1)^c * P(c) be a positive multiple of c!, so c is
     K's order of vanishing at t = 1; anything else is a wrong c or an engine bug, never bad input.
     """
-    numerator, sums = taylor_numerator(ideal), [0] * c  # P(1), ..., P(c): the empty face drops out
-    for start in range(0, len(numerator), 1 << 16):  # a slice at a time: few powers held at once
-        degrees, terms = zip(*numerator[start : start + (1 << 16)])  # K_d * d^k, from k = 0
-        for k in range(c):
-            terms = list(map(mul, terms, degrees))
-            sums[k] += sum(terms)
+    sums = _power_sums(taylor_numerator(ideal), c)
     if c < 1 or any(sums[:-1]) or (total := (-1) ** c * sums[-1]) <= 0 or total % math.factorial(c):
         raise InternalConsistencyError(f"power sums P(1..{c}) are not those of codim {c} and an e >= 1")
     return total // math.factorial(c)

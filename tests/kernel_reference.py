@@ -6,7 +6,7 @@ fold of `lcm` over each face's members: the `lcm_columns` exponent columns
 `lcm_degree_table` (deg lcm(all) and each face's shortfall from it, read off
 the bit planes face by face), `taylor_numerator` against the signed degree
 histogram counted face by face (`signed_histogram`), `subset_lcms`, the `taylor_resolution`
-degrees and labels, `ps_power_sum(ideal, k)` for k <= 3, and for dominant
+degrees and labels, `ps_power_sum(ideal, k)` for k <= 3 (the sums `multiplicity_at` runs), and for dominant
 ideals the `betti_table` entries, one per face.  Two walks over the faces'
 degrees certify what the library decides from the dominance witnesses
 alone: whether any face has the degree of one of its facets

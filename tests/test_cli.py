@@ -573,6 +573,15 @@ def test_verify_random(capsys):
     assert doc["agreement"] is True and doc["cases"] == 25 and doc["failures"] == []
 
 
+@pytest.mark.parametrize("given", [["--ideal", "x*y"], ["--file", "/nonexistent"], ["--vars", "x,y"]])
+def test_verify_random_refuses_an_ideal_a_file_or_a_variable_list(given, capsys):
+    # --random draws its own ideals: any of these used to be ignored, with exit 0
+    code = cli.main(["verify", "--random", "--cases", "2", *given])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"multmon: error: --random and {given[0]} are mutually exclusive\n"
+
+
 def test_verify_random_pretty(capsys):
     code = cli.main(["verify", "--random", "--seed", "3", "--cases", "5", "--pretty"])
     out = capsys.readouterr().out
@@ -846,6 +855,54 @@ def test_readme_library_example_runs():
 def test_parser_is_built_once():
     assert cli._build_parser() is cli._build_parser()
     assert cli._command_parser("betti") is cli._command_parser("betti")
+
+
+_HELP = (("-h", "--help"), "help", "==SUPPRESS==", None, "show this help message and exit")
+_COMMON_ACTIONS = [
+    _HELP,
+    (("--ideal",), "ideal", None, None, 'ideal text, e.g. "a^2*b, b^3*c"'),
+    (("--file",), "file", None, None, "batch file: one ideal per line, '#' comments"),
+    (("--vars",), "vars", None, None, "explicit comma-separated variable order"),
+    (("--json",), "json", False, None, "structured output (default)"),
+    (("--pretty",), "pretty", False, None, "human-readable rendering"),
+]
+# (option strings, dest, default, choices, help) of every parser's arguments, read at the
+# commit before the command table; argparse's help layout varies by version, these do not
+_ACTIONS = {
+    None: [
+        _HELP,
+        (("--version",), "version", "==SUPPRESS==", None, "show program's version number and exit"),
+        ((), "command", None, ("multiplicity", "codim", "classify", "betti", "taylor", "diagram",
+                               "verify", "regularity"), None),
+    ],
+    "multiplicity": [
+        *_COMMON_ACTIONS,
+        (("--method",), "method", "auto", ("auto", "ps", "oracle", "codim1", "ci", "stem", "aci",
+                                           "structural", "quadratic", "recurrence"), None),
+        (("--check",), "check", False, None, "cross-check multiplicity with engine and oracle"),
+    ],
+    "codim": _COMMON_ACTIONS,
+    "classify": _COMMON_ACTIONS,
+    "betti": _COMMON_ACTIONS,
+    "taylor": _COMMON_ACTIONS,
+    "diagram": _COMMON_ACTIONS,
+    "verify": [
+        *_COMMON_ACTIONS,
+        (("--random",), "random", False, None, "verify seeded random ideals"),
+        (("--seed",), "seed", 0, None, "seed for --random"),
+        (("--cases",), "cases", 100, None, "case count for --random"),
+    ],
+    "regularity": _COMMON_ACTIONS,
+}
+
+
+def test_every_parser_keeps_its_arguments():
+    assert [None, *cli.COMMANDS] == list(_ACTIONS)
+    for name, expected in _ACTIONS.items():
+        parser = cli._build_parser() if name is None else cli._command_parser(name)
+        actions = [(tuple(a.option_strings), a.dest, a.default,
+                    None if a.choices is None else tuple(a.choices), a.help) for a in parser._actions]
+        assert actions == expected, name
 
 
 def test_top_level_arguments_keep_their_outcomes(capsys):
