@@ -289,18 +289,13 @@ _TABLE = {
 COMMANDS = tuple(_TABLE)
 
 
-def _result_for(ideal: MonomialIdeal, args) -> tuple:
-    """The command's row: result (lines, for `betti`/`taylor --pretty`), method, checks, agreement."""
-    return _TABLE[args.command].result(ideal, args)
-
-
 def _execute(text: str, args, names: list[str] | None) -> tuple[dict, int]:
     """Run one command over one ideal text in the `--vars` order; returns (document, exit code)."""
     started = time.perf_counter()
     parsed = parse_ideal_detailed(text, names)
     ideal = parsed.ideal
     report = classify(ideal)
-    result, method, checks, agreement = _result_for(ideal, args)
+    result, method, checks, agreement = _TABLE[args.command].result(ideal, args)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     document = {
         "command": args.command,
@@ -425,7 +420,7 @@ def _run_random_verify(args) -> int:
     failures = []
     for index in range(args.cases):
         ideal = random_ideal(rng, max_gens=8, max_vars=6, max_exp=4)
-        result, _, _, agreement = _result_for(ideal, args)
+        result, _, _, agreement = _TABLE[args.command].result(ideal, args)
         if not agreement:
             failures.append({"case": index, "ideal": str(ideal), "methods": result["methods"]})
     _emit({"command": "verify", "mode": "random", "seed": args.seed, "cases": args.cases,

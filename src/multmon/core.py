@@ -36,8 +36,6 @@ __all__ = [
     "VariableTable",
     "Monomial",
     "MonomialIdeal",
-    "lcm",
-    "gcd",
     "quotient",
     "lcm_all",
     "gcd_all",
@@ -216,16 +214,6 @@ def bits(mask: int) -> list[int]:
         found.append(low.bit_length() - 1)
         mask ^= low
     return found
-
-
-def lcm(a: Monomial, b: Monomial) -> Monomial:
-    """Least common multiple: coordinatewise max of exponents."""
-    return Monomial(a.table, tuple(map(max, a.vec, _vec(b, a.table))))
-
-
-def gcd(a: Monomial, b: Monomial) -> Monomial:
-    """Greatest common divisor: coordinatewise min of exponents."""
-    return Monomial(a.table, tuple(map(min, a.vec, _vec(b, a.table))))
 
 
 def quotient(a: Monomial, b: Monomial) -> Monomial:

@@ -24,7 +24,7 @@ from .core import Monomial, MonomialIdeal, minimalize, per_ideal, subset_lcms
 from .errors import HypothesisError, InternalConsistencyError
 from .formulas import structural_split
 from .invariants import codim, dominance_witnesses, has_cover
-from .taylor import BettiTable, betti_table, multiplicity_at, multiplicity_ps
+from .taylor import betti_table, multiplicity_at, multiplicity_ps
 
 __all__ = [
     "ThirdDecomposition",
@@ -136,8 +136,8 @@ def structural_terms(ideal: MonomialIdeal) -> list[DecompositionTerm]:
     return terms
 
 
-def betti_decomposition(ideal: MonomialIdeal) -> BettiTable:
-    """Betti table assembled from the structural terms.
+def betti_decomposition(ideal: MonomialIdeal) -> dict[tuple[int, tuple[int, ...]], int]:
+    """Betti table assembled from the structural terms, in `betti_table`'s dict form.
 
     Each term's table (a complete intersection's, hence computable from its
     Taylor complex) is shifted by (j, adding mbar's exponents) and the counts
@@ -146,7 +146,7 @@ def betti_decomposition(ideal: MonomialIdeal) -> BettiTable:
     """
     entries: dict[tuple[int, tuple[int, ...]], int] = {}
     for term in structural_terms(ideal):
-        for (i, vec), count in betti_table(term.ideal).entries.items():
+        for (i, vec), count in betti_table(term.ideal).items():
             key = (i + term.j, tuple(map(add, vec, term.mbar.vec)))
             entries[key] = entries.get(key, 0) + count
-    return BettiTable(entries)
+    return entries

@@ -59,7 +59,7 @@ class UnsupportedError(MultmonError):
 
 class ResourceCapError(MultmonError):
     """A hard size cap was exceeded: the Taylor complex, the ps engine's q and lcm degree, the
-    structural formula's subset lcms, the colength grid, or the polarization labels."""
+    structural formula's subset lcms, the colength staircase's cells, or the polarization labels."""
 
     exit_code = 4
 

@@ -12,7 +12,7 @@ from math import prod
 from operator import and_
 from typing import NamedTuple
 
-from .core import Monomial, MonomialIdeal, bits, gcd, gcd_all, per_ideal, subset_lcms
+from .core import Monomial, MonomialIdeal, bits, gcd_all, per_ideal, subset_lcms
 from .errors import HypothesisError, InternalConsistencyError, ResourceCapError
 from .invariants import (
     codim,
@@ -233,8 +233,10 @@ def aci_product_difference(ci_gens: list[Monomial], extra: Monomial) -> int:
     A zero factor (when a CI generator divides `extra`) is kept as written;
     it simply kills the second product.
     """
+    if any(g.table != extra.table for g in ci_gens):
+        raise ValueError("mismatched variable tables")
     full = prod(g.degree for g in ci_gens)
-    return full - prod(g.degree - gcd(g, extra).degree for g in ci_gens)
+    return full - prod(g.degree - sum(map(min, g.vec, extra.vec)) for g in ci_gens)
 
 
 def e_aci(ideal: MonomialIdeal) -> int:

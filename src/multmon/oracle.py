@@ -5,7 +5,8 @@ generators' supports (c = codim), of the number of standard monomials of the
 ideal restricted to the cover's variables; nothing but monomial arithmetic is
 shared with the power-sum engine.  Covers come from `invariants.covers`, and
 each colength from one pass over the generators and a staircase count whose
-slices wait on a stack (Roune, JSC 44 (2009)), in a capped box.
+slices wait on a stack (Roune, JSC 44 (2009)); past a 10^7-point box, its
+cells, cut at the distinct exponents inside the box, are capped at 10^7.
 """
 
 from __future__ import annotations
@@ -98,11 +99,12 @@ def colength(ideal: MonomialIdeal, cover: frozenset[int]) -> int:
             v = met.bit_length() - 1
             least[v] = min(g.vec[v], least.get(v, g.vec[v]))
     bounds = [least[v] for v in cov]
-    if (grid := prod(bounds)) > COLENGTH_GRID_CAP:
-        raise ResourceCapError(f"colength grid of {grid} points exceeds the {COLENGTH_GRID_CAP} cap")
     mixed = [g for g, s in zip(ideal.gens, ideal.supports) if (s & mask).bit_count() > 1]
-    vectors = {tuple(g.vec[v] for v in cov) for g in mixed}
-    return _staircase([vec for vec in vectors if all(map(lt, vec, bounds))], bounds)
+    vectors = [vec for vec in {tuple(g.vec[v] for v in cov) for g in mixed} if all(map(lt, vec, bounds))]
+    cap = COLENGTH_GRID_CAP  # the staircase cuts only at exponents inside the box: past it, count cells
+    if (grid := prod(bounds)) > cap and (cells := prod(len(set(c)) + 1 for c in zip(*vectors))) > cap:
+        raise ResourceCapError(f"colength staircase of {cells} cells in a {grid}-point grid exceeds the {cap} cap")
+    return _staircase(vectors, bounds)
 
 
 def multiplicity_associativity(ideal: MonomialIdeal) -> int:

@@ -44,13 +44,11 @@ import math
 from functools import cached_property, lru_cache
 from itertools import repeat
 from operator import add, itemgetter, mul
-from typing import NamedTuple
 
 from .core import (
     Monomial,
     MonomialIdeal,
     bits,
-    lcm,
     lcm_all,
     lcm_columns,
     lcm_levels,
@@ -65,7 +63,6 @@ from .invariants import codim, is_dominant
 __all__ = [
     "Q_MAX",
     "TaylorResolution",
-    "BettiTable",
     "taylor_resolution",
     "minimal_resolution",
     "differential_coefficient",
@@ -420,35 +417,15 @@ def differential_coefficient(
         )
     removed = members[removed_position - 1]
     facet = lcm_all(ideal.ring, (ideal.gens[i] for i in members if i != removed))
-    return (1 if removed_position % 2 else -1), quotient(lcm(facet, ideal.gens[removed]), facet)
+    return (1 if removed_position % 2 else -1), quotient(lcm_all(ideal.ring, (facet, ideal.gens[removed])), facet)
 
 
-class BettiTable(NamedTuple):
-    """Multigraded Betti numbers: (homological degree, multidegree) -> count.
-
-    Multidegrees are exponent tuples, stored for the quotient ring convention,
-    so (0, all zeros) -> 1 is always present.  The graded view sums them.
-    """
-
-    entries: dict[tuple[int, tuple[int, ...]], int]
-
-    def graded(self) -> dict[tuple[int, int], int]:
-        out: dict[tuple[int, int], int] = {}
-        for (i, vec), count in self.entries.items():
-            key = (i, sum(vec))
-            out[key] = out.get(key, 0) + count
-        return out
-
-    def total(self, hdeg: int) -> int:
-        return sum(count for (i, _), count in self.entries.items() if i == hdeg)
-
-
-def betti_table(ideal: MonomialIdeal) -> BettiTable:
-    """Betti numbers of a dominant ideal, one per Taylor face, read off `subset_lcms`."""
+def betti_table(ideal: MonomialIdeal) -> dict[tuple[int, tuple[int, ...]], int]:
+    """Multigraded Betti numbers of a dominant ideal: (hdeg, exponent tuple) -> 1 per Taylor face."""
     _require_dominant(ideal)
     _require_small(ideal, Q_MAX)
     mdegs = subset_lcms(ideal.ring, ideal.gens)
-    return BettiTable({(mask.bit_count(), vec): 1 for mask, vec in enumerate(mdegs)})
+    return {(mask.bit_count(), vec): 1 for mask, vec in enumerate(mdegs)}
 
 
 def regularity_dominant(ideal: MonomialIdeal) -> int:

@@ -13,15 +13,15 @@ MODULES = ("core", "decomposition", "errors", "formulas", "invariants", "oracle"
 
 # every name `import multmon` binds besides its submodules and dunders
 PUBLIC = {
-    "BettiTable", "CISplit", "ClassificationReport", "DecompositionTerm", "HypothesisError",
+    "CISplit", "ClassificationReport", "DecompositionTerm", "HypothesisError",
     "InternalConsistencyError", "MAX_EXPONENT", "Monomial", "MonomialIdeal", "MultmonError",
     "ParseError", "ParsedIdeal", "Q_MAX", "QuadraticDominantData", "ResourceCapError",
     "StemStructure", "TaylorResolution", "ThirdDecomposition", "UnsupportedError", "UsageError",
     "VariableTable", "aci_dominant_witness", "aci_product_difference", "betti_decomposition",
     "betti_table", "classify", "codim", "colength", "detect_stem", "differential_coefficient",
     "dominance_witnesses", "e_aci", "e_codim1", "e_complete_intersection", "e_quadratic_dominant",
-    "e_stem", "e_structural", "find_ci_split", "gcd", "gcd_all", "is_almost_complete_intersection",
-    "is_complete_intersection", "is_dominant", "lcm", "lcm_all",
+    "e_stem", "e_structural", "find_ci_split", "gcd_all", "is_almost_complete_intersection",
+    "is_complete_intersection", "is_dominant", "lcm_all",
     "lcm_degree_table", "minimal_covers", "minimal_resolution", "minimalize",
     "multiplicity_associativity", "multiplicity_ps", "multiplicity_recurrence", "parse_ideal",
     "parse_ideal_detailed", "polar_set", "polar_sets", "ps_power_sum", "quadratic_dominant_data",

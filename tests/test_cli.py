@@ -12,7 +12,6 @@ import string
 import subprocess
 import sys
 import time
-from functools import reduce
 from itertools import groupby
 from math import comb
 from pathlib import Path
@@ -35,7 +34,7 @@ from multmon import (
     VariableTable,
     __version__,
     is_dominant,
-    lcm,
+    lcm_all,
     minimalize,
     minimal_resolution,
     multiplicity_ps,
@@ -185,13 +184,9 @@ def test_taylor_command(capsys):
 
 
 def _reference_documents(ideal) -> tuple[dict, dict]:
-    """`betti` and `taylor` results built from one `Monomial` per face, a fold of `lcm`."""
+    """`betti` and `taylor` results built from one `Monomial` per face, an `lcm_all` of its members."""
     q = ideal.q
-    unit = Monomial.unit(ideal.ring)
-    lcms = [
-        reduce(lcm, (g for i, g in enumerate(ideal.gens) if mask >> i & 1), unit)
-        for mask in range(1 << q)
-    ]
+    lcms = [lcm_all(ideal.ring, (g for i, g in enumerate(ideal.gens) if mask >> i & 1)) for mask in range(1 << q)]
     table: dict[tuple[int, Monomial], int] = {}
     for mask, m in enumerate(lcms):
         key = (bin(mask).count("1"), m)

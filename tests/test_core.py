@@ -17,9 +17,7 @@ from multmon import (
     ResourceCapError,
     VariableTable,
     codim,
-    gcd,
     gcd_all,
-    lcm,
     lcm_all,
     minimalize,
     parse_ideal,
@@ -36,6 +34,14 @@ def mono(text: str, table: VariableTable = ABCDE) -> Monomial:
     gens = parse_ideal(text, var_names=table.names).gens
     assert len(gens) == 1
     return gens[0]
+
+
+def lcm(a: Monomial, b: Monomial) -> Monomial:  # the two-argument lcm and gcd, on the library's folds
+    return lcm_all(a.table, (a, b))
+
+
+def gcd(a: Monomial, b: Monomial) -> Monomial:
+    return gcd_all((a, b))
 
 
 monomials = st.builds(

@@ -16,8 +16,7 @@ from multmon import (
     codim,
     dominance_witnesses,
     find_ci_split,
-    gcd,
-    lcm,
+    gcd_all,
     lcm_all,
     minimalize,
     multiplicity_ps,
@@ -122,7 +121,7 @@ def test_pivot_search_and_quotients_match_their_definitions(ideal):
     assert pivot == next(iter(keeping), None), str(ideal)
     for i in dominant:
         m, rest = ideal.gens[i], ideal.without(i).gens
-        expected = minimalize(ideal.ring, [quotient(lcm(m, g), m) for g in rest])
+        expected = minimalize(ideal.ring, [quotient(lcm_all(ideal.ring, (m, g)), m) for g in rest])
         assert third_decomposition(ideal, i).mm1 == expected, str(ideal)
 
 
@@ -223,7 +222,7 @@ def test_term_quotients_divide_and_are_coprime():
                 assert qi.divides(hi)
             for a in range(len(term.quotients)):
                 for b in range(a + 1, len(term.quotients)):
-                    assert gcd(term.quotients[a], term.quotients[b]).is_unit
+                    assert gcd_all((term.quotients[a], term.quotients[b])).is_unit
 
 
 def test_alternating_term_sum_equals_engine():
@@ -236,22 +235,22 @@ def test_alternating_term_sum_equals_engine():
 
 def test_betti_decomposition_examples():
     ideal = parse_ideal("x^2, y^3")
-    assert betti_decomposition(ideal).entries == betti_table(ideal).entries
+    assert betti_decomposition(ideal) == betti_table(ideal)
 
     ideal = parse_ideal("a^3*c, a*b*e^3, a^2*b^2, c^2, d^2*e^2")
     assembled = betti_decomposition(ideal)
-    assert assembled.total(0) == 1
-    first_layer = {str(Monomial(ideal.ring, m)) for (i, m) in assembled.entries if i == 1}
+    assert sum(c for (i, _), c in assembled.items() if i == 0) == 1
+    first_layer = {str(Monomial(ideal.ring, m)) for (i, m) in assembled if i == 1}
     assert first_layer == {str(g) for g in ideal.gens}
-    assert assembled.total(1) == 5
-    assert assembled.entries == betti_table(ideal).entries
+    assert sum(c for (i, _), c in assembled.items() if i == 1) == 5
+    assert assembled == betti_table(ideal)
 
 
 def test_betti_decomposition_matches_taylor_on_random_ideals():
     rng = random.Random(59)
     for _ in range(60):
         ideal = random_dominant_with_split(rng)
-        assert betti_decomposition(ideal).entries == betti_table(ideal).entries
+        assert betti_decomposition(ideal) == betti_table(ideal)
 
 
 def test_structural_routes_check_their_own_hypotheses():

@@ -121,8 +121,6 @@ def test_detect_stem_needs_dominance():
 
 def test_detected_structure_satisfies_block_laws():
     rng = random.Random(5150)
-    from multmon import gcd
-
     for _ in range(80):
         ideal = random_stem_ideal(rng)
         structure = detect_stem(ideal)
@@ -138,7 +136,7 @@ def test_detected_structure_satisfies_block_laws():
                     continue
                 for i in block_a:
                     for j in block_b:
-                        assert gcd(ideal.gens[i], ideal.gens[j]).is_unit
+                        assert gcd_all((ideal.gens[i], ideal.gens[j])).is_unit
         sizes = [len(b) for b in structure.blocks]
         assert sizes == sorted(sizes, reverse=True)
 
@@ -355,6 +353,9 @@ def test_aci_formula_tolerates_zero_factor():
     extra = parse_ideal("x*y^4", var_names=("x", "y")).gens[0]
     assert aci_product_difference(list(ci), extra) == 6
     assert multiplicity_ps(parse_ideal("x^2, y^3")) == 6
+    # the gcd degrees are read off the exponent tuples, which must share one table
+    with pytest.raises(ValueError, match="^mismatched variable tables$"):
+        aci_product_difference(list(ci), parse_ideal("y*x^4", var_names=("y", "x")).gens[0])
 
 
 def test_aci_dominant_witness_on_nondominant_examples():

@@ -7,6 +7,7 @@ import json
 import random
 import time
 from itertools import combinations, product
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -111,9 +112,16 @@ def test_colength_unchanged_by_redundant_generators():
 
 
 def test_grid_cap():
+    # past a 10^7-point box the cap counts the staircase's cells, one per combination of the
+    # distinct exponents inside the box: no vector lies inside this one, so it is one product
     ideal = parse_ideal("x^4000000, y^4000000")
-    with pytest.raises(ResourceCapError):
-        colength(ideal, frozenset({0, 1}))
+    assert colength(ideal, frozenset({0, 1})) == 16 * 10**12
+    # 57 vectors inside a 1000^4 box, with 57 distinct exponents in each variable: 58^4 cells
+    mixed = [f"x^{i}*y^{58 - i}*z^{i}*w^{58 - i}" for i in range(1, 58)]
+    ideal = parse_ideal(", ".join(["x^1000", "y^1000", "z^1000", "w^1000", *mixed]))
+    cap = r"^colength staircase of 11316496 cells in a 1000000000000-point grid exceeds the 10000000 cap$"
+    with pytest.raises(ResourceCapError, match=cap):
+        multiplicity_associativity(ideal)
 
 
 def test_cap_box_comes_from_each_variables_pure_power():
@@ -123,9 +131,22 @@ def test_cap_box_comes_from_each_variables_pure_power():
     ideal = parse_ideal("x^3162, y^3162, x^9999*z, z*w")
     assert [colength(ideal, cover) for cover in minimal_covers(ideal)] == [9998244, 9998244]
     assert multiplicity_associativity(ideal) == 19996488
+    # a box past the cap with no vector inside it is one staircase cell
     ideal = parse_ideal("x^3163, y^3163, x^9999*z, z*w")
-    with pytest.raises(ResourceCapError):
-        multiplicity_associativity(ideal)
+    assert [colength(ideal, cover) for cover in minimal_covers(ideal)] == [10004569, 10004569]
+    assert multiplicity_associativity(ideal) == 20009138
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.integers(1, 2**31 - 1), min_size=1, max_size=2), min_size=1, max_size=4))
+def test_complete_intersection_count_is_the_degree_product(exponents):
+    # pairwise-coprime generators of one or two variables each: every cover's box holds no
+    # vector, so the oracle counts it whatever its size, and the sum is the degree product
+    gens, first = [], 0
+    for exps in exponents:
+        gens.append("*".join(f"x{first + k}^{e}" for k, e in enumerate(exps)))
+        first += len(exps)
+    assert multiplicity_associativity(parse_ideal(", ".join(gens))) == prod(map(sum, exponents))
 
 
 def test_thousand_variable_cover():
